@@ -160,8 +160,9 @@ fn bench(args: &Args) {
     const BENCH_OPS: usize = 150;
     // Regression floor: CI release builds run well over an order of
     // magnitude above this; dipping below it means the differential
-    // hot path (twin stepping + invariant sweeps) got dramatically
-    // slower and the run fails instead of silently recording it.
+    // hot path (machine + oracle stepping + invariant sweeps) got
+    // dramatically slower and the run fails instead of silently
+    // recording it.
     const MIN_OPS_PER_SEC: f64 = 500.0;
 
     let strategy = sequence_strategy(BENCH_OPS);
@@ -170,9 +171,9 @@ fn bench(args: &Args) {
         .collect();
     let total_ops: usize = sequences.iter().map(Vec::len).sum();
 
-    // Wall-clock pass: every op runs on two machine twins plus two
-    // oracles, with full invariant sweeps — that whole package is the
-    // unit "op" here, matching what CI budgets actually pay for.
+    // Wall-clock pass: every op runs on the machine and the oracle,
+    // with full invariant sweeps — that whole package is the unit "op"
+    // here, matching what CI budgets actually pay for.
     let start = Instant::now();
     for (i, ops) in sequences.iter().enumerate() {
         run_sequence(ops, None).unwrap_or_else(|e| panic!("bench sequence {i} diverged: {e}"));

@@ -9,10 +9,10 @@
 //!
 //! * Default mode exhausts the named configuration (`tiny`, `ci`,
 //!   `mutation`, `symmetric`): every edge of the reachable canonical
-//!   state graph runs on the caches-on twin, the caches-off twin, and
-//!   the reference oracle in lockstep. Any divergence is shrunk to a
-//!   minimal counterexample, printed with a `--replay` line, written to
-//!   `--ce-out`, and exits nonzero.
+//!   state graph runs on the machine and the reference oracle in
+//!   lockstep. Any divergence is shrunk to a minimal counterexample,
+//!   printed with a `--replay` line, written to `--ce-out`, and exits
+//!   nonzero.
 //! * `--replay I,J,K` replays alphabet indices (the repro format every
 //!   counterexample prints) — the one-command local reproduction for a
 //!   CI failure, sharing the `VEIL_TEST_SEED` philosophy of the fuzzer.
@@ -227,14 +227,14 @@ fn render_counterexample(args: &Args, f: &ModelFailure) -> String {
 
 fn run_replay(args: &Args, indices: &[u16]) {
     match replay(&args.check, indices) {
-        Ok((lines, on, _)) => {
+        Ok((lines, world)) => {
             for (idx, line) in indices.iter().zip(&lines) {
                 println!("  [{idx:4}] {line}");
             }
             println!(
                 "modelcheck: replay of {} ops green (halted: {:?})",
                 lines.len(),
-                on.hv.machine.halted()
+                world.hv.machine.halted()
             );
         }
         Err(e) => {

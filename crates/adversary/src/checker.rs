@@ -1,13 +1,13 @@
 //! The exhaustive explorer: BFS over the canonical abstract state
-//! graph, executing every edge on the caches-on twin, the caches-off
-//! twin, and the reference oracle in lockstep.
+//! graph, executing every edge on the machine and the reference oracle
+//! in lockstep.
 //!
 //! Exploration is deterministic: a FIFO frontier over canonical keys,
 //! the fixed alphabet order of [`ModelConfig::alphabet`], and replay of
-//! each state's pinned path from the boot worlds. A divergence anywhere
-//! (verdict, RMP state, halt latch, VMSA liveness, twin result lines,
-//! twin abstract states) aborts the search with the BFS-minimal path,
-//! which is then greedily shrunk and rendered as `--replay` indices.
+//! each state's pinned path from the boot world. A machine-vs-oracle
+//! divergence anywhere (verdict, RMP state, halt latch, VMSA liveness)
+//! aborts the search with the BFS-minimal path, which is then greedily
+//! shrunk and rendered as `--replay` indices.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -51,8 +51,8 @@ pub struct StateInfo {
     pub state: AbstractState,
 }
 
-/// A machine/oracle or twin divergence, with the BFS-minimal path and
-/// its greedy drop-one shrink.
+/// A machine-vs-oracle divergence, with the BFS-minimal path and its
+/// greedy drop-one shrink.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelFailure {
     /// Depth at which BFS hit the divergence (path length incl. the
@@ -99,46 +99,28 @@ pub struct ExploreReport {
     pub failure: Option<ModelFailure>,
 }
 
-fn boot_twins(cfg: &CheckConfig) -> (World, World) {
-    let wc = cfg.model.world_config();
-    (World::with_config(true, cfg.mutation, &wc), World::with_config(false, cfg.mutation, &wc))
+fn boot(cfg: &CheckConfig) -> World {
+    World::with_config(cfg.mutation, &cfg.model.world_config())
 }
 
-/// Steps both twins through one op, demanding both succeed with equal
-/// result lines.
-fn lockstep(on: &mut World, off: &mut World, op: &AdversaryOp) -> Result<String, String> {
-    let a = on.step(op).map_err(|e| format!("[caches on] {e}"))?;
-    let b = off.step(op).map_err(|e| format!("[caches off] {e}"))?;
-    if a != b {
-        return Err(format!("twin divergence on {op:?}: cached `{a}` vs uncached `{b}`"));
-    }
-    Ok(a)
-}
-
-/// Replays a path of alphabet indices on fresh twins. Returns the
-/// result lines and the final twins (for witness generation and the
+/// Replays a path of alphabet indices on a fresh world. Returns the
+/// result lines and the final world (for witness generation and the
 /// CLI `--replay` flag).
 ///
 /// # Errors
 ///
 /// Any divergence along the way, or an out-of-range index.
-pub fn replay(cfg: &CheckConfig, indices: &[u16]) -> Result<(Vec<String>, World, World), String> {
+pub fn replay(cfg: &CheckConfig, indices: &[u16]) -> Result<(Vec<String>, World), String> {
     let alphabet = cfg.model.alphabet();
-    let (mut on, mut off) = boot_twins(cfg);
+    let mut world = boot(cfg);
     let mut lines = Vec::with_capacity(indices.len());
     for (i, &idx) in indices.iter().enumerate() {
         let op = alphabet
             .get(idx as usize)
             .ok_or_else(|| format!("index {idx} out of alphabet range {}", alphabet.len()))?;
-        let line = lockstep(&mut on, &mut off, op).map_err(|e| format!("op {i} {op:?}: {e}"))?;
-        lines.push(line);
-        let (sa, sb) =
-            (AbstractState::extract(&on, &cfg.model), AbstractState::extract(&off, &cfg.model));
-        if sa != sb {
-            return Err(format!("op {i} {op:?}: twin abstract-state divergence"));
-        }
+        lines.push(world.step(op).map_err(|e| format!("op {i} {op:?}: {e}"))?);
     }
-    Ok((lines, on, off))
+    Ok((lines, world))
 }
 
 fn run_indices(cfg: &CheckConfig, indices: &[u16]) -> Result<(), String> {
@@ -167,7 +149,7 @@ fn to_ops(alphabet: &[AdversaryOp], indices: &[u16]) -> Vec<AdversaryOp> {
 
 /// Exhausts the model configuration's reachable canonical state graph.
 ///
-/// Every edge runs on both twins and the oracle; the per-op invariant
+/// Every edge runs on the machine and the oracle; the per-op invariant
 /// sweep of [`World::step`] re-checks full RMP/VMSA/halt equality after
 /// each. On divergence the report carries a shrunk [`ModelFailure`] and
 /// `visited`/`states`/`edges` reflect progress up to that point.
@@ -178,13 +160,8 @@ fn to_ops(alphabet: &[AdversaryOp], indices: &[u16]) -> Vec<AdversaryOp> {
 /// replay diverges on a previously-checked prefix (a harness bug).
 pub fn explore(cfg: &CheckConfig) -> ExploreReport {
     let alphabet = cfg.model.alphabet();
-    let (base_on, base_off) = boot_twins(cfg);
-    let root = AbstractState::extract(&base_on, &cfg.model);
-    assert_eq!(
-        root,
-        AbstractState::extract(&base_off, &cfg.model),
-        "twins must boot into the same abstract state"
-    );
+    let base = boot(cfg);
+    let root = AbstractState::extract(&base, &cfg.model);
 
     let mut report = ExploreReport {
         config: cfg.model.clone(),
@@ -206,47 +183,18 @@ pub fn explore(cfg: &CheckConfig) -> ExploreReport {
             continue;
         }
         // Rebuild this state's concrete representative by replaying its
-        // pinned path from the boot twins.
-        let (mut on, mut off) = (base_on.clone(), base_off.clone());
+        // pinned path from the boot world.
+        let mut world = base.clone();
         for &idx in &path {
-            lockstep(&mut on, &mut off, &alphabet[idx as usize])
+            world
+                .step(&alphabet[idx as usize])
                 .expect("replay of an already-checked path must not diverge");
         }
+        let extend = |idx: usize| [path.as_slice(), &[idx as u16]].concat();
         for (idx, op) in alphabet.iter().enumerate() {
-            let (mut a, mut b) = (on.clone(), off.clone());
-            let failed = match lockstep(&mut a, &mut b, op) {
-                Err(e) => Some(e),
-                Ok(_) => {
-                    let sa = AbstractState::extract(&a, &cfg.model);
-                    let sb = AbstractState::extract(&b, &cfg.model);
-                    if sa != sb {
-                        Some(format!("twin abstract-state divergence on {op:?}"))
-                    } else {
-                        report.edges += 1;
-                        report.coverage.merge(a.coverage());
-                        let key = sa.canonical_key(&cfg.model);
-                        if !report.visited.contains_key(&key) {
-                            let mut p = path.clone();
-                            p.push(idx as u16);
-                            report.max_depth = report.max_depth.max(p.len());
-                            report.visited.insert(
-                                key,
-                                StateInfo { depth: p.len(), path: p.clone(), state: sa },
-                            );
-                            report.states += 1;
-                            assert!(
-                                report.visited.len() <= MAX_STATES,
-                                "state-space runaway: over {MAX_STATES} canonical states"
-                            );
-                            frontier.push_back(p);
-                        }
-                        None
-                    }
-                }
-            };
-            if let Some(error) = failed {
-                let mut indices = path.clone();
-                indices.push(idx as u16);
+            let mut next = world.clone();
+            if let Err(error) = next.step(op) {
+                let indices = extend(idx);
                 let shrunk_indices = shrink_indices(cfg, indices.clone());
                 report.failure = Some(ModelFailure {
                     depth: indices.len(),
@@ -257,6 +205,21 @@ pub fn explore(cfg: &CheckConfig) -> ExploreReport {
                     shrunk_indices,
                 });
                 return report;
+            }
+            report.edges += 1;
+            report.coverage.merge(next.coverage());
+            let state = AbstractState::extract(&next, &cfg.model);
+            let key = state.canonical_key(&cfg.model);
+            if !report.visited.contains_key(&key) {
+                let p = extend(idx);
+                report.max_depth = report.max_depth.max(p.len());
+                report.visited.insert(key, StateInfo { depth: p.len(), path: p.clone(), state });
+                report.states += 1;
+                assert!(
+                    report.visited.len() <= MAX_STATES,
+                    "state-space runaway: over {MAX_STATES} canonical states"
+                );
+                frontier.push_back(p);
             }
         }
     }

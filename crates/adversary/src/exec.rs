@@ -13,7 +13,7 @@ use veil_snp::fault::SnpError;
 use veil_snp::ghcb::{Ghcb, GhcbExit};
 use veil_snp::machine::{Machine, MachineConfig};
 use veil_snp::perms::{Access, Cpl, Vmpl, VmplPerms};
-use veil_snp::pt::{AddressSpace, PteFlags};
+use veil_snp::pt::{AddressSpace, PtError, PteFlags};
 use veil_snp::rmp::{PageState, RmpMutation};
 use veil_snp::vcek::{
     self, ChainReport, ChainVerifier, DeriveStage, Tamper, TcbVersion, VerifyError,
@@ -44,19 +44,6 @@ const MARKER_BASE: u64 = 0x5EED_0000;
 /// forgery expectations never accidentally share material with the
 /// world's own machine.
 const ADVERSARY_DEVICE_SEED: [u8; 32] = [0xAD; 32];
-
-/// End-of-sequence observation; twins must produce equal values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqObservation {
-    /// Total machine cycles charged.
-    pub total_cycles: u64,
-    /// Per-domain cycle attribution.
-    pub domain_cycles: [u64; 4],
-    /// Recorded trace events.
-    pub events: usize,
-    /// Trace stream digest.
-    pub digest: String,
-}
 
 /// Op-variant and verdict-variant coverage recorded by a [`World`] as
 /// it executes — the raw material of the coverage audit test, which
@@ -103,7 +90,7 @@ impl WorldConfig {
 }
 
 /// One fuzzing world: hypervisor + machine on one side, oracle on the
-/// other, plus the VMPL-3 address space the TLB-stress ops churn.
+/// other, plus the VMPL-3 address space the page-table ops churn.
 #[derive(Debug, Clone)]
 pub struct World {
     /// The system under test.
@@ -129,8 +116,8 @@ impl World {
     ///
     /// Panics if the prologue itself diverges (a harness bug, not a
     /// finding).
-    pub fn new(cache_enabled: bool, mutation: Option<RmpMutation>) -> Self {
-        World::with_config(cache_enabled, mutation, &WorldConfig::fuzz())
+    pub fn new(mutation: Option<RmpMutation>) -> Self {
+        World::with_config(mutation, &WorldConfig::fuzz())
     }
 
     /// Boots a world with an explicit [`WorldConfig`] — the
@@ -141,18 +128,13 @@ impl World {
     ///
     /// Panics if the prologue itself diverges (a harness bug, not a
     /// finding), or if the configuration reserves a prologue frame.
-    pub fn with_config(
-        cache_enabled: bool,
-        mutation: Option<RmpMutation>,
-        cfg: &WorldConfig,
-    ) -> Self {
+    pub fn with_config(mutation: Option<RmpMutation>, cfg: &WorldConfig) -> Self {
         assert!(
             cfg.reserved.iter().all(|&gfn| (POOL_FIRST..cfg.frames).contains(&gfn)),
             "reserved gfns must lie in the pool range"
         );
         let mut machine =
             Machine::new(MachineConfig { frames: cfg.frames as usize, ..Default::default() });
-        machine.set_cache_enabled(cache_enabled);
         machine.tracer_mut().set_enabled(cfg.observe);
         machine.set_metrics_enabled(cfg.observe);
         if let Some(m) = mutation {
@@ -236,7 +218,8 @@ impl World {
     }
 
     /// Applies one op to machine and oracle. Returns a canonical result
-    /// line (for twin comparison) or a divergence description.
+    /// line (the fuzzer's log and the witness matrix) or a divergence
+    /// description.
     pub fn step(&mut self, op: &AdversaryOp) -> Result<String, String> {
         let line = self.apply(op)?;
         self.check_invariants().map_err(|e| format!("after {op:?}: {e}"))?;
@@ -395,8 +378,7 @@ impl World {
                 self.note(&actual);
                 // Routing policy (refusals, misrouting, scope checks) is
                 // hypervisor behaviour, deliberately outside the RMP
-                // oracle; the gate and the result line still pin halts
-                // and twin equality.
+                // oracle; the gate still pins halts.
                 match (&actual, &gate) {
                     (Err(SnpError::Halted(got)), Err(want)) if got == want => {}
                     (Ok(_), Ok(())) => {}
@@ -450,11 +432,14 @@ impl World {
                 Ok(format!("protect {r:?}"))
             }
             AdversaryOp::ReadVirt { slot } => {
+                let expected = self.expect_virt(slot, Access::Read);
                 let r =
                     self.aspace.read_virt(&self.hv.machine, va(slot), 8, Vmpl::Vmpl3, Cpl::Cpl3);
+                compare(op, &r, &expected)?;
                 Ok(format!("read-virt {r:?}"))
             }
             AdversaryOp::WriteVirt { slot, byte } => {
+                let expected = self.expect_virt(slot, Access::Write);
                 let r = self.aspace.write_virt(
                     &mut self.hv.machine,
                     va(slot),
@@ -462,6 +447,7 @@ impl World {
                     Vmpl::Vmpl3,
                     Cpl::Cpl3,
                 );
+                compare(op, &r, &expected)?;
                 Ok(format!("write-virt {r:?}"))
             }
             AdversaryOp::RingFill { vmpl, first_gfn, count, to_private } => {
@@ -506,7 +492,7 @@ impl World {
                 self.note(&actual);
                 // Like SwitchReq: routing (bad targets, policy refusals)
                 // is hypervisor behaviour outside the RMP oracle; the
-                // gate and the result line still pin halts and twins.
+                // gate still pins halts.
                 match (&actual, &gate) {
                     (Err(SnpError::Halted(got)), Err(want)) if got == want => {}
                     (Ok(_), Ok(())) => {}
@@ -680,7 +666,7 @@ impl World {
         }
     }
 
-    /// The reference oracle twin (read-only).
+    /// The reference oracle (read-only).
     pub fn oracle(&self) -> &RmpOracle {
         &self.oracle
     }
@@ -701,6 +687,20 @@ impl World {
             Ok(_) => 1,
             Err(_) => 0,
         }
+    }
+
+    /// Expected verdict of an 8-byte ring-3 VMPL-3 access at VA `slot`:
+    /// the hardware walk of the live tables, the PTE flag rules, then the
+    /// oracle's RMP verdict on the translated frame. The walk is a pure
+    /// function of memory, so the RMP half is what the oracle checks.
+    fn expect_virt(&self, slot: u64, access: Access) -> Result<(), PtError> {
+        let vaddr = va(slot);
+        let (pfn, flags) = self.aspace.translate(&self.hv.machine, vaddr)?;
+        let writable = flags.contains(PteFlags::WRITABLE) || access != Access::Write;
+        if !flags.contains(PteFlags::USER) || !writable {
+            return Err(PtError::PageFault { vaddr, access });
+        }
+        self.oracle.guest_access(Vmpl::Vmpl3, pfn, access).map_err(PtError::Snp)
     }
 
     /// The standing invariants, re-checked after every op.
@@ -768,9 +768,9 @@ impl World {
         Ok(())
     }
 
-    /// End-of-sequence trace/metrics consistency checks and observation.
-    /// Requires an observing world ([`WorldConfig::observe`]).
-    pub fn finish(&self) -> Result<SeqObservation, String> {
+    /// End-of-sequence trace/metrics consistency checks. Requires an
+    /// observing world ([`WorldConfig::observe`]).
+    pub fn finish(&self) -> Result<(), String> {
         assert!(self.observe, "finish() needs trace/metrics observation enabled");
         let m = &self.hv.machine;
         let tracer = m.tracer();
@@ -787,12 +787,7 @@ impl World {
         if m.metrics().event_counters() != tracer.counters() {
             return Err("metrics registry fold drifted from the tracer fold".into());
         }
-        Ok(SeqObservation {
-            total_cycles: m.cycles().total(),
-            domain_cycles: m.domain_cycles(),
-            events: records.len(),
-            digest: tracer.digest_hex(),
-        })
+        Ok(())
     }
 }
 
@@ -803,10 +798,10 @@ fn va(slot: u64) -> u64 {
 
 /// Exact-verdict comparison: the machine's success/error must equal the
 /// oracle's prediction down to the `NpfCause`.
-fn compare<T: Debug>(
+fn compare<T, E: Clone + Debug + PartialEq>(
     op: &AdversaryOp,
-    actual: &Result<T, SnpError>,
-    expected: &Result<(), SnpError>,
+    actual: &Result<T, E>,
+    expected: &Result<(), E>,
 ) -> Result<(), String> {
     let a = actual.as_ref().map(|_| ()).map_err(Clone::clone);
     if a != *expected {

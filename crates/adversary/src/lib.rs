@@ -8,11 +8,10 @@
 //! immutability, VMPL masks). Scenario tests pin single operations;
 //! attack *sequences* are where SNP state machines historically break.
 //! This crate generates weighted random sequences over the full hostile
-//! surface ([`ops::AdversaryOp`]), executes each simultaneously on a
-//! caches-on and a caches-off twin ([`exec::World`]), compares both
-//! against the ~200-line [`oracle::RmpOracle`], and greedily shrinks
-//! any divergence to a minimal replayable program
-//! ([`runner::run_fuzz`]).
+//! surface ([`ops::AdversaryOp`]), executes each on the machine
+//! ([`exec::World`]) in lockstep with the ~200-line
+//! [`oracle::RmpOracle`], and greedily shrinks any divergence to a
+//! minimal replayable program ([`runner::run_fuzz`]).
 //!
 //! The `fuzz` binary drives it from CI and the command line; see
 //! `DESIGN.md` §10 for the op algebra and the oracle's deliberate
@@ -30,7 +29,7 @@ pub mod runner;
 pub mod witness;
 
 pub use checker::{explore, replay, CheckConfig, ExploreReport, ModelFailure, StateInfo};
-pub use exec::{Coverage, SeqObservation, World, WorldConfig};
+pub use exec::{Coverage, World, WorldConfig};
 pub use model::{AbstractState, ModelConfig, PageAbs};
 pub use ops::{op_strategy, sequence_strategy, AdversaryOp, PolicyKnob};
 pub use oracle::RmpOracle;

@@ -298,8 +298,8 @@ impl PageAbs {
 
 /// The abstract machine state the checker enumerates. Everything a
 /// verdict can depend on is here; everything else (data bytes, cycle
-/// counters, PTE accessed/dirty bits, cache contents) is quotiented
-/// away — see `DESIGN.md` §11 for why that is sound.
+/// counters, PTE accessed/dirty bits) is quotiented away — see
+/// `DESIGN.md` §11 for why that is sound.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AbstractState {
     /// One entry per model gfn, in `model_gfns` order.

@@ -4,7 +4,7 @@
 //! through the public machine/hypervisor surface: guest accesses from
 //! any VMPL, the RMP instruction set, page-state-change and
 //! domain-switch GHCB flows, hostile-hypervisor policy flips,
-//! page-table churn to stress the TLB, and hostile attestation
+//! page-table churn under virtual accesses, and hostile attestation
 //! derivations thrown at the chain verifier. Ops carry raw indices (gfns,
 //! VA slots, permission bits) rather than references so a failing
 //! sequence prints as a self-contained, replayable program.

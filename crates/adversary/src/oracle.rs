@@ -4,13 +4,14 @@
 //!
 //! The oracle re-states the architectural rules of §3/§5.1 of the paper
 //! in the most literal form possible — one `BTreeMap` entry per page,
-//! cloned on every lookup, no TLB, no verdict cache, no cycle
-//! accounting, no trace. It deliberately does **not** model hypervisor
-//! policy behaviour (switch routing, interrupt relay), page tables, or
-//! VMSA register contents; the executor checks those through other
-//! channels. What it *does* model, it models with the machine's exact
-//! error precedence, so the differential harness can demand verdict
-//! equality down to the `NpfCause`.
+//! cloned on every lookup, no cycle accounting, no trace. It
+//! deliberately does **not** model hypervisor policy behaviour (switch
+//! routing, interrupt relay), page tables, or VMSA register contents;
+//! the executor checks those through other channels (virtual accesses
+//! are checked against the oracle's verdict on the frame the hardware
+//! walk lands on). What it *does* model, it models with the machine's
+//! exact error precedence, so the differential harness can demand
+//! verdict equality down to the `NpfCause`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use veil_snp::fault::{HaltReason, NestedPageFault, NpfCause, SnpError};

@@ -1,4 +1,4 @@
-//! Sequence runner: twin differential execution, the seed loop, and
+//! Sequence runner: machine-vs-oracle execution, the seed loop, and
 //! greedy shrinking of failing sequences.
 
 use veil_snp::rmp::RmpMutation;
@@ -61,7 +61,7 @@ pub struct FuzzReport {
     pub failure: Option<FuzzFailure>,
 }
 
-/// Cycle/length statistics of one green sequence (cache-on twin).
+/// Cycle/length statistics of one green sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SequenceStats {
     /// Ops executed.
@@ -70,17 +70,15 @@ pub struct SequenceStats {
     pub total_cycles: u64,
 }
 
-/// Runs one op sequence through the full differential harness: a
-/// caches-on world and a caches-off (`VEIL_NO_TLB`-equivalent) world
-/// execute in lockstep against their oracles, and every per-op result
-/// line plus the final trace/cycle observation must agree between the
-/// twins.
+/// Runs one op sequence through the differential harness: the machine
+/// and the reference oracle execute in lockstep, and the trace/metrics
+/// folds are checked at the end.
 ///
 /// # Errors
 ///
-/// Returns the first divergence: machine-vs-oracle (verdict, RMP state,
+/// Returns the first machine-vs-oracle divergence (verdict, RMP state,
 /// halt latch, VMSA liveness or immutability, cycle attribution,
-/// trace/metrics folds) or cached-vs-uncached twin disagreement.
+/// trace/metrics folds).
 pub fn run_sequence(
     ops: &[AdversaryOp],
     mutation: Option<RmpMutation>,
@@ -89,8 +87,7 @@ pub fn run_sequence(
 }
 
 /// [`run_sequence`], additionally returning the op/verdict [`Coverage`]
-/// the twins recorded — the fuzzer's contribution to the coverage
-/// audit.
+/// the world recorded — the fuzzer's contribution to the coverage audit.
 ///
 /// # Errors
 ///
@@ -99,25 +96,13 @@ pub fn run_sequence_with_coverage(
     ops: &[AdversaryOp],
     mutation: Option<RmpMutation>,
 ) -> Result<(SequenceStats, Coverage), String> {
-    let mut cached = World::new(true, mutation);
-    let mut uncached = World::new(false, mutation);
+    let mut world = World::new(mutation);
     for (i, op) in ops.iter().enumerate() {
-        let a = cached.step(op).map_err(|e| format!("[caches on] op {i}: {e}"))?;
-        let b = uncached.step(op).map_err(|e| format!("[caches off] op {i}: {e}"))?;
-        if a != b {
-            return Err(format!(
-                "twin divergence at op {i} {op:?}: cached `{a}` vs uncached `{b}`"
-            ));
-        }
+        world.step(op).map_err(|e| format!("op {i}: {e}"))?;
     }
-    let oa = cached.finish().map_err(|e| format!("[caches on] finish: {e}"))?;
-    let ob = uncached.finish().map_err(|e| format!("[caches off] finish: {e}"))?;
-    if oa != ob {
-        return Err(format!("twin observation divergence: cached {oa:?} vs uncached {ob:?}"));
-    }
-    let mut coverage = cached.coverage().clone();
-    coverage.merge(uncached.coverage());
-    Ok((SequenceStats { ops: ops.len(), total_cycles: oa.total_cycles }, coverage))
+    world.finish().map_err(|e| format!("finish: {e}"))?;
+    let total_cycles = world.hv.machine.cycles().total();
+    Ok((SequenceStats { ops: ops.len(), total_cycles }, world.coverage().clone()))
 }
 
 /// Derives the seed for `case` of a run (the same derivation

@@ -1,27 +1,22 @@
-//! `hotpath` — wall-clock benchmark of the software TLB + RMP-verdict
-//! cache (PR 3).
+//! `hotpath` — wall-clock benchmark of the simulator's hot path.
 //!
-//! Every other bench in this crate reports *model* cycles, which are
-//! cache-invariant by construction (cache operations charge zero cycles).
-//! The caches exist to make the simulator itself faster, so this runner
-//! measures what they actually buy: real elapsed milliseconds for the
-//! Fig. 5 workloads executed twice on identical machines — once with
-//! `set_cache_enabled(false)` (the `VEIL_NO_TLB=1` configuration) and
-//! once with the caches on — plus the TLB/verdict hit rates of the
-//! cached run. It asserts the two runs agree on model cycles and
-//! workload checksums (a cheap standing twin-execution check), then
-//! writes `BENCH_HOTPATH.json`.
+//! Every other bench in this crate reports *model* cycles. This runner
+//! measures how fast the simulator itself runs: real elapsed
+//! milliseconds for the Fig. 5 workloads in an enclave CVM over the
+//! serial gate protocol, min over `--reps` runs (the honest estimator
+//! for a deterministic program under scheduler noise). Every repetition
+//! must replay the first one's model cycles and workload checksum (a
+//! cheap standing determinism check).
 //!
-//! A second pair of passes per workload measures the **batched gate
-//! path** (PR 7): the workload runs with VeilS-LOG auditing on — so
-//! every audited syscall crosses the gate — once over the serial
-//! protocol (`batch(false)`) and once over the ring-and-doorbell
-//! protocol (`batch(true)`). The serial protocol costs exactly two
-//! domain switches per gate request; the batched twin's
-//! `switches_per_request` is derived from the measured switch deficit
-//! between the two runs. Like the cache pair, the gate pair is
-//! interleaved (ABBA) and min-of-reps de-noised — the earlier
-//! single-shot pair let allocator noise masquerade as a batching
+//! A pair of passes per workload measures the **batched gate path**
+//! (PR 7): the workload runs with VeilS-LOG auditing on — so every
+//! audited syscall crosses the gate — once over the serial protocol
+//! (`batch(false)`) and once over the ring-and-doorbell protocol
+//! (`batch(true)`). The serial protocol costs exactly two domain
+//! switches per gate request; the batched twin's `switches_per_request`
+//! is derived from the measured switch deficit between the two runs.
+//! The gate pair is interleaved (ABBA) and min-of-reps de-noised — a
+//! single-shot pair lets allocator noise masquerade as a batching
 //! regression on compress.
 //!
 //! A final untimed pass re-runs the batched gate configuration with
@@ -33,7 +28,7 @@
 //! buckets instead of collapsing into the single constant-roundtrip
 //! bucket.
 //!
-//! Standing floors enforced on every run: `speedup_cache >= 1.0` and
+//! Standing floors enforced on every run:
 //! `gate_wall_ms_batched <= gate_wall_ms_serial * 1.02` for every
 //! workload, and `switches_per_request < 1.0` on http and kvstore in
 //! batched mode.
@@ -41,10 +36,9 @@
 //! Usage: `cargo run --release -p veil-bench --bin hotpath [--scale N]
 //! [--reps N] [--out PATH] [--baseline name=ms,...]` (default
 //! `BENCH_HOTPATH.json` in the current directory). `--baseline` attaches
-//! externally measured pre-PR wall-clock numbers (same harness, same
-//! scale, built from the parent commit — see EXPERIMENTS.md) so the JSON
-//! also reports the end-to-end hot-path speedup of this change set, not
-//! just the cache on/off delta.
+//! externally measured wall-clock numbers (same harness, same scale,
+//! built from another commit — see EXPERIMENTS.md) so the JSON also
+//! reports the end-to-end hot-path speedup of a change set.
 
 use std::time::Instant;
 use veil_sdk::{install_enclave, EnclaveBinary, EnclaveRuntime};
@@ -60,40 +54,22 @@ const BENCH_FRAMES: u64 = 8192;
 
 type WorkloadMaker = Box<dyn Fn() -> Box<dyn Workload>>;
 
-fn veil_cvm() -> Cvm {
-    // The cache passes measure the serial gate protocol; the batched
-    // path gets its own dedicated passes below.
-    CvmBuilder::new()
+struct ModeResult {
+    wall_ms: f64,
+    model_cycles: u64,
+    stats: WorkloadStats,
+}
+
+/// Runs `make()`'s workload once in a fresh enclave CVM over the serial
+/// gate protocol, timing only the workload portion (not boot).
+fn run_mode(make: &dyn Fn() -> Box<dyn Workload>) -> ModeResult {
+    let mut cvm = CvmBuilder::new()
         .frames(BENCH_FRAMES)
         .vcpus(1)
         .log_frames(1024)
         .batch(false)
         .build()
-        .expect("veil boot")
-}
-
-struct ModeResult {
-    wall_ms: f64,
-    model_cycles: u64,
-    stats: WorkloadStats,
-    tlb_hits: u64,
-    tlb_misses: u64,
-    verdict_hits: u64,
-    verdict_misses: u64,
-}
-
-impl ModeResult {
-    fn tlb_hit_rate(&self) -> Option<f64> {
-        let total = self.tlb_hits + self.tlb_misses;
-        (total > 0).then(|| self.tlb_hits as f64 / total as f64)
-    }
-}
-
-/// Runs `make()`'s workload once in a fresh enclave CVM with the caches
-/// forced on or off, timing only the workload portion (not boot).
-fn run_mode(make: &dyn Fn() -> Box<dyn Workload>, cache_enabled: bool) -> ModeResult {
-    let mut cvm = veil_cvm();
-    cvm.hv.machine.set_cache_enabled(cache_enabled);
+        .expect("veil boot");
     let pid = cvm.spawn();
     let binary = EnclaveBinary::build("hotpath", 16 * 1024, 8 * 1024).with_heap_pages(32);
     let handle = install_enclave(&mut cvm, pid, &binary).expect("install");
@@ -101,25 +77,13 @@ fn run_mode(make: &dyn Fn() -> Box<dyn Workload>, cache_enabled: bool) -> ModeRe
     let mut workload = make();
 
     let cycles_before = cvm.hv.machine.cycles().total();
-    let stats_before = cvm.hv.machine.cache_stats();
     let start = Instant::now();
     let stats = {
         let mut d = EnclaveDriver { cvm: &mut cvm, rt: &mut rt };
         workload.run(&mut d).expect("workload run")
     };
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let model_cycles = cvm.hv.machine.cycles().total() - cycles_before;
-
-    let after = cvm.hv.machine.cache_stats();
-    ModeResult {
-        wall_ms,
-        model_cycles,
-        stats,
-        tlb_hits: after.tlb_hits - stats_before.tlb_hits,
-        tlb_misses: after.tlb_misses - stats_before.tlb_misses,
-        verdict_hits: after.verdict_hits - stats_before.verdict_hits,
-        verdict_misses: after.verdict_misses - stats_before.verdict_misses,
-    }
+    ModeResult { wall_ms, model_cycles: cvm.hv.machine.cycles().total() - cycles_before, stats }
 }
 
 /// Result of the untimed metrics-on pass over the audited batched gate
@@ -222,20 +186,15 @@ fn run_gate_metrics(make: &dyn Fn() -> Box<dyn Workload>) -> MetricsResult {
 
 struct Row {
     name: &'static str,
-    off: ModeResult,
-    on: ModeResult,
+    plain: ModeResult,
     relay: veil_snp::metrics::Histogram,
     gate_serial: GateResult,
     gate_batched: GateResult,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.off.wall_ms / self.on.wall_ms
-    }
-
-    fn ops_per_sec(mode: &ModeResult) -> f64 {
-        mode.stats.ops as f64 / (mode.wall_ms / 1e3)
+    fn ops_per_sec(&self) -> f64 {
+        self.plain.stats.ops as f64 / (self.plain.wall_ms / 1e3)
     }
 
     /// Domain switches the batched run spent per gate request. The serial
@@ -258,60 +217,23 @@ impl Row {
 }
 
 fn measure(name: &'static str, make: &dyn Fn() -> Box<dyn Workload>, reps: usize) -> Row {
-    // Interleave and keep the fastest run per mode: the simulator is
-    // deterministic, so wall-clock spread is pure scheduler/allocator
-    // noise and `min` is the honest estimator.
-    let mut off: Option<ModeResult> = None;
-    let mut on: Option<ModeResult> = None;
-    // Alternate the order within each pair (ABBA): a fixed off-then-on
-    // order would let monotonic host drift (thermal ramp, page-cache
-    // warmup) systematically tax one mode; alternating cancels it.
-    let mut on_first = false;
-    let mut run_pair = |off: &mut Option<ModeResult>, on: &mut Option<ModeResult>| {
-        let (o, c) = if on_first {
-            let c = run_mode(make, true);
-            (run_mode(make, false), c)
-        } else {
-            let o = run_mode(make, false);
-            (o, run_mode(make, true))
-        };
-        on_first = !on_first;
-        // Cache invariance: same model cycles, same workload results.
-        assert_eq!(o.model_cycles, c.model_cycles, "{name}: cycles diverged");
-        assert_eq!(o.stats.checksum, c.stats.checksum, "{name}: checksum diverged");
-        assert_eq!(o.stats.ops, c.stats.ops, "{name}: op count diverged");
-        if off.as_ref().is_none_or(|b| o.wall_ms < b.wall_ms) {
-            *off = Some(o);
+    // Keep the fastest run: the simulator is deterministic, so
+    // wall-clock spread is pure scheduler/allocator noise and `min` is
+    // the honest estimator.
+    let mut plain = run_mode(make);
+    for _ in 1..reps {
+        let r = run_mode(make);
+        assert_eq!(r.model_cycles, plain.model_cycles, "{name}: cycles diverged");
+        assert_eq!(r.stats.checksum, plain.stats.checksum, "{name}: checksum diverged");
+        assert_eq!(r.stats.ops, plain.stats.ops, "{name}: op count diverged");
+        if r.wall_ms < plain.wall_ms {
+            plain = r;
         }
-        if on.as_ref().is_none_or(|b| c.wall_ms < b.wall_ms) {
-            *on = Some(c);
-        }
-    };
-    for _ in 0..reps {
-        run_pair(&mut off, &mut on);
     }
-    // Wall-clock noise can invert the on/off ordering at low rep counts.
-    // `min` is a consistent estimator and extra pairs only tighten both
-    // minima, so keep sampling (bounded) while the ordering looks
-    // inverted before judging the floor: a statistical tie flips within
-    // a few pairs, a genuine cache regression never does.
-    let mut extra = 0;
-    while extra < reps.max(2) * 10 && on.as_ref().unwrap().wall_ms > off.as_ref().unwrap().wall_ms {
-        run_pair(&mut off, &mut on);
-        extra += 1;
-    }
-    let off = off.unwrap();
-    let on = on.unwrap();
-    // Standing floor: the caches must never slow the simulator down.
-    assert!(
-        on.wall_ms <= off.wall_ms,
-        "{name}: speedup_cache {:.6} < 1.0 — caches slowed the simulator",
-        off.wall_ms / on.wall_ms
-    );
     // The batched-gate pair: identical workload, identical gate traffic,
-    // only the relay protocol differs. Same ABBA min-of-reps treatment
-    // as the cache pair — the earlier single-shot pair let allocator
-    // noise masquerade as a batching regression on compress.
+    // only the relay protocol differs. Alternating the order within each
+    // pair (ABBA) keeps monotonic host drift (thermal ramp, page-cache
+    // warmup) from systematically taxing one protocol.
     let mut gate_serial: Option<GateResult> = None;
     let mut gate_batched: Option<GateResult> = None;
     let mut batched_first = false;
@@ -341,9 +263,11 @@ fn measure(name: &'static str, make: &dyn Fn() -> Box<dyn Workload>, reps: usize
     for _ in 0..gate_reps {
         run_gate_pair(&mut gate_serial, &mut gate_batched);
     }
-    // Bounded extra sampling before judging the wall-clock floor, same
-    // rationale as the cache pair above: a statistical tie flips within
-    // a few pairs, a genuine batching regression never does.
+    // Wall-clock noise can invert the ordering at low rep counts. `min`
+    // is a consistent estimator and extra pairs only tighten both
+    // minima, so keep sampling (bounded) before judging the floor: a
+    // statistical tie flips within a few pairs, a genuine batching
+    // regression never does.
     let mut extra = 0;
     while extra < gate_reps.max(2) * 10
         && gate_batched.as_ref().unwrap().wall_ms > gate_serial.as_ref().unwrap().wall_ms * 1.02
@@ -367,7 +291,7 @@ fn measure(name: &'static str, make: &dyn Fn() -> Box<dyn Workload>, reps: usize
     // inert: same model cycles as the timed batched gate run.
     let metrics = run_gate_metrics(make);
     assert_eq!(metrics.model_cycles, gate_batched.model_cycles, "{name}: metrics perturbed cycles");
-    Row { name, off, on, relay: metrics.relay, gate_serial, gate_batched }
+    Row { name, plain, relay: metrics.relay, gate_serial, gate_batched }
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -417,14 +341,10 @@ fn main() {
     ];
 
     println!(
-        "{:<10} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "{:<10} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "workload",
-        "off ms",
-        "on ms",
-        "speedup",
-        "ops/s off",
-        "ops/s on",
-        "tlb hit",
+        "wall ms",
+        "ops/s",
         "relay p50",
         "relay p99",
         "p99.9",
@@ -436,14 +356,10 @@ fn main() {
     for (name, make) in &workloads {
         let row = measure(name, make.as_ref(), reps);
         println!(
-            "{:<10} {:>10.1} {:>10.1} {:>7.2}x {:>10.0} {:>10.0} {:>7.1}% {:>9} {:>9} {:>9} {:>9} {:>9.3} {:>8.2}x",
+            "{:<10} {:>10.1} {:>10.0} {:>9} {:>9} {:>9} {:>9} {:>9.3} {:>8.2}x",
             row.name,
-            row.off.wall_ms,
-            row.on.wall_ms,
-            row.speedup(),
-            Row::ops_per_sec(&row.off),
-            Row::ops_per_sec(&row.on),
-            row.on.tlb_hit_rate().unwrap_or(0.0) * 100.0,
+            row.plain.wall_ms,
+            row.ops_per_sec(),
             row.relay.percentile(50.0),
             row.relay.percentile(99.0),
             row.relay.percentile(99.9),
@@ -467,18 +383,10 @@ fn main() {
         .map(|r| {
             let mut fields = vec![
                 json_str_field("workload", r.name),
-                json_field("ops", r.on.stats.ops),
-                json_field("model_cycles", r.on.model_cycles),
-                json_field("wall_ms_cache_off", json_f64(r.off.wall_ms)),
-                json_field("wall_ms_cache_on", json_f64(r.on.wall_ms)),
-                json_field("speedup_cache", json_f64(r.speedup())),
-                json_field("ops_per_sec_cache_off", json_f64(Row::ops_per_sec(&r.off))),
-                json_field("ops_per_sec_cache_on", json_f64(Row::ops_per_sec(&r.on))),
-                json_field("tlb_hit_rate", json_f64(r.on.tlb_hit_rate().unwrap_or(f64::NAN))),
-                json_field("tlb_hits", r.on.tlb_hits),
-                json_field("tlb_misses", r.on.tlb_misses),
-                json_field("verdict_hits", r.on.verdict_hits),
-                json_field("verdict_misses", r.on.verdict_misses),
+                json_field("ops", r.plain.stats.ops),
+                json_field("model_cycles", r.plain.model_cycles),
+                json_field("wall_ms", json_f64(r.plain.wall_ms)),
+                json_field("ops_per_sec", json_f64(r.ops_per_sec())),
                 json_field("relay_count", r.relay.count()),
                 json_field("relay_p50_cycles", r.relay.percentile(50.0)),
                 json_field("relay_p99_cycles", r.relay.percentile(99.0)),
@@ -500,18 +408,14 @@ fn main() {
             ];
             if let Some((_, base_ms)) = baseline.iter().find(|(n, _)| n == r.name) {
                 fields.push(json_field("wall_ms_baseline", json_f64(*base_ms)));
-                fields.push(json_field("speedup", json_f64(base_ms / r.on.wall_ms)));
+                fields.push(json_field("speedup", json_f64(base_ms / r.plain.wall_ms)));
                 println!(
                     "{:<10} baseline {:>8.1} ms -> {:>8.1} ms  speedup {:>5.2}x",
                     r.name,
                     base_ms,
-                    r.on.wall_ms,
-                    base_ms / r.on.wall_ms
+                    r.plain.wall_ms,
+                    base_ms / r.plain.wall_ms
                 );
-            } else {
-                // Without an external baseline the headline speedup is the
-                // cache on/off ratio.
-                fields.push(json_field("speedup", json_f64(r.speedup())));
             }
             json_object(&fields)
         })

@@ -92,7 +92,6 @@ fn trace_mode(args: &[String]) {
     let cvm = observed_cvm(frames, vcpus, Some(true), None);
     let records = cvm.trace_records();
     let counters = cvm.hv.machine.tracer().counters();
-    let cache = cvm.hv.machine.cache_stats();
     let domain = cvm.domain_cycles();
     let total = cvm.hv.machine.cycles().total();
     let shown = if last == 0 || last >= records.len() {
@@ -103,21 +102,14 @@ fn trace_mode(args: &[String]) {
 
     if json {
         let domain_items: Vec<String> = domain.iter().map(|c| c.to_string()).collect();
-        let mut fields = vec![
+        let obj = fmt::json_object(&[
             fmt::json_field("events", records.len()),
             fmt::json_field("records", veil_testkit::trace::json(shown)),
             fmt::json_field("counters", veil_testkit::trace::counters_json(counters)),
-        ];
-        // Cache statistics are diagnostics outside the digest; omit the
-        // object entirely when every counter is zero so non-TLB runs keep
-        // their pre-TLB output shape.
-        if !cache.is_zero() {
-            fields.push(fmt::json_field("cache", veil_testkit::trace::cache_json(&cache)));
-        }
-        fields.push(fmt::json_field("domain_cycles", fmt::json_array(&domain_items)));
-        fields.push(fmt::json_field("total_cycles", total));
-        fields.push(fmt::json_str_field("digest", &cvm.trace_digest_hex()));
-        let obj = fmt::json_object(&fields);
+            fmt::json_field("domain_cycles", fmt::json_array(&domain_items)),
+            fmt::json_field("total_cycles", total),
+            fmt::json_str_field("digest", &cvm.trace_digest_hex()),
+        ]);
         println!("{obj}");
         return;
     }
@@ -128,11 +120,6 @@ fn trace_mode(args: &[String]) {
 
     fmt::header("counter fold");
     for (name, value) in veil_testkit::trace::counter_rows(counters) {
-        println!("{name:<22} {value}");
-    }
-    // Zero-suppressed: prints nothing when the software TLB is disabled
-    // or idle, so golden output for non-TLB runs is unchanged.
-    for (name, value) in veil_testkit::trace::cache_rows(&cache) {
         println!("{name:<22} {value}");
     }
 

@@ -28,15 +28,10 @@
 //! cycle-for-cycle — which is what makes the serial twin a meaningful
 //! differential baseline.
 //!
-//! Coalescing is *adaptive*, mirroring the `ADAPT_*` verdict-cache
-//! heuristic in `veil_snp::tlb`: deferral pays only when drains amortize
-//! several requests under one switch pair, and a workload whose traffic
-//! pattern keeps forcing shallow drains (mixed targets, interleaved sync
-//! requests) pays ring bookkeeping for nothing. The gate watches the
-//! average drained depth over a window of [`COALESCE_WINDOW`] flushes;
-//! when it falls below [`COALESCE_MIN_DEPTH`], deferrals are routed
-//! through the serial path for the next [`COALESCE_BYPASS_SPAN`]
-//! requests, after which deferral resumes and the window re-probes.
+//! The coalescing policy is fixed: while batching is on, every
+//! fire-and-forget request defers, and the ring drains when it fills,
+//! when a synchronous request or a different target forces it, or on an
+//! explicit flush.
 
 use crate::idcb::Idcb;
 use crate::monitor::Monitor;
@@ -59,16 +54,6 @@ struct PendingBatch {
     reqs: Vec<MonRequest>,
 }
 
-/// Ring drains observed per coalescing-adaptation window.
-const COALESCE_WINDOW: u32 = 16;
-/// Minimum average drained depth (requests amortized per switch pair)
-/// for deferral to keep paying; below this the window trips to bypass.
-const COALESCE_MIN_DEPTH: u32 = 2;
-/// Deferred requests routed through the serial path while a bypass
-/// stands, before the next re-probe (8 × `COALESCE_WINDOW` windows'
-/// worth of typical traffic, mirroring `ADAPT_BYPASS_SPAN`).
-const COALESCE_BYPASS_SPAN: u32 = 256;
-
 /// The gate: owns VeilMon and the registered service bundle.
 #[derive(Debug)]
 pub struct VeilGate<S> {
@@ -86,15 +71,6 @@ pub struct VeilGate<S> {
     /// load-generator request that queued the work. `(0, 0)` outside
     /// fleet runs.
     req_context: (u64, u64),
-    /// Drains observed in the current adaptation window.
-    coalesce_win_flushes: u32,
-    /// Requests those drains amortized (sum of drained depths).
-    coalesce_win_reqs: u32,
-    /// Deferred requests still to be routed serially under the current
-    /// bypass (0 = deferral active).
-    coalesce_bypass_left: u32,
-    /// Windows that tripped to bypass since construction.
-    coalesce_bypasses: u64,
 }
 
 impl<S: ServiceDispatch> VeilGate<S> {
@@ -110,10 +86,6 @@ impl<S: ServiceDispatch> VeilGate<S> {
             requests: 0,
             deferred_errors: 0,
             req_context: (0, 0),
-            coalesce_win_flushes: 0,
-            coalesce_win_reqs: 0,
-            coalesce_bypass_left: 0,
-            coalesce_bypasses: 0,
         }
     }
 
@@ -158,33 +130,6 @@ impl<S: ServiceDispatch> VeilGate<S> {
     /// Queued-but-undrained requests for a VCPU.
     pub fn pending_depth(&self, vcpu: u32) -> u32 {
         self.pending.get(&vcpu).map_or(0, |b| b.reqs.len() as u32)
-    }
-
-    /// Whether the adaptive coalescer is currently routing deferrals
-    /// through the serial path (the last window's drains were too
-    /// shallow to amortize the ring bookkeeping).
-    pub fn coalescing_bypassed(&self) -> bool {
-        self.coalesce_bypass_left > 0
-    }
-
-    /// Adaptation windows that tripped to serial bypass so far.
-    pub fn coalesce_bypasses(&self) -> u64 {
-        self.coalesce_bypasses
-    }
-
-    /// Feeds one observed drain (a switch pair that amortized `depth`
-    /// requests) to the adaptation window; see [`COALESCE_WINDOW`].
-    fn coalesce_observe_drain(&mut self, depth: u32) {
-        self.coalesce_win_reqs = self.coalesce_win_reqs.saturating_add(depth);
-        self.coalesce_win_flushes += 1;
-        if self.coalesce_win_flushes >= COALESCE_WINDOW {
-            if self.coalesce_win_reqs < COALESCE_MIN_DEPTH * self.coalesce_win_flushes {
-                self.coalesce_bypass_left = COALESCE_BYPASS_SPAN;
-                self.coalesce_bypasses += 1;
-            }
-            self.coalesce_win_flushes = 0;
-            self.coalesce_win_reqs = 0;
-        }
     }
 
     /// Which trusted domain terminates a request.
@@ -318,14 +263,6 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
         if !self.batch_enabled {
             return self.request(hv, vcpu, req).map(|_| ());
         }
-        // Adaptive bypass: the last window's drains were too shallow to
-        // amortize the ring bookkeeping, so take the serial path until
-        // the span expires. `request` counts the request and drains any
-        // still-pending same-target batch under its own switch pair.
-        if self.coalesce_bypass_left > 0 {
-            self.coalesce_bypass_left -= 1;
-            return self.request(hv, vcpu, req).map(|_| ());
-        }
         self.requests += 1;
         let target = Self::target_vmpl(&req);
         // Keep batches homogeneous: a target change drains the old batch.
@@ -376,8 +313,6 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
         hv.machine.span_enter("gate.batch");
         let res = match self.doorbell(hv, vcpu, target, batch.reqs.len() as u32) {
             Ok(()) => {
-                // One dedicated switch pair amortized `depth` requests.
-                self.coalesce_observe_drain(batch.reqs.len() as u32);
                 let drained = self.drain_entries(hv, vcpu, &batch);
                 // The switch back must happen even when the drain tripped.
                 let back = self.switch(hv, vcpu, target, Vmpl::Vmpl3);
@@ -528,13 +463,7 @@ impl<S: ServiceDispatch> VeilGate<S> {
             let batch = self.pending.remove(&vcpu).expect("pending batch checked above");
             hv.machine.span_enter("gate.batch");
             let res = match self.doorbell(hv, vcpu, target, batch.reqs.len() as u32) {
-                Ok(()) => {
-                    // The sync request's switch pair would have happened
-                    // anyway, so the batch plus this request all amortize
-                    // under it.
-                    self.coalesce_observe_drain(batch.reqs.len() as u32 + 1);
-                    self.drain_entries(hv, vcpu, &batch)
-                }
+                Ok(()) => self.drain_entries(hv, vcpu, &batch),
                 Err(e) => {
                     self.void_deferred(hv, vcpu, batch.reqs.len() as u64);
                     Err(e)
@@ -838,82 +767,22 @@ mod tests {
     }
 
     #[test]
-    fn shallow_drains_trip_adaptive_bypass() {
+    fn shallow_drains_keep_deferring() {
         let (mut hv, mut gate) = booted_gate();
         gate.set_batching(true);
         let gfn = gate.monitor.layout.shared.start + 4;
         hv.machine.rmp_assign(gfn).unwrap();
-        // A full window of depth-1 drains: defer one request, flush.
-        // Alternating the validate flag keeps every request legal.
-        for i in 0..super::COALESCE_WINDOW {
+        // However shallow the drains, a deferral always queues: the
+        // coalescing policy is fixed. Alternating the validate flag
+        // keeps every request legal.
+        for i in 0..32 {
             gate.request_deferred(&mut hv, 0, MonRequest::Pvalidate { gfn, validate: i % 2 == 0 })
                 .unwrap();
+            assert_eq!(gate.pending_depth(0), 1, "deferral {i} must queue");
             gate.flush(&mut hv, 0).unwrap();
         }
-        assert!(
-            gate.coalescing_bypassed(),
-            "avg depth 1 < {} must trip",
-            super::COALESCE_MIN_DEPTH
-        );
-        assert_eq!(gate.coalesce_bypasses(), 1);
-        // Under bypass a deferral takes the serial path: two switches,
-        // no doorbell, nothing left pending.
-        let switches = hv.stats().domain_switches;
-        let doorbells = hv.stats().doorbells;
-        let requests = gate.gate_requests();
-        gate.request_deferred(&mut hv, 0, MonRequest::Pvalidate { gfn, validate: true }).unwrap();
-        assert_eq!(hv.stats().domain_switches, switches + 2);
-        assert_eq!(hv.stats().doorbells, doorbells);
-        assert_eq!(gate.pending_depth(0), 0);
-        assert_eq!(gate.gate_requests(), requests + 1, "bypassed requests count once");
-    }
-
-    #[test]
-    fn deep_drains_keep_deferral_active() {
-        let (mut hv, mut gate) = booted_gate();
-        gate.set_batching(true);
-        let gfn = gate.monitor.layout.shared.start + 4;
-        hv.machine.rmp_assign(gfn).unwrap();
-        // A window of depth-3 drains: amortization is healthy, so the
-        // coalescer must keep deferring.
-        for i in 0..super::COALESCE_WINDOW {
-            for j in 0..3u32 {
-                let validate = (3 * i + j) % 2 == 0;
-                gate.request_deferred(&mut hv, 0, MonRequest::Pvalidate { gfn, validate }).unwrap();
-            }
-            gate.flush(&mut hv, 0).unwrap();
-        }
-        assert!(!gate.coalescing_bypassed());
-        assert_eq!(gate.coalesce_bypasses(), 0);
-        gate.request_deferred(&mut hv, 0, MonRequest::Pvalidate { gfn, validate: false }).unwrap();
-        assert_eq!(gate.pending_depth(0), 1, "deferral still active");
-        gate.flush(&mut hv, 0).unwrap();
-    }
-
-    #[test]
-    fn bypass_span_expires_and_deferral_reprobes() {
-        let (mut hv, mut gate) = booted_gate();
-        gate.set_batching(true);
-        let gfn = gate.monitor.layout.shared.start + 4;
-        hv.machine.rmp_assign(gfn).unwrap();
-        let mut validate = true;
-        for _ in 0..super::COALESCE_WINDOW {
-            gate.request_deferred(&mut hv, 0, MonRequest::Pvalidate { gfn, validate }).unwrap();
-            validate = !validate;
-            gate.flush(&mut hv, 0).unwrap();
-        }
-        assert!(gate.coalescing_bypassed());
-        // Exhaust the span: every deferral in it runs serially.
-        for _ in 0..super::COALESCE_BYPASS_SPAN {
-            gate.request_deferred(&mut hv, 0, MonRequest::Pvalidate { gfn, validate }).unwrap();
-            validate = !validate;
-            assert_eq!(gate.pending_depth(0), 0);
-        }
-        assert!(!gate.coalescing_bypassed(), "span exhausted");
-        // The re-probe defers again.
-        gate.request_deferred(&mut hv, 0, MonRequest::Pvalidate { gfn, validate }).unwrap();
-        assert_eq!(gate.pending_depth(0), 1);
-        gate.flush(&mut hv, 0).unwrap();
+        assert_eq!(hv.stats().doorbells, 32);
+        assert_eq!(gate.deferred_errors(), 0);
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl Monitor {
             }
         }
 
-        // Boot rewrote the RMP wholesale (assign/validate/grant loops);
-        // model the post-boot TLB flush the monitor performs before
-        // handing control to the OS so no launch-time verdict survives.
-        hv.machine.cache_flush();
-
         stats.cycles = hv.machine.cycles().total() - start;
         monitor.boot_stats = stats;
         Ok(monitor)

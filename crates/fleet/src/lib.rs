@@ -2,7 +2,7 @@
 //!
 //! The Fig. 5/6 benches drive **one** CVM. This crate drives a *fleet*:
 //! N fully independent shards — each a complete Veil CVM with its own
-//! RMP, TLB/verdict caches, trace stream, and metrics registry — serve
+//! RMP, page tables, trace stream, and metrics registry — serve
 //! thousands of simulated tenants, multiplexed by a deterministic
 //! virtual-time event loop and executed by a work-stealing scheduler
 //! over real OS worker threads.

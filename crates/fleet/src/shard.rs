@@ -1,8 +1,8 @@
 //! One fleet shard: a fully independent CVM serving a slice of tenants
 //! under a deterministic virtual-time event loop.
 //!
-//! A shard owns everything: its own RMP, TLB/verdict caches, trace
-//! stream, and metrics registry. Nothing is shared with other shards, so
+//! A shard owns everything: its own RMP, page tables, trace stream, and
+//! metrics registry. Nothing is shared with other shards, so
 //! shards can execute on any worker thread in any order and still
 //! produce bit-identical results — the scheduler decides *when* a shard
 //! runs, never *what* it computes.

@@ -384,11 +384,6 @@ impl Hypervisor {
                 };
                 let resp = match outcome {
                     Ok(()) => {
-                        // A successful page-state change retires every
-                        // cached translation and RMP verdict: real
-                        // hardware forces a TLB flush before the guest
-                        // may observe the new state (§3).
-                        self.machine.cache_flush();
                         ghcb.write_response(&mut self.machine, 0);
                         HvResponse::PageStateChanged
                     }
@@ -542,8 +537,7 @@ impl Hypervisor {
     /// Applies a batched page-state change: `count` packed entries read
     /// from the shared list page at `list_gfn`, applied in order, stopping
     /// at the first failure. The GHCB scratch receives the number of
-    /// entries applied; one cache flush retires the whole sweep instead of
-    /// one per page as on the serial path.
+    /// entries applied.
     fn apply_psc_batch(&mut self, ghcb: &Ghcb, list_gfn: u64, count: u64) -> HvResponse {
         if count > PSC_BATCH_MAX {
             ghcb.write_response(&mut self.machine, 0);
@@ -572,10 +566,6 @@ impl Hypervisor {
                 break;
             }
             processed += 1;
-        }
-        if processed > 0 {
-            // §3's flush-before-visible rule, paid once for the sweep.
-            self.machine.cache_flush();
         }
         // Each applied entry costs one list read + RMP update on top of
         // the fixed round trip, so longer batches take longer relays.

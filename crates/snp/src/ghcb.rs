@@ -128,8 +128,8 @@ impl Ghcb {
         info2: u64,
     ) -> Result<(), SnpError> {
         // One checked write for all three contiguous fields: a request is
-        // issued on every domain switch, so the permission check and the
-        // page-table write snoop are paid once instead of three times.
+        // issued on every domain switch, so the permission check is paid
+        // once instead of three times.
         let mut fields = [0u8; 24];
         fields[..8].copy_from_slice(&exit.code().to_le_bytes());
         fields[8..16].copy_from_slice(&info1.to_le_bytes());
@@ -147,7 +147,6 @@ impl Ghcb {
 
     /// Writes the hypervisor's response into the scratch area (raw access).
     pub fn write_response(&self, machine: &mut Machine, value: u64) {
-        machine.note_write(self.base() + offsets::SCRATCH, 8);
         machine.mem_mut().write_u64_raw(self.base() + offsets::SCRATCH, value);
     }
 

@@ -53,7 +53,6 @@ pub mod mem;
 pub mod perms;
 pub mod pt;
 pub mod rmp;
-mod tlb;
 pub mod vcek;
 pub mod vmsa;
 

@@ -6,6 +6,11 @@
 //! enforce RMP/VMPL permissions exactly as the SNP nested-page-table walk
 //! would; the hypervisor must use the `hv_*` accessors, which only reach
 //! hypervisor-shared pages (the CVM's memory is encrypted to it).
+//!
+//! There is one access path: every checked access consults the RMP entry
+//! of every page it covers, and every virtual access walks the page tables
+//! (see [`crate::pt`]). Nothing is cached between accesses, so no RMP
+//! instruction or page-table edit needs a flush to become visible.
 
 use crate::attest::AttestationReport;
 use crate::cost::{CostCategory, CostModel, CycleAccount};
@@ -13,11 +18,10 @@ use crate::fault::{HaltReason, NestedPageFault, NpfCause, SnpError};
 use crate::mem::{gfn_of, GuestMemory, PAGE_SIZE};
 use crate::perms::{Access, Cpl, Vmpl, VmplPerms};
 use crate::rmp::{PageState, Rmp, RmpMutation};
-use crate::tlb::MachineCaches;
 use crate::vmsa::Vmsa;
 use std::collections::BTreeMap;
 use veil_metrics::{MetricsRegistry, SpanProfiler};
-use veil_trace::{CacheCounters, Event, Tracer};
+use veil_trace::{Event, Tracer};
 
 /// Configuration for a new [`Machine`].
 #[derive(Debug, Clone)]
@@ -55,9 +59,8 @@ impl Default for MachineConfig {
 
 // The fleet scheduler moves whole machines across OS worker threads, so
 // `Machine` must stay `Send`. Everything it owns is owned data (`BTreeMap`,
-// `Vec`, `Cell`-based cache counters — `Send`, merely not `Sync`); this
-// assertion turns any future `Rc`/raw-pointer regression into a compile
-// error at the crate that introduces it.
+// `Vec`); this assertion turns any future `Rc`/raw-pointer regression into
+// a compile error at the crate that introduces it.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Machine>();
@@ -90,12 +93,9 @@ pub struct Machine {
     /// goes through [`Machine::charge`], so the four buckets always sum to
     /// [`CycleAccount::total`].
     domain_cycles: [u64; 4],
-    /// Software TLB + RMP-verdict cache (see `tlb.rs`). Charges no cycles
-    /// and emits no events, so it never perturbs determinism.
-    caches: MachineCaches,
     /// Metrics registry fed from the same event stream as the tracer (in
-    /// [`Machine::trace_event`]). Like the caches, it charges no cycles
-    /// and emits no events: trace digests are bit-identical on/off.
+    /// [`Machine::trace_event`]). It charges no cycles and emits no
+    /// events: trace digests are bit-identical on/off.
     metrics: MetricsRegistry,
     /// Hierarchical span profiler clocked by the virtual cycle account.
     spans: SpanProfiler,
@@ -108,7 +108,6 @@ impl Machine {
     pub fn new(config: MachineConfig) -> Self {
         let device_key = veil_crypto::HmacSha256::mac(&config.device_key_seed, b"veil-device-key");
         let chip_seed = crate::vcek::chip_seed(&config.device_key_seed);
-        let cache_enabled = std::env::var_os("VEIL_NO_TLB").is_none();
         let metrics_enabled = veil_metrics::env_enabled();
         let mut metrics = MetricsRegistry::new();
         metrics.set_enabled(metrics_enabled);
@@ -131,7 +130,6 @@ impl Machine {
             tracer,
             current_domain: Vmpl::Vmpl0,
             domain_cycles: [0; 4],
-            caches: MachineCaches::new(config.frames, cache_enabled),
             metrics,
             spans,
             shard: config.shard,
@@ -163,13 +161,11 @@ impl Machine {
         &self.rmp
     }
 
-    /// Seeds a deliberate RMP semantics bug and drops any cached
-    /// verdicts derived from the unmutated rules. Mutation-testing hook
-    /// for the adversarial differential harness (`veil-adversary`) only.
+    /// Seeds a deliberate RMP semantics bug. Mutation-testing hook for
+    /// the adversarial differential harness (`veil-adversary`) only.
     #[doc(hidden)]
     pub fn seed_rmp_mutation(&mut self, mutation: RmpMutation) {
         self.rmp.seed_mutation(mutation);
-        self.cache_flush();
     }
 
     /// Cost constants in effect.
@@ -295,108 +291,6 @@ impl Machine {
         }
     }
 
-    // ---- software TLB / verdict cache ----------------------------------
-
-    /// Whether the software TLB + verdict cache is active (disabled by
-    /// `VEIL_NO_TLB=1` or [`Machine::set_cache_enabled`]).
-    pub fn cache_enabled(&self) -> bool {
-        self.caches.enabled()
-    }
-
-    /// Enables/disables the caches at runtime. Toggling drops every cached
-    /// entry, so no stale state can survive a disable/enable cycle. Used by
-    /// the twin-execution differential harness.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.caches.set_enabled(enabled);
-    }
-
-    /// Snapshot of the cache hit/miss/flush statistics. All zeros when the
-    /// caches are disabled — these counters live outside the trace digest.
-    pub fn cache_stats(&self) -> CacheCounters {
-        self.caches.stats()
-    }
-
-    /// Whether the adaptive policy currently has the verdict cache
-    /// bypassed (maintenance outweighed hits in the last window).
-    pub fn verdict_cache_bypassed(&self) -> bool {
-        self.caches.verdict_bypassed()
-    }
-
-    /// Full flush of both caches: every translation and every cached RMP
-    /// verdict is dropped. The software analogue of a CR3 reload plus a
-    /// TLB shootdown; exposed for bulk permission-change sites (monitor
-    /// boot, hypervisor page-state sweeps).
-    pub fn cache_flush(&self) {
-        self.caches.tlb_flush_all();
-        self.caches.verdict_flush_all();
-    }
-
-    /// RMP permission check through the verdict cache: positive verdicts
-    /// are cached per `(gfn, vmpl, access)`; faults always re-consult the
-    /// RMP (negative verdicts are never cached).
-    pub(crate) fn rmp_check_cached(
-        &self,
-        gfn: u64,
-        vmpl: Vmpl,
-        access: Access,
-    ) -> Result<(), NestedPageFault> {
-        if !self.caches.enabled() {
-            return self.rmp.check(gfn, vmpl, access);
-        }
-        if self.caches.verdict_lookup(gfn, vmpl, access) {
-            return Ok(());
-        }
-        self.rmp.check(gfn, vmpl, access)?;
-        self.caches.verdict_fill(gfn, vmpl, access);
-        Ok(())
-    }
-
-    /// Translation-cache lookup for the page walker.
-    pub(crate) fn tlb_lookup(&self, root_gfn: u64, vpn: u64) -> Option<(u64, crate::pt::PteFlags)> {
-        self.caches.tlb_lookup(root_gfn, vpn)
-    }
-
-    /// Installs a walked translation into the cache.
-    pub(crate) fn tlb_fill(&self, root_gfn: u64, vpn: u64, pfn: u64, flags: crate::pt::PteFlags) {
-        self.caches.tlb_fill(root_gfn, vpn, pfn, flags)
-    }
-
-    /// Marks `gfn` as a frame the walker read page-table entries from.
-    pub(crate) fn tlb_note_table_frame(&self, gfn: u64) {
-        self.caches.note_table_frame(gfn)
-    }
-
-    /// Precise single-page invalidation after a structured PTE edit.
-    pub(crate) fn tlb_invlpg(&self, root_gfn: u64, vpn: u64) {
-        self.caches.tlb_invlpg(root_gfn, vpn)
-    }
-
-    /// Checked PTE write used by the structured page-table editors
-    /// (`map`/`unmap`/`protect`): same permission enforcement as
-    /// [`Machine::write_u64`], but skips the table-frame write snoop — the
-    /// caller follows up with a precise `tlb_invlpg` instead of paying a
-    /// full flush for an edit it can describe exactly.
-    pub(crate) fn pt_write_u64(
-        &mut self,
-        vmpl: Vmpl,
-        gpa: u64,
-        value: u64,
-    ) -> Result<(), SnpError> {
-        self.check_range(vmpl, gpa, 8, Access::Write)?;
-        self.mem.write_raw(gpa, &value.to_le_bytes());
-        Ok(())
-    }
-
-    /// Write snoop: any memory mutation outside the structured PTE editors
-    /// funnels through here. A write landing on a frame the walker has
-    /// used as a page table forces a full translation flush.
-    pub(crate) fn note_write(&self, gpa: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        self.caches.note_write(gfn_of(gpa), gfn_of(gpa + len as u64 - 1));
-    }
-
     // ---- checked guest accessors ---------------------------------------
 
     fn check_range(
@@ -420,7 +314,7 @@ impl Machine {
         let first = gfn_of(gpa);
         let last = gfn_of(gpa + len as u64 - 1);
         for gfn in first..=last {
-            self.rmp_check_cached(gfn, vmpl, access)?;
+            self.rmp.check(gfn, vmpl, access)?;
         }
         Ok(())
     }
@@ -451,7 +345,6 @@ impl Machine {
     /// Returns the nested page fault if any covered page refuses the write.
     pub fn write(&mut self, vmpl: Vmpl, gpa: u64, data: &[u8]) -> Result<(), SnpError> {
         self.check_range(vmpl, gpa, data.len(), Access::Write)?;
-        self.note_write(gpa, data.len());
         self.mem.write_raw(gpa, data);
         Ok(())
     }
@@ -488,7 +381,6 @@ impl Machine {
     /// Hypervisor write (shared pages only).
     pub fn hv_write(&mut self, gpa: u64, data: &[u8]) -> Result<(), SnpError> {
         self.hv_check(gpa, data.len())?;
-        self.note_write(gpa, data.len());
         self.mem.write_raw(gpa, data);
         Ok(())
     }
@@ -525,7 +417,6 @@ impl Machine {
         if !self.rmp.assign(gfn) {
             return Err(SnpError::ValidationMismatch { gfn });
         }
-        self.caches.verdict_invalidate(gfn);
         self.trace_event(Event::RmpTransition { gfn, to_private: true });
         Ok(())
     }
@@ -540,8 +431,6 @@ impl Machine {
         if !self.rmp.reclaim(gfn) {
             return Err(SnpError::NotAVmsa { gfn });
         }
-        self.caches.verdict_invalidate(gfn);
-        self.note_write(Self::gpa(gfn), PAGE_SIZE);
         self.mem.scrub_frame(gfn);
         self.vmsas.remove(&gfn);
         self.trace_event(Event::RmpTransition { gfn, to_private: false });
@@ -575,7 +464,6 @@ impl Machine {
             self.span_exit("pvalidate");
             return Err(SnpError::ValidationMismatch { gfn });
         }
-        self.caches.verdict_invalidate(gfn);
         self.trace_event(Event::Pvalidate {
             vmpl: executing.index() as u8,
             gfn,
@@ -625,7 +513,6 @@ impl Machine {
         let cycles = self.cost.rmpadjust_page();
         self.charge(CostCategory::Rmpadjust, cycles);
         self.rmp.set_perms(gfn, target, perms);
-        self.caches.verdict_invalidate(gfn);
         self.trace_event(Event::RmpAdjust {
             executing: executing.index() as u8,
             target: target.index() as u8,
@@ -665,8 +552,6 @@ impl Machine {
         }
         let cycles = self.cost.rmpadjust_page();
         self.charge(CostCategory::Rmpadjust, cycles);
-        self.caches.verdict_invalidate(gfn);
-        self.note_write(Self::gpa(gfn), PAGE_SIZE);
         self.mem.scrub_frame(gfn);
         self.rmp.set_vmsa(gfn, true);
         self.vmsas.insert(gfn, Vmsa::new(vcpu_id, vmpl, cpl));
@@ -683,8 +568,6 @@ impl Machine {
             return Err(SnpError::NotAVmsa { gfn });
         }
         self.rmp.set_vmsa(gfn, false);
-        self.caches.verdict_invalidate(gfn);
-        self.note_write(Self::gpa(gfn), PAGE_SIZE);
         self.mem.scrub_frame(gfn);
         Ok(())
     }
@@ -749,8 +632,6 @@ impl Machine {
         if !self.rmp.set_validated(gfn, true) {
             return Err(SnpError::ValidationMismatch { gfn });
         }
-        self.caches.verdict_invalidate(gfn);
-        self.note_write(Self::gpa(gfn), PAGE_SIZE);
         let mut page = vec![0u8; PAGE_SIZE];
         page[..data.len()].copy_from_slice(data);
         self.mem.write_raw(Self::gpa(gfn), &page);

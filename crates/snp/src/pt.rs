@@ -241,11 +241,8 @@ impl AddressSpace {
                 let new_gfn = free.pop().ok_or(PtError::NoFrames)?;
                 machine.write(vmpl, gpa_of(new_gfn), &[0u8; PAGE_SIZE])?;
                 // Interior entries carry permissive flags; leaves decide.
-                // Linking a fresh (previously not-present) table cannot
-                // make any cached translation stale, so a structured
-                // pt-write with no flush is sufficient.
                 let interior = (PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::USER).bits();
-                machine.pt_write_u64(vmpl, slot, gpa_of(new_gfn) & ADDR_MASK | interior)?;
+                machine.write_u64(vmpl, slot, gpa_of(new_gfn) & ADDR_MASK | interior)?;
                 table_gfn = new_gfn;
             } else {
                 table_gfn = (entry & ADDR_MASK) / PAGE_SIZE as u64;
@@ -256,27 +253,23 @@ impl AddressSpace {
         if existing & PteFlags::PRESENT.bits() != 0 {
             return Err(PtError::AlreadyMapped { vaddr });
         }
-        machine.pt_write_u64(
+        machine.write_u64(
             vmpl,
             leaf_slot,
             (gpa_of(pfn) & ADDR_MASK) | flags.union(PteFlags::PRESENT).bits(),
         )?;
-        machine.tlb_invlpg(self.root_gfn, vaddr >> 12);
         Ok(())
     }
 
     /// Removes the mapping for `vaddr`, returning the frame it pointed at.
     /// Intermediate tables are left in place (matching real kernels).
-    /// Issues a precise INVLPG-style TLB invalidation for the page.
     pub fn unmap(&self, machine: &mut Machine, vmpl: Vmpl, vaddr: u64) -> Result<u64, PtError> {
         let (slot, entry) = self.leaf_slot(machine, vaddr)?;
-        machine.pt_write_u64(vmpl, slot, 0)?;
-        machine.tlb_invlpg(self.root_gfn, vaddr >> 12);
+        machine.write_u64(vmpl, slot, 0)?;
         Ok((entry & ADDR_MASK) / PAGE_SIZE as u64)
     }
 
     /// Rewrites the flags of an existing mapping (keeps the frame).
-    /// Issues a precise INVLPG-style TLB invalidation for the page.
     pub fn protect(
         &self,
         machine: &mut Machine,
@@ -285,12 +278,11 @@ impl AddressSpace {
         flags: PteFlags,
     ) -> Result<(), PtError> {
         let (slot, entry) = self.leaf_slot(machine, vaddr)?;
-        machine.pt_write_u64(
+        machine.write_u64(
             vmpl,
             slot,
             (entry & ADDR_MASK) | flags.union(PteFlags::PRESENT).bits(),
         )?;
-        machine.tlb_invlpg(self.root_gfn, vaddr >> 12);
         Ok(())
     }
 
@@ -304,10 +296,6 @@ impl AddressSpace {
             if table_gfn >= machine.frames() {
                 return Err(PtError::NotMapped { vaddr });
             }
-            // Every frame the walker reads a PTE from becomes a snooped
-            // "live page table" frame: stray writes to it full-flush the
-            // translation cache (the OS-edits-tables-directly case).
-            machine.tlb_note_table_frame(table_gfn);
             let slot = gpa_of(table_gfn) + index_at(vaddr, level) * 8;
             let entry = machine.mem().read_u64_raw(slot);
             if entry & PteFlags::PRESENT.bits() == 0 {
@@ -318,7 +306,6 @@ impl AddressSpace {
         if table_gfn >= machine.frames() {
             return Err(PtError::NotMapped { vaddr });
         }
-        machine.tlb_note_table_frame(table_gfn);
         let slot = gpa_of(table_gfn) + index_at(vaddr, 0) * 8;
         let entry = machine.mem().read_u64_raw(slot);
         if entry & PteFlags::PRESENT.bits() == 0 {
@@ -329,19 +316,11 @@ impl AddressSpace {
 
     /// Hardware page walk: translates `vaddr` to (frame, flags) without
     /// privilege checks (the MMU reads tables regardless of VMPL masks).
-    /// Served from the software TLB when a valid entry exists; a miss
-    /// walks the tables and installs the result.
+    /// Every call walks the live tables, so a PTE edit is visible to the
+    /// next access with no invalidation step.
     pub fn translate(&self, machine: &Machine, vaddr: u64) -> Result<(u64, PteFlags), PtError> {
-        Self::check_vaddr(vaddr)?;
-        let vpn = vaddr >> 12;
-        if let Some((pfn, flags)) = machine.tlb_lookup(self.root_gfn, vpn) {
-            return Ok((pfn, flags));
-        }
         let (_, entry) = self.leaf_slot(machine, vaddr)?;
-        let pfn = (entry & ADDR_MASK) / PAGE_SIZE as u64;
-        let flags = PteFlags::from_bits_truncate(entry);
-        machine.tlb_fill(self.root_gfn, vpn, pfn, flags);
-        Ok((pfn, flags))
+        Ok(((entry & ADDR_MASK) / PAGE_SIZE as u64, PteFlags::from_bits_truncate(entry)))
     }
 
     /// Full hardware access check for one byte-range within a page:
@@ -373,7 +352,7 @@ impl AddressSpace {
             }
             Access::Read => {}
         }
-        machine.rmp_check_cached(pfn, vmpl, access).map_err(|e| PtError::Snp(e.into()))?;
+        machine.rmp().check(pfn, vmpl, access).map_err(|e| PtError::Snp(e.into()))?;
         Ok(gpa_of(pfn) + (vaddr & 0xfff))
     }
 
@@ -427,9 +406,6 @@ impl AddressSpace {
             let va = vaddr + done as u64;
             let in_page = (PAGE_SIZE - (va as usize & 0xfff)).min(data.len() - done);
             let gpa = self.access(machine, va, vmpl, cpl, Access::Write)?;
-            // Raw store, but snooped: a guest writing *through virtual
-            // memory* into its own page tables must still flush.
-            machine.note_write(gpa, in_page);
             machine.mem_mut().write_raw(gpa, &data[done..done + in_page]);
             done += in_page;
         }

@@ -4,7 +4,7 @@
 //! the `inspect` binary prints the results verbatim.
 
 use crate::fmt;
-use veil_trace::{CacheCounters, EventCounters, Record};
+use veil_trace::{EventCounters, Record};
 
 /// Renders records as a fixed-width table: sequence number, virtual-cycle
 /// timestamp, event name, and `key=value` fields.
@@ -72,32 +72,6 @@ pub fn counters_json(c: &EventCounters) -> String {
     fmt::json_object(&fields)
 }
 
-/// The cache-counter fold as `(name, value)` rows, zero-suppressed.
-///
-/// Cache statistics are advisory diagnostics: they never enter the event
-/// stream or the digest, and a run with the software TLB disabled (or a
-/// workload that never touches it) reports all-zero counters. Suppressing
-/// zero rows keeps golden `inspect` output for such runs byte-identical
-/// to the pre-TLB tooling.
-pub fn cache_rows(c: &CacheCounters) -> Vec<(&'static str, u64)> {
-    let all = [
-        ("tlb_hit", c.tlb_hits),
-        ("tlb_miss", c.tlb_misses),
-        ("tlb_flush", c.tlb_flushes),
-        ("verdict_hit", c.verdict_hits),
-        ("verdict_miss", c.verdict_misses),
-        ("verdict_flush", c.verdict_flushes),
-    ];
-    all.into_iter().filter(|&(_, v)| v != 0).collect()
-}
-
-/// Renders the cache-counter fold as a JSON object (zero-suppressed; an
-/// all-zero fold renders as `{}` so callers can omit it entirely).
-pub fn cache_json(c: &CacheCounters) -> String {
-    let fields: Vec<String> = cache_rows(c).iter().map(|(k, v)| fmt::json_field(k, v)).collect();
-    fmt::json_object(&fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,19 +121,5 @@ mod tests {
         assert!(j.contains("\"vmgexits\": 1"));
         assert!(j.contains("\"vmenters\": 1"));
         assert!(j.contains("\"io_exits\": 1"));
-    }
-
-    #[test]
-    fn cache_rows_suppress_zeros() {
-        let zero = CacheCounters::default();
-        assert!(cache_rows(&zero).is_empty(), "all-zero fold renders nothing");
-        assert_eq!(cache_json(&zero), "{}");
-
-        let c = CacheCounters { tlb_hits: 9, tlb_misses: 1, ..CacheCounters::default() };
-        let rows = cache_rows(&c);
-        assert_eq!(rows, vec![("tlb_hit", 9), ("tlb_miss", 1)]);
-        let j = cache_json(&c);
-        assert!(j.contains("\"tlb_hit\": 9"));
-        assert!(!j.contains("verdict"));
     }
 }

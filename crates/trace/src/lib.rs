@@ -30,13 +30,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod causal;
 mod event;
 mod invariants_impl;
 mod tracer;
 
-pub use cache::CacheCounters;
 pub use causal::{Attribution, CausalFold, Component, ReqPath};
 pub use event::{exit_code, Event, VMPL_UNKNOWN};
 pub use tracer::{EventCounters, Record, Tracer, DEFAULT_RING_CAPACITY};

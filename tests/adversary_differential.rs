@@ -2,8 +2,8 @@
 //!
 //! The full fuzz budget runs in its own CI job; this suite keeps a
 //! bounded slice of it in the tier-1 gate: the differential property
-//! (machine == reference oracle, caches-on == caches-off) under the
-//! testkit engine, determinism of whole fuzz runs, and — crucial for
+//! (machine == reference oracle) under the testkit engine, determinism
+//! of whole fuzz runs, and — crucial for
 //! trusting a fuzzer that never fires — proof that each seeded machine
 //! mutation is caught *and* shrunk to a minimal sequence.
 
@@ -16,9 +16,9 @@ use veil_testkit::prop::check;
 
 /// The core property, under the same engine as `tests/properties.rs`:
 /// every generated attack sequence must execute identically on the real
-/// machine and the reference oracle, with caches on and off. The
-/// `check` name equals [`SEED_LABEL`], so a `VEIL_TEST_SEED` printed
-/// here replays in the `fuzz` binary and vice versa.
+/// machine and the reference oracle. The `check` name equals
+/// [`SEED_LABEL`], so a `VEIL_TEST_SEED` printed here replays in the
+/// `fuzz` binary and vice versa.
 #[test]
 fn adversary_differential() {
     check(SEED_LABEL, 24, &sequence_strategy(60), |ops| run_sequence(&ops, None).map(|_| ()));

@@ -83,7 +83,7 @@ fn deepest_state_path_replays_cleanly() {
     let report = explore(&cfg);
     let deepest =
         report.visited.values().max_by_key(|s| (s.depth, s.path.clone())).expect("states");
-    let (lines, _, _) = replay(&cfg, &deepest.path).expect("pinned BFS path must replay");
+    let (lines, _) = replay(&cfg, &deepest.path).expect("pinned BFS path must replay");
     assert_eq!(lines.len(), deepest.path.len());
     assert_eq!(deepest.depth, report.max_depth);
 }
