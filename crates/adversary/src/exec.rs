@@ -640,9 +640,10 @@ impl World {
                 }
             }
             AdversaryOp::BootTamperedImage { page, offset } => {
-                // The firmware stage must refuse the mutated image
-                // pre-launch, naming both digests; any other outcome
-                // (boot succeeds, or a different error) is a finding.
+                // The measured-boot check must refuse the mutated image
+                // before VeilMon runs, naming both digests; any other
+                // outcome (boot succeeds, or a different error) is a
+                // finding.
                 let result = CvmBuilder::new()
                     .frames(2048)
                     .attest(true)

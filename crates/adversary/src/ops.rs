@@ -251,8 +251,8 @@ pub enum AdversaryOp {
         /// Byte the challenge nonce is filled with.
         nonce_byte: u8,
     },
-    /// Boot a CVM with the firmware measurement stage armed and one
-    /// boot-image byte mutated: the firmware must refuse pre-launch.
+    /// Boot a CVM with the measured-boot check armed and one boot-image
+    /// byte mutated: the boot must be refused before VeilMon runs.
     BootTamperedImage {
         /// Boot-image page index (executor wraps into the image).
         page: u8,

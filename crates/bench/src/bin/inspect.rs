@@ -63,7 +63,7 @@ fn observed_cvm(
     let mut cvm = builder.build().expect("boot");
 
     let user = DhKeyPair::from_seed(&[7; 32]);
-    let (_report, _mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv).expect("attest");
+    let (_report, _mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, [7; 32]).expect("attest");
     cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public).expect("channel");
 
     let pid = cvm.spawn();

@@ -25,6 +25,7 @@ use veil_core::layout::{Layout, LayoutConfig};
 use veil_crypto::sha256::hex;
 use veil_os::monitor::{MonRequest, MonResponse, MonitorChannel};
 use veil_services::CvmBuilder;
+use veil_snp::attest::measure_launch;
 use veil_snp::perms::Vmpl;
 use veil_snp::vcek::{
     self, ChainReport, ChainVerifier, DeriveStage, Tamper, TcbVersion, VerifyError,
@@ -42,25 +43,29 @@ fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
+/// Decodes hex digits, ignoring ASCII whitespace. `None` on any other
+/// byte or an odd digit count; never panics, whatever the input.
 fn parse_hex(s: &str) -> Option<Vec<u8>> {
-    let compact: String = s.chars().filter(|c| !c.is_whitespace()).collect();
-    if !compact.len().is_multiple_of(2) {
+    let digits: Vec<u8> = s
+        .bytes()
+        .filter(|b| !b.is_ascii_whitespace())
+        .map(|b| (b as char).to_digit(16).map(|d| d as u8))
+        .collect::<Option<_>>()?;
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..compact.len() / 2)
-        .map(|i| u8::from_str_radix(&compact[2 * i..2 * i + 2], 16).ok())
-        .collect()
+    Some(digits.chunks(2).map(|pair| (pair[0] << 4) | pair[1]).collect())
 }
 
 fn parse_hex32(s: &str) -> Option<[u8; 32]> {
     parse_hex(s).and_then(|v| <[u8; 32]>::try_from(v).ok())
 }
 
-/// The canonical expected measurement: the untampered Veil boot image for
-/// the default layout, hashed by the firmware stage — no boot required.
+/// The canonical expected measurement: the launch digest of the
+/// untampered Veil boot image for the default layout — no boot required.
 fn canonical_measurement() -> [u8; 32] {
     let layout = Layout::compute(&LayoutConfig::default());
-    veil_core::firmware::measure_image(&veil_boot_image(&layout), layout.boot_vmsa)
+    measure_launch(&veil_boot_image(&layout), layout.boot_vmsa)
 }
 
 /// A verifier provisioned with the simulation's default trust material:
@@ -246,6 +251,25 @@ fn main() -> ExitCode {
         _ => {
             eprintln!("usage: verify <report|self-test|tamper-suite> [options]");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_hex;
+
+    #[test]
+    fn parse_hex_decodes_digits_and_skips_whitespace() {
+        assert_eq!(parse_hex("0aFf\n 10\n"), Some(vec![0x0a, 0xff, 0x10]));
+        assert_eq!(parse_hex(""), Some(Vec::new()));
+    }
+
+    #[test]
+    fn parse_hex_refuses_non_hex_without_panicking() {
+        // Multi-byte UTF-8 used to be sliced mid-character and panic.
+        for input in ["€a", "a€", "ü0", "0g", "abc", "ab c", "日本"] {
+            assert_eq!(parse_hex(input), None, "{input:?}");
         }
     }
 }

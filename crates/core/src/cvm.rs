@@ -16,6 +16,7 @@ use veil_os::error::OsError;
 use veil_os::kernel::{Kernel, KernelConfig, KernelCtx, KernelSys};
 use veil_os::monitor::{MonitorChannel, NativeMonitor};
 use veil_os::process::Pid;
+use veil_snp::attest::measure_launch;
 use veil_snp::machine::{Machine, MachineConfig};
 use veil_snp::mem::PAGE_SIZE;
 use veil_snp::perms::Vmpl;
@@ -135,27 +136,27 @@ impl CvmBuilder {
         self.batch.unwrap_or_else(|| std::env::var_os("VEIL_NO_BATCH").is_none_or(|v| v == *"0"))
     }
 
-    /// Enables/disables the VMPL-0 firmware measurement stage (measured
-    /// boot; see [`crate::firmware`]). When enforced, the staged boot image
-    /// is hashed *before* launch and the build fails fast with
-    /// [`OsError::FirmwareRefused`] on any mismatch. When not set
-    /// explicitly the `VEIL_ATTEST` environment variable decides (any
-    /// value other than `0` enforces). The stage is pure pre-boot
-    /// computation, so enforcement never changes trace digests.
+    /// Enables/disables the measured-boot check (pvmfw style): when
+    /// enforced, the launch measurement the firmware records is compared
+    /// with the expected one before VeilMon runs a single instruction, and
+    /// the build fails fast with [`OsError::FirmwareRefused`] on any
+    /// mismatch. When not set explicitly the `VEIL_ATTEST` environment
+    /// variable decides (any value other than `0` enforces). The check
+    /// only compares digests, so enforcement never changes trace digests.
     pub fn attest(mut self, enforced: bool) -> Self {
         self.attest = Some(enforced);
         self
     }
 
     fn attest_enabled(&self) -> bool {
-        self.attest.unwrap_or_else(crate::firmware::env_enforced)
+        self.attest.unwrap_or_else(|| std::env::var_os("VEIL_ATTEST").is_some_and(|v| v != *"0"))
     }
 
-    /// Pins the launch measurement the firmware stage must observe. When
-    /// unset, enforcement defaults to the canonical Veil image for the
-    /// configured layout (which catches *mutations*, the pvmfw threat
-    /// model); golden tests pin an explicit digest to also catch image
-    /// drift across builds.
+    /// Pins the launch measurement the measured-boot check expects. When
+    /// unset, it defaults to [`measure_launch`] of the canonical Veil image
+    /// for the configured layout (which catches *mutations*, the pvmfw
+    /// threat model); golden tests pin an explicit digest to also catch
+    /// image drift across builds.
     pub fn expected_measurement(mut self, digest: [u8; 32]) -> Self {
         self.expected_measurement = Some(digest);
         self
@@ -164,7 +165,7 @@ impl CvmBuilder {
     /// Test/adversary hook: XOR-flips one byte of the staged boot image
     /// (`page` indexes the image page list, `offset` the byte within it;
     /// both wrap). Models a supply-chain or hypervisor image swap that the
-    /// firmware stage must refuse when enforcement is on.
+    /// measured-boot check must refuse when enforcement is on.
     pub fn tamper_boot_image(mut self, page: usize, offset: usize) -> Self {
         self.image_tamper = Some((page, offset));
         self
@@ -212,15 +213,16 @@ impl CvmBuilder {
             let offset = offset % data.len();
             data[offset] ^= 0xff;
         }
+        let actual = hv.launch(&image, layout.boot_vmsa)?;
         if self.attest_enabled() {
-            // The firmware measurement stage: hash what is about to boot,
-            // refuse before a single payload instruction runs.
-            let expected = self.expected_measurement.unwrap_or_else(|| {
-                crate::firmware::measure_image(&veil_boot_image(&layout), layout.boot_vmsa)
-            });
-            crate::firmware::enforce(expected, &image, layout.boot_vmsa)?;
+            // Measured boot: refuse before VeilMon runs a single instruction.
+            let expected = self
+                .expected_measurement
+                .unwrap_or_else(|| measure_launch(&veil_boot_image(&layout), layout.boot_vmsa));
+            if actual != expected {
+                return Err(OsError::FirmwareRefused { expected, actual });
+            }
         }
-        hv.launch(&image, layout.boot_vmsa)?;
 
         let boot_start = hv.machine.cycles().total();
         let mut monitor = Monitor::init(&mut hv, layout.clone(), self.vcpus)?;
@@ -543,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn firmware_stage_refuses_mutated_image() {
+    fn measured_boot_refuses_mutated_image() {
         let err = CvmBuilder::new()
             .frames(2048)
             .attest(true)
@@ -557,21 +559,21 @@ mod tests {
     }
 
     #[test]
-    fn firmware_stage_accepts_pristine_image_without_perturbing_boot() {
+    fn measured_boot_accepts_pristine_image_without_perturbing_boot() {
         let attested = CvmBuilder::new().frames(2048).attest(true).build_with(NoServices).unwrap();
         let plain = CvmBuilder::new().frames(2048).attest(false).build_with(NoServices).unwrap();
         assert_eq!(
             attested.hv.machine.launch_measurement(),
             plain.hv.machine.launch_measurement(),
-            "enforcement is pure pre-boot computation"
+            "enforcement only compares digests"
         );
         assert_eq!(attested.veil_boot_cycles, plain.veil_boot_cycles);
     }
 
     #[test]
-    fn firmware_stage_honours_pinned_measurement() {
+    fn measured_boot_honours_pinned_measurement() {
         let layout = Layout::compute(&LayoutConfig::default());
-        let good = crate::firmware::measure_image(&veil_boot_image(&layout), layout.boot_vmsa);
+        let good = measure_launch(&veil_boot_image(&layout), layout.boot_vmsa);
         CvmBuilder::new().attest(true).expected_measurement(good).build_with(NoServices).unwrap();
         let err = CvmBuilder::new()
             .attest(true)

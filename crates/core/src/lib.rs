@@ -19,12 +19,11 @@
 //!   switch + dispatch + switch back.
 //! * [`service`] — the [`service::ServiceDispatch`] trait protected
 //!   services (VeilS-KCI/ENC/LOG, in `veil-services`) plug into.
-//! * [`remote`] — the remote user: attestation verification and the
-//!   secure channel (§5.1).
-//! * [`firmware`] — the VMPL-0 measured-boot stage (pvmfw/NVRC style):
-//!   pre-boot image hash, fail-fast refusal on mismatch.
-//! * [`cvm`] — the generic CVM assembly: launch, VeilMon init, kernel
-//!   boot, plus the *native* (Veil-less) baseline used by the evaluation.
+//! * [`remote`] — the remote user: chain-report verification, the DH
+//!   binding check and the secure channel (§5.1).
+//! * [`cvm`] — the generic CVM assembly: launch, the measured-boot check,
+//!   VeilMon init, kernel boot, plus the *native* (Veil-less) baseline
+//!   used by the evaluation.
 //!
 //! # Example
 //!
@@ -44,7 +43,6 @@
 
 pub mod cvm;
 pub mod domain;
-pub mod firmware;
 pub mod gate;
 pub mod idcb;
 pub mod layout;

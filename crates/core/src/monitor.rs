@@ -6,10 +6,10 @@ use std::collections::BTreeSet;
 use veil_crypto::{DhKeyPair, DhPublic, Drbg};
 use veil_hv::Hypervisor;
 use veil_os::error::OsError;
-use veil_snp::attest::AttestationReport;
 use veil_snp::cost::CostCategory;
 use veil_snp::machine::Machine;
 use veil_snp::perms::{Vmpl, VmplPerms};
+use veil_snp::vcek::ChainReport;
 use veil_trace::Event;
 
 /// Cycle statistics of the one-time boot flow, for the §9.1 boot bench.
@@ -317,15 +317,20 @@ impl Monitor {
 
     // ---- attestation + secure channel (§5.1) -------------------------------------
 
-    /// Requests an attestation report from `Dom_MON` carrying a fresh DH
-    /// public value, beginning secure-channel establishment with the
-    /// remote user.
-    pub fn begin_channel(&mut self, hv: &mut Hypervisor) -> Option<(AttestationReport, DhPublic)> {
+    /// Begins secure-channel establishment with the remote user: asks the
+    /// firmware for a VMPL-0 chain report answering the user's `nonce`,
+    /// with a fresh DH public value bound in the first 32 bytes of its
+    /// report data. Returns `None` before launch.
+    pub fn begin_channel(
+        &mut self,
+        hv: &mut Hypervisor,
+        nonce: [u8; 32],
+    ) -> Option<(ChainReport, DhPublic)> {
         let seed = self.drbg.next_bytes32();
         let dh = DhKeyPair::from_seed(&seed);
         let mut report_data = [0u8; 64];
         report_data[..32].copy_from_slice(&dh.public.0.to_be_bytes());
-        let report = hv.machine.attest(Vmpl::Vmpl0, report_data)?;
+        let report = hv.machine.attest_chain(Vmpl::Vmpl0, nonce, report_data)?;
         let public = dh.public;
         self.dh = Some(dh);
         hv.machine.trace_event(Event::ChannelHandshake { step: 0 });
@@ -461,10 +466,12 @@ mod tests {
     #[test]
     fn secure_channel_end_to_end() {
         let (mut hv, mut monitor) = boot_monitor(2048, 1);
-        let (report, mon_pub) = monitor.begin_channel(&mut hv).unwrap();
-        // Remote side: verify report, check VMPL-0 origin, derive key.
-        assert!(report.verify(&hv.machine.device_verification_key()));
-        assert_eq!(report.vmpl, Vmpl::Vmpl0);
+        let (report, mon_pub) = monitor.begin_channel(&mut hv, [4; 32]).unwrap();
+        // Remote side: verify the chain (VMPL-0 origin, nonce), check the
+        // binding, derive the key.
+        let mut verifier = hv.machine.kds_verifier(hv.machine.launch_measurement().unwrap());
+        assert_eq!(verifier.verify(&report, &[4; 32]), Ok(()));
+        assert_eq!(report.report_data[..32], mon_pub.0.to_be_bytes());
         let user = DhKeyPair::from_seed(&[9; 32]);
         let user_secret = user.agree(&mon_pub);
         monitor.complete_channel(&mut hv, &user.public).unwrap();

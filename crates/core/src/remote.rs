@@ -1,61 +1,36 @@
 //! The remote user: attestation verification and the secure channel.
 //!
 //! The paper's trust bootstrap (§5.1): the remote user receives a signed
-//! attestation digest naming the boot-image measurement and the VMPL of
+//! attestation report naming the boot-image measurement and the VMPL of
 //! the requesting software. Only a report from VMPL-0 proves it is
-//! talking to VeilMon. The report carries VeilMon's DH public value; the
-//! user completes the exchange and all further traffic (log retrieval,
-//! enclave measurements, user secrets) flows over the authenticated
-//! encrypted channel.
+//! talking to VeilMon. The report is a VCEK-chain [`ChainReport`] that
+//! answers the user's challenge and carries VeilMon's DH public value in
+//! its report data. The user checks the chain with a [`ChainVerifier`],
+//! checks the binding, completes the exchange, and all further traffic
+//! (log retrieval, enclave measurements, user secrets) flows over the
+//! authenticated encrypted channel.
 
 use veil_crypto::{ChaCha20, DhKeyPair, DhPublic, HmacSha256};
-use veil_snp::attest::AttestationReport;
-use veil_snp::perms::Vmpl;
+use veil_snp::vcek::{ChainReport, ChainVerifier, VerifyError};
 
-/// Why the remote user rejected an attestation report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AttestError {
-    /// Device signature invalid.
-    BadSignature,
-    /// The requester was not VMPL-0 (e.g. the OS impersonating VeilMon).
-    WrongVmpl(Vmpl),
-    /// Measurement differs from the user's golden value.
-    WrongMeasurement,
-    /// Report data does not carry the expected DH binding.
-    BadBinding,
-}
-
-impl std::fmt::Display for AttestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AttestError::BadSignature => write!(f, "invalid device signature"),
-            AttestError::WrongVmpl(v) => write!(f, "report requested from {v}, not VMPL-0"),
-            AttestError::WrongMeasurement => write!(f, "boot image measurement mismatch"),
-            AttestError::BadBinding => write!(f, "DH public value not bound in report"),
-        }
-    }
-}
-
-impl std::error::Error for AttestError {}
-
-/// The remote user's verifier state.
+/// The remote user's side of the channel handshake.
 #[derive(Debug)]
 pub struct RemoteUser {
-    device_key: [u8; 32],
-    /// Golden measurement (None = trust-on-first-use).
-    pub expected_measurement: Option<[u8; 32]>,
+    verifier: ChainVerifier,
     dh: DhKeyPair,
+    challenge: [u8; 32],
 }
 
 impl RemoteUser {
-    /// A user who knows the device verification key and (optionally) the
-    /// golden boot-image measurement.
-    pub fn new(
-        device_key: [u8; 32],
-        expected_measurement: Option<[u8; 32]>,
-        seed: &[u8; 32],
-    ) -> Self {
-        RemoteUser { device_key, expected_measurement, dh: DhKeyPair::from_seed(seed) }
+    /// A user who trusts what `verifier` trusts: VCEKs obtained out of
+    /// band and the golden launch measurement. `seed` gives the user's DH
+    /// key pair and the challenge VeilMon's report must answer.
+    pub fn new(verifier: ChainVerifier, seed: &[u8; 32]) -> Self {
+        RemoteUser {
+            verifier,
+            dh: DhKeyPair::from_seed(seed),
+            challenge: HmacSha256::mac(seed, b"veil-channel-challenge"),
+        }
     }
 
     /// The user's DH public value (sent to VeilMon to complete the
@@ -64,31 +39,30 @@ impl RemoteUser {
         self.dh.public
     }
 
-    /// Verifies a report + monitor public value and derives the session.
+    /// The freshness challenge the user sends to VeilMon with the channel
+    /// request.
+    pub fn challenge(&self) -> [u8; 32] {
+        self.challenge
+    }
+
+    /// Verifies VeilMon's handshake report and public value and derives
+    /// the session. The verifier's fixed check order runs first (TCB
+    /// policy, certificates, signature, measurement, VMPL-0, challenge,
+    /// replay); then the report must bind `monitor_public` in the first 32
+    /// bytes of its report data, so a relay cannot swap keys.
     ///
     /// # Errors
     ///
-    /// Any [`AttestError`] aborts channel establishment.
+    /// The first failing check's [`VerifyError`]; a swapped public value
+    /// is [`VerifyError::BadBinding`]. Any error aborts the channel.
     pub fn verify_and_derive(
-        &self,
-        report: &AttestationReport,
+        &mut self,
+        report: &ChainReport,
         monitor_public: &DhPublic,
-    ) -> Result<SecureChannel, AttestError> {
-        if !report.verify(&self.device_key) {
-            return Err(AttestError::BadSignature);
-        }
-        if report.vmpl != Vmpl::Vmpl0 {
-            return Err(AttestError::WrongVmpl(report.vmpl));
-        }
-        if let Some(golden) = self.expected_measurement {
-            if report.measurement != golden {
-                return Err(AttestError::WrongMeasurement);
-            }
-        }
-        // The report must bind the DH public value (first 32 bytes of
-        // report_data), preventing a relay that swaps keys.
+    ) -> Result<SecureChannel, VerifyError> {
+        self.verifier.verify(report, &self.challenge)?;
         if report.report_data[..32] != monitor_public.0.to_be_bytes() {
-            return Err(AttestError::BadBinding);
+            return Err(VerifyError::BadBinding);
         }
         Ok(SecureChannel::new(self.dh.agree(monitor_public).0))
     }
@@ -182,60 +156,29 @@ impl SecureChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veil_snp::attest::AttestationReport;
+    use veil_snp::perms::Vmpl;
+    use veil_snp::vcek::TcbVersion;
 
-    const DEVICE_KEY: [u8; 32] = [0xd0; 32];
-
-    fn report_with(vmpl: Vmpl, dh_pub: &DhPublic, measurement: [u8; 32]) -> AttestationReport {
-        let mut data = [0u8; 64];
-        data[..32].copy_from_slice(&dh_pub.0.to_be_bytes());
-        AttestationReport::sign(&DEVICE_KEY, measurement, vmpl, data)
-    }
+    const CHIP_SEED: [u8; 32] = [0xd0; 32];
+    const TCB: TcbVersion = TcbVersion(2);
+    const GOLDEN: [u8; 32] = [7; 32];
 
     #[test]
     fn happy_path_channel() {
         let monitor_dh = DhKeyPair::from_seed(&[1; 32]);
-        let user = RemoteUser::new(DEVICE_KEY, Some([7; 32]), &[2; 32]);
-        let report = report_with(Vmpl::Vmpl0, &monitor_dh.public, [7; 32]);
+        let mut user =
+            RemoteUser::new(ChainVerifier::with_kds(&CHIP_SEED, TCB, TCB, GOLDEN), &[2; 32]);
+        // What the firmware issues for VeilMon: its DH value bound, the
+        // user's challenge answered.
+        let mut data = [0u8; 64];
+        data[..32].copy_from_slice(&monitor_dh.public.0.to_be_bytes());
+        let report =
+            ChainReport::issue(&CHIP_SEED, TCB, GOLDEN, Vmpl::Vmpl0, user.challenge(), data);
         let mut user_chan = user.verify_and_derive(&report, &monitor_dh.public).unwrap();
         // Monitor side derives the mirror channel.
         let mut mon_chan = SecureChannel::new(monitor_dh.agree(&user.public()).0);
         let sealed = mon_chan.seal(b"audit log batch #1");
         assert_eq!(user_chan.open(&sealed).unwrap(), b"audit log batch #1");
-    }
-
-    #[test]
-    fn os_impersonation_detected() {
-        let dh = DhKeyPair::from_seed(&[1; 32]);
-        let user = RemoteUser::new(DEVICE_KEY, None, &[2; 32]);
-        let report = report_with(Vmpl::Vmpl3, &dh.public, [7; 32]);
-        assert_eq!(
-            user.verify_and_derive(&report, &dh.public).unwrap_err(),
-            AttestError::WrongVmpl(Vmpl::Vmpl3)
-        );
-    }
-
-    #[test]
-    fn wrong_measurement_detected() {
-        let dh = DhKeyPair::from_seed(&[1; 32]);
-        let user = RemoteUser::new(DEVICE_KEY, Some([7; 32]), &[2; 32]);
-        let report = report_with(Vmpl::Vmpl0, &dh.public, [8; 32]);
-        assert_eq!(
-            user.verify_and_derive(&report, &dh.public).unwrap_err(),
-            AttestError::WrongMeasurement
-        );
-    }
-
-    #[test]
-    fn swapped_dh_key_detected() {
-        let dh = DhKeyPair::from_seed(&[1; 32]);
-        let mitm = DhKeyPair::from_seed(&[6; 32]);
-        let user = RemoteUser::new(DEVICE_KEY, None, &[2; 32]);
-        let report = report_with(Vmpl::Vmpl0, &dh.public, [7; 32]);
-        assert_eq!(
-            user.verify_and_derive(&report, &mitm.public).unwrap_err(),
-            AttestError::BadBinding
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use veil_snp::attest::LaunchMeasurement;
+use veil_snp::attest::LaunchError;
 use veil_snp::cost::CostCategory;
 use veil_snp::fault::{HaltReason, SnpError};
 use veil_snp::ghcb::{Ghcb, GhcbExit};
@@ -230,27 +230,21 @@ impl Hypervisor {
         Ok(resp)
     }
 
-    /// Loads a boot image (list of `(gfn, page)` pairs) through the
-    /// launch firmware, creates the boot VCPU's VMSA at `vmsa_gfn` and
-    /// finalizes the launch measurement. Returns the measurement.
+    /// Launches the CVM from a boot image (list of `(gfn, page)` pairs)
+    /// through the SEV firmware ([`Machine::launch`]), with the boot VCPU's
+    /// VMSA at `vmsa_gfn`. Returns the launch measurement the firmware
+    /// recorded.
     ///
     /// # Errors
     ///
-    /// Propagates firmware/RMP errors (double launch, overlapping pages).
+    /// The firmware's [`LaunchError`] (second launch, oversized or
+    /// overlapping pages).
     pub fn launch(
         &mut self,
         boot_image: &[(u64, Vec<u8>)],
         vmsa_gfn: u64,
-    ) -> Result<[u8; 32], SnpError> {
-        let mut measurement = LaunchMeasurement::new();
-        for (gfn, page) in boot_image {
-            self.machine.launch_load(*gfn, page, &mut measurement)?;
-        }
-        // The boot VMSA frame is part of the launch set too.
-        self.machine.launch_load(vmsa_gfn, &[], &mut measurement)?;
-        self.machine.launch_create_boot_vmsa(vmsa_gfn, 0)?;
-        let digest = measurement.finalize();
-        self.machine.launch_finalize(digest);
+    ) -> Result<[u8; 32], LaunchError> {
+        let digest = self.machine.launch(boot_image, vmsa_gfn)?;
         let mut boot =
             VcpuSvm { vcpu_id: 0, domain_vmsas: BTreeMap::new(), current_vmpl: Vmpl::Vmpl0 };
         boot.domain_vmsas.insert(Vmpl::Vmpl0, vmsa_gfn);
@@ -690,8 +684,7 @@ mod tests {
     #[test]
     fn double_launch_rejected() {
         let mut hv = booted();
-        let err = hv.launch(&[(50, vec![0])], 51);
-        assert!(err.is_err());
+        assert_eq!(hv.launch(&[(50, vec![0])], 51), Err(LaunchError::AlreadyLaunched));
     }
 
     #[test]

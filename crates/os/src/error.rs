@@ -1,6 +1,7 @@
 //! Kernel error types.
 
 use std::fmt;
+use veil_snp::attest::LaunchError;
 use veil_snp::fault::SnpError;
 use veil_snp::pt::PtError;
 
@@ -63,6 +64,8 @@ impl std::error::Error for Errno {}
 pub enum OsError {
     /// The machine model refused an operation (usually an `#NPF`).
     Snp(SnpError),
+    /// The SEV firmware refused to launch the boot image.
+    Launch(LaunchError),
     /// A page-table operation failed.
     Pt(PtError),
     /// Physical frame pool exhausted.
@@ -71,12 +74,12 @@ pub enum OsError {
     MonitorRefused(String),
     /// The kernel is misconfigured for the attempted operation.
     Config(String),
-    /// The VMPL-0 firmware measurement stage refused to boot: the staged
-    /// boot image does not hash to the expected launch measurement.
+    /// The measured-boot check refused to start VeilMon: the launch
+    /// measurement differs from the expected one.
     FirmwareRefused {
-        /// Measurement the firmware was provisioned to expect.
+        /// Measurement the boot was provisioned to expect.
         expected: [u8; 32],
-        /// Measurement computed over the staged boot image.
+        /// Measurement the firmware recorded at launch.
         actual: [u8; 32],
     },
 }
@@ -85,6 +88,7 @@ impl fmt::Display for OsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OsError::Snp(e) => write!(f, "{e}"),
+            OsError::Launch(e) => write!(f, "{e}"),
             OsError::Pt(e) => write!(f, "{e}"),
             OsError::OutOfFrames => write!(f, "out of physical frames"),
             OsError::MonitorRefused(r) => write!(f, "monitor refused: {r}"),
@@ -108,6 +112,12 @@ impl std::error::Error for OsError {}
 impl From<SnpError> for OsError {
     fn from(e: SnpError) -> Self {
         OsError::Snp(e)
+    }
+}
+
+impl From<LaunchError> for OsError {
+    fn from(e: LaunchError) -> Self {
+        OsError::Launch(e)
     }
 }
 

@@ -248,10 +248,12 @@ impl Kernel {
                 }
             }
             AuditMode::VeilLog => {
-                // Execute-ahead (§6.3), batched: the record is transcribed
-                // into protected-visible memory before the event continues;
-                // with the batched gate path a later doorbell drains the
-                // queue under one switch, serially it relays immediately.
+                // Execute-ahead (§6.3): serially, the record reaches
+                // Dom_SER storage before the syscall continues. With the
+                // batched gate path it waits in the gate ring, which
+                // Dom_UNT can write, until a later doorbell drains the
+                // queue under one switch, so the guarantee holds from the
+                // drain, not from the syscall (DESIGN.md §12).
                 let req = MonRequest::LogAppend { record: rec.to_bytes() };
                 if ctx.gate.request_deferred(ctx.hv, ctx.vcpu, req).is_err() {
                     self.audit_failures += 1;

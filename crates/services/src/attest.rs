@@ -10,8 +10,8 @@
 //! chain offline against VCEKs obtained out of band.
 //!
 //! Reports claim VMPL-0: the evidence covers the VeilMon TCB that
-//! provisioned this service, matching the existing channel-handshake path
-//! (`Monitor::begin_channel`).
+//! provisioned this service. The channel handshake
+//! (`Monitor::begin_channel`) asks the firmware for the same report.
 
 use veil_hv::Hypervisor;
 use veil_os::error::OsError;
@@ -31,12 +31,12 @@ impl VeilAttest {
 
     /// Produces the serialized chain report for `nonce`/`report_data`.
     /// Runs on the trusted side after the gate's switch; the firmware
-    /// round trip charges one domain switch like the legacy `attest` path.
+    /// round trip charges one domain switch.
     ///
     /// # Errors
     ///
-    /// [`OsError::MonitorRefused`] when launch has not finalized (no
-    /// measurement exists to attest).
+    /// [`OsError::MonitorRefused`] before launch (no measurement exists
+    /// to attest).
     pub fn report(
         &mut self,
         hv: &mut Hypervisor,
@@ -46,7 +46,7 @@ impl VeilAttest {
         let report = hv
             .machine
             .attest_chain(Vmpl::Vmpl0, nonce, report_data)
-            .ok_or_else(|| OsError::MonitorRefused("launch not finalized".into()))?;
+            .ok_or_else(|| OsError::MonitorRefused("machine not launched".into()))?;
         self.reports += 1;
         Ok(report.to_bytes())
     }
@@ -61,10 +61,10 @@ impl VeilAttest {
 mod tests {
     use super::*;
     use veil_snp::machine::{Machine, MachineConfig};
-    use veil_snp::vcek::{ChainReport, ChainVerifier, TcbVersion};
+    use veil_snp::vcek::ChainReport;
 
     #[test]
-    fn report_requires_finalized_launch() {
+    fn report_requires_launch() {
         let machine = Machine::new(MachineConfig { frames: 64, ..MachineConfig::default() });
         let mut hv = Hypervisor::new(machine);
         let mut att = VeilAttest::new();
@@ -74,9 +74,7 @@ mod tests {
         assert_eq!(att.report_count(), 1);
         // The bytes verify against the machine's own KDS-derived VCEK.
         let report = ChainReport::from_bytes(&bytes).unwrap();
-        let tcb = hv.machine.tcb_version();
-        let mut v = ChainVerifier::new(hv.machine.launch_measurement().unwrap(), TcbVersion(0));
-        v.trust_tcb(tcb, hv.machine.kds_vcek(tcb));
+        let mut v = hv.machine.kds_verifier(hv.machine.launch_measurement().unwrap());
         assert_eq!(v.verify(&report, &[7; 32]), Ok(()));
     }
 }

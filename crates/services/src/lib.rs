@@ -220,14 +220,14 @@ impl CvmBuilder {
         self
     }
 
-    /// Toggle the VMPL-0 firmware measurement stage (see
+    /// Toggle the measured-boot check (see
     /// [`veil_core::cvm::CvmBuilder::attest`]).
     pub fn attest(mut self, enforced: bool) -> Self {
         self.inner = self.inner.attest(enforced);
         self
     }
 
-    /// Pin the launch measurement the firmware stage must observe (see
+    /// Pin the launch measurement the measured-boot check expects (see
     /// [`veil_core::cvm::CvmBuilder::expected_measurement`]).
     pub fn expected_measurement(mut self, digest: [u8; 32]) -> Self {
         self.inner = self.inner.expected_measurement(digest);
@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn attest_report_served_over_the_gate() {
         use veil_os::monitor::{MonRequest, MonResponse, MonitorChannel};
-        use veil_snp::vcek::{ChainReport, ChainVerifier, TcbVersion};
+        use veil_snp::vcek::ChainReport;
 
         let mut cvm = CvmBuilder::new().frames(2048).build().unwrap();
         let nonce = [0x41; 32];
@@ -321,10 +321,8 @@ mod tests {
 
         // Offline verification with KDS-style out-of-band VCEK.
         let report = ChainReport::from_bytes(&bytes).unwrap();
-        let tcb = cvm.hv.machine.tcb_version();
         let mut verifier =
-            ChainVerifier::new(cvm.hv.machine.launch_measurement().unwrap(), TcbVersion(0));
-        verifier.trust_tcb(tcb, cvm.hv.machine.kds_vcek(tcb));
+            cvm.hv.machine.kds_verifier(cvm.hv.machine.launch_measurement().unwrap());
         assert_eq!(verifier.verify(&report, &nonce), Ok(()));
         // Replaying the same report must fail.
         assert!(verifier.verify(&report, &nonce).is_err());

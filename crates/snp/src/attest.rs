@@ -1,19 +1,20 @@
-//! Launch measurement and attestation reports.
+//! Launch measurement.
 //!
-//! During CVM launch, a SHA-256 hash of the boot disk image is generated
-//! and sent in a signed digest to the remote user (§5.1). The report also
-//! names the VMPL of the requesting software and carries 64 bytes of
-//! requester data (e.g. a Diffie–Hellman public key), which is how the
-//! remote user knows they are talking to VMPL-0 VeilMon and not the
-//! untrusted OS.
-//!
-//! The signature is modelled with HMAC-SHA-256 under a per-device key:
-//! the real VCEK is an ECDSA key certified by AMD, but the trust structure
-//! (device-bound key, verifier obtains the public half out of band) is the
-//! same.
+//! During CVM launch, the SEV firmware loads the boot image and hashes it
+//! into a SHA-256 launch digest (§5.1). Every attestation report names that
+//! digest, so a remote user who knows which image should have booted can
+//! refuse a CVM launched from a tampered disk. [`measure_launch`] is the one
+//! definition of the digest: [`crate::machine::Machine::launch`] records it,
+//! and a verifier computes the expected value from the image alone. The
+//! signed reports themselves live in [`crate::vcek`].
 
-use crate::perms::Vmpl;
-use veil_crypto::{HmacSha256, Sha256};
+use crate::fault::SnpError;
+use crate::mem::PAGE_SIZE;
+use std::fmt;
+use veil_crypto::Sha256;
+
+/// Zero padding for boot pages shorter than a frame.
+const ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
 /// Incremental launch-measurement builder (models the SEV firmware's
 /// launch-update digest).
@@ -29,16 +30,13 @@ impl LaunchMeasurement {
         LaunchMeasurement { hasher: Sha256::new(), pages: 0 }
     }
 
-    /// Absorbs one boot-image page at its load address.
+    /// Absorbs one boot-image page at its load address, zero-padded to a
+    /// frame as the firmware loads it.
     pub fn add_page(&mut self, gfn: u64, contents: &[u8]) {
         self.hasher.update(&gfn.to_le_bytes());
         self.hasher.update(contents);
+        self.hasher.update(&ZERO_PAGE[..PAGE_SIZE.saturating_sub(contents.len())]);
         self.pages += 1;
-    }
-
-    /// Number of pages measured so far.
-    pub fn pages(&self) -> u64 {
-        self.pages
     }
 
     /// Finalizes into the 32-byte launch digest.
@@ -51,45 +49,52 @@ impl LaunchMeasurement {
     }
 }
 
-/// A signed attestation report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttestationReport {
-    /// The launch measurement of the boot image.
-    pub measurement: [u8; 32],
-    /// VMPL of the software that requested the report.
-    pub vmpl: Vmpl,
-    /// Requester-chosen data (e.g. DH public key + channel nonce).
-    pub report_data: [u8; 64],
-    /// Device signature over all of the above.
-    pub signature: [u8; 32],
+/// The launch digest of `image` (`(gfn, bytes)` pages in load order)
+/// followed by the zeroed boot VMSA frame at `vmsa_gfn` — exactly what
+/// [`crate::machine::Machine::launch`] records for the same arguments.
+pub fn measure_launch(image: &[(u64, Vec<u8>)], vmsa_gfn: u64) -> [u8; 32] {
+    let mut measurement = LaunchMeasurement::new();
+    for (gfn, data) in image {
+        measurement.add_page(*gfn, data);
+    }
+    measurement.add_page(vmsa_gfn, &[]);
+    measurement.finalize()
 }
 
-impl AttestationReport {
-    /// Signs a report with the device key (called by the machine model).
-    pub fn sign(
-        device_key: &[u8; 32],
-        measurement: [u8; 32],
-        vmpl: Vmpl,
-        report_data: [u8; 64],
-    ) -> Self {
-        let mut report = AttestationReport { measurement, vmpl, report_data, signature: [0; 32] };
-        report.signature = report.compute_tag(device_key);
-        report
-    }
+/// Why the firmware refused a launch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LaunchError {
+    /// The machine has launched already; its measurement is fixed.
+    AlreadyLaunched,
+    /// A boot-image page is larger than one frame.
+    OversizedPage {
+        /// Load address of the page.
+        gfn: u64,
+        /// Its length in bytes.
+        len: usize,
+    },
+    /// A launch frame is out of range, already assigned, or cannot hold
+    /// the boot VMSA.
+    Snp(SnpError),
+}
 
-    fn compute_tag(&self, device_key: &[u8; 32]) -> [u8; 32] {
-        let mut mac = HmacSha256::new(device_key);
-        mac.update(b"veil-attestation-report-v1");
-        mac.update(&self.measurement);
-        mac.update(&[self.vmpl as u8]);
-        mac.update(&self.report_data);
-        mac.finalize()
+impl fmt::Display for LaunchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LaunchError::AlreadyLaunched => write!(f, "machine already launched"),
+            LaunchError::OversizedPage { gfn, len } => {
+                write!(f, "boot page at gfn {gfn:#x} is {len} bytes, larger than a frame")
+            }
+            LaunchError::Snp(e) => write!(f, "launch failed: {e}"),
+        }
     }
+}
 
-    /// Verifies the report against the device verification key.
-    #[must_use]
-    pub fn verify(&self, device_key: &[u8; 32]) -> bool {
-        veil_crypto::ct::eq(&self.compute_tag(device_key), &self.signature)
+impl std::error::Error for LaunchError {}
+
+impl From<SnpError> for LaunchError {
+    fn from(e: SnpError) -> Self {
+        LaunchError::Snp(e)
     }
 }
 
@@ -122,19 +127,20 @@ mod tests {
     }
 
     #[test]
-    fn report_verifies_and_detects_tampering() {
-        let key = [7u8; 32];
-        let report = AttestationReport::sign(&key, [1; 32], Vmpl::Vmpl0, [2; 64]);
-        assert!(report.verify(&key));
+    fn short_pages_measure_as_zero_padded_frames() {
+        let mut padded = b"mon".to_vec();
+        padded.resize(PAGE_SIZE, 0);
+        assert_eq!(measure_launch(&[(1, b"mon".to_vec())], 3), measure_launch(&[(1, padded)], 3));
+    }
 
-        let mut forged = report.clone();
-        forged.vmpl = Vmpl::Vmpl3; // OS pretending to be the monitor
-        assert!(!forged.verify(&key));
-
-        let mut forged = report.clone();
-        forged.report_data[0] ^= 1;
-        assert!(!forged.verify(&key));
-
-        assert!(!report.verify(&[8u8; 32]), "wrong device key");
+    #[test]
+    fn measure_launch_covers_image_and_vmsa_placement() {
+        let image = vec![(1, b"mon".to_vec()), (2, b"ser".to_vec())];
+        let digest = measure_launch(&image, 3);
+        assert_eq!(digest, measure_launch(&image, 3));
+        let mut mutated = image.clone();
+        mutated[0].1[0] ^= 1;
+        assert_ne!(digest, measure_launch(&mutated, 3), "content change must change digest");
+        assert_ne!(digest, measure_launch(&image, 4), "vmsa placement must change digest");
     }
 }

@@ -58,7 +58,6 @@ pub mod vmsa;
 
 /// Convenient glob-import of the types nearly every consumer needs.
 pub mod prelude {
-    pub use crate::attest::AttestationReport;
     pub use crate::cost::{CostCategory, CostModel, CycleAccount};
     pub use crate::fault::{HaltReason, NestedPageFault, SnpError};
     pub use crate::ghcb::{Ghcb, GhcbExit};

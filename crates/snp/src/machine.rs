@@ -12,7 +12,7 @@
 //! (see [`crate::pt`]). Nothing is cached between accesses, so no RMP
 //! instruction or page-table edit needs a flush to become visible.
 
-use crate::attest::AttestationReport;
+use crate::attest::LaunchError;
 use crate::cost::{CostCategory, CostModel, CycleAccount};
 use crate::fault::{HaltReason, NestedPageFault, NpfCause, SnpError};
 use crate::mem::{gfn_of, GuestMemory, PAGE_SIZE};
@@ -28,8 +28,8 @@ use veil_trace::{Event, Tracer};
 pub struct MachineConfig {
     /// Guest-physical memory size in 4 KiB frames.
     pub frames: usize,
-    /// Seed for the unique per-device attestation key (models the
-    /// AMD-fused VCEK).
+    /// Seed of the fused per-chip secret that roots the VCEK chain (see
+    /// [`crate::vcek::chip_seed`]).
     pub device_key_seed: [u8; 32],
     /// TCB version the firmware reports in chain attestation (models the
     /// SNP TCB_VERSION fuse state the VCEK is derived against).
@@ -75,7 +75,6 @@ pub struct Machine {
     cost: CostModel,
     cycles: CycleAccount,
     halted: Option<HaltReason>,
-    device_key: [u8; 32],
     /// Fused per-chip secret rooting the VCEK derivation chain. Never
     /// readable by guest software; only the firmware paths below use it.
     chip_seed: [u8; 32],
@@ -106,7 +105,6 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with all pages hypervisor-shared (pre-launch).
     pub fn new(config: MachineConfig) -> Self {
-        let device_key = veil_crypto::HmacSha256::mac(&config.device_key_seed, b"veil-device-key");
         let chip_seed = crate::vcek::chip_seed(&config.device_key_seed);
         let metrics_enabled = veil_metrics::env_enabled();
         let mut metrics = MetricsRegistry::new();
@@ -122,7 +120,6 @@ impl Machine {
             cost: config.cost,
             cycles: CycleAccount::new(),
             halted: None,
-            device_key,
             chip_seed,
             tcb_version: config.tcb_version,
             launch_measurement: None,
@@ -604,52 +601,49 @@ impl Machine {
 
     // ---- attestation -------------------------------------------------------
 
-    /// SEV firmware launch step: assigns `gfn`, copies one boot-image page
-    /// in (encrypting it, conceptually), validates it, and extends the
-    /// launch measurement. Only usable before [`Machine::launch_finalize`].
+    /// SEV firmware launch (§5.1): assigns and validates every boot-image
+    /// page and the boot VMSA frame at `vmsa_gfn`, copies the pages in
+    /// (encrypting them, conceptually; each zero-padded to a frame),
+    /// creates the boot VCPU's VMSA at VMPL-0 ("the boot VCPU instance is
+    /// always created by the hypervisor at VMPL-0"), and records the launch
+    /// digest of [`crate::attest::measure_launch`], which it returns. A
+    /// machine launches once, so the measurement every report names cannot
+    /// be replaced afterwards.
     ///
     /// # Errors
     ///
-    /// Fails if launch already finalized or the page is not shared.
-    pub fn launch_load(
+    /// [`LaunchError::AlreadyLaunched`] on a second launch;
+    /// [`LaunchError::OversizedPage`], before any page is loaded, when a
+    /// page exceeds a frame; [`LaunchError::Snp`] when a frame is out of
+    /// range or already assigned.
+    pub fn launch(
         &mut self,
-        gfn: u64,
-        data: &[u8],
-        measurement: &mut crate::attest::LaunchMeasurement,
-    ) -> Result<(), SnpError> {
-        assert!(data.len() <= PAGE_SIZE, "boot page larger than a frame");
+        image: &[(u64, Vec<u8>)],
+        vmsa_gfn: u64,
+    ) -> Result<[u8; 32], LaunchError> {
         if self.launch_measurement.is_some() {
-            return Err(SnpError::Halted(HaltReason::SecurityViolation(
-                "launch already finalized".into(),
-            )));
+            return Err(LaunchError::AlreadyLaunched);
         }
-        if gfn >= self.rmp.frames() {
-            return Err(SnpError::OutOfRange { gfn });
-        }
-        if !self.rmp.assign(gfn) {
-            return Err(SnpError::ValidationMismatch { gfn });
-        }
-        if !self.rmp.set_validated(gfn, true) {
-            return Err(SnpError::ValidationMismatch { gfn });
+        if let Some((gfn, data)) = image.iter().find(|(_, data)| data.len() > PAGE_SIZE) {
+            return Err(LaunchError::OversizedPage { gfn: *gfn, len: data.len() });
         }
         let mut page = vec![0u8; PAGE_SIZE];
-        page[..data.len()].copy_from_slice(data);
-        self.mem.write_raw(Self::gpa(gfn), &page);
-        measurement.add_page(gfn, &page);
-        Ok(())
-    }
-
-    /// SEV firmware launch step: creates the boot VCPU's VMSA at VMPL-0
-    /// (§3: "the boot VCPU instance is always created by the hypervisor at
-    /// VMPL-0"). The frame must already be launch-loaded or validated.
-    pub fn launch_create_boot_vmsa(&mut self, gfn: u64, vcpu_id: u32) -> Result<(), SnpError> {
-        self.vmsa_create(Vmpl::Vmpl0, gfn, vcpu_id, Vmpl::Vmpl0, Cpl::Cpl0)
-    }
-
-    /// Finalizes the launch measurement (performed once by the simulated
-    /// SEV firmware after the boot image is loaded).
-    pub fn launch_finalize(&mut self, measurement: [u8; 32]) {
-        self.launch_measurement = Some(measurement);
+        let pages = image.iter().map(|(gfn, data)| (*gfn, data.as_slice()));
+        for (gfn, data) in pages.chain([(vmsa_gfn, &[][..])]) {
+            if gfn >= self.rmp.frames() {
+                return Err(SnpError::OutOfRange { gfn }.into());
+            }
+            if !self.rmp.assign(gfn) || !self.rmp.set_validated(gfn, true) {
+                return Err(SnpError::ValidationMismatch { gfn }.into());
+            }
+            page.fill(0);
+            page[..data.len()].copy_from_slice(data);
+            self.mem.write_raw(Self::gpa(gfn), &page);
+        }
+        self.vmsa_create(Vmpl::Vmpl0, vmsa_gfn, 0, Vmpl::Vmpl0, Cpl::Cpl0)?;
+        let digest = crate::attest::measure_launch(image, vmsa_gfn);
+        self.launch_measurement = Some(digest);
+        Ok(digest)
     }
 
     /// The launch measurement, if launch has completed.
@@ -657,28 +651,12 @@ impl Machine {
         self.launch_measurement
     }
 
-    /// Produces a signed attestation report for software at `vmpl`,
-    /// embedding `report_data` (e.g. a DH public key). Models the
-    /// SNP_GUEST_REQUEST flow (§5.1).
-    pub fn attest(&mut self, vmpl: Vmpl, report_data: [u8; 64]) -> Option<AttestationReport> {
-        let measurement = self.launch_measurement?;
-        // Firmware round trip is a guest exit; charge a switch.
-        let cycles = self.cost.domain_switch();
-        self.charge(CostCategory::Other, cycles);
-        Some(AttestationReport::sign(&self.device_key, measurement, vmpl, report_data))
-    }
-
-    /// The device verification key (given to the remote user out of band;
-    /// models the VCEK certificate chain).
-    pub fn device_verification_key(&self) -> [u8; 32] {
-        self.device_key
-    }
-
     /// Produces a full VCEK-chain attestation report for software at `vmpl`:
     /// chip seed → TCB-versioned VCEK → measurement-bound attestation key,
     /// with DICE-style certificates for both stages (see [`crate::vcek`]).
-    /// Like [`Machine::attest`], the firmware round trip costs one domain
-    /// switch; returns `None` before launch finalizes.
+    /// Models the SNP_GUEST_REQUEST flow (§5.1): the firmware round trip is
+    /// a guest exit and costs one domain switch. Returns `None` before
+    /// launch.
     pub fn attest_chain(
         &mut self,
         vmpl: Vmpl,
@@ -703,10 +681,15 @@ impl Machine {
         self.tcb_version
     }
 
-    /// Plays the AMD KDS role: hands out the VCEK for `tcb` so a remote
-    /// verifier can check chain reports without ever seeing the chip seed.
-    pub fn kds_vcek(&self, tcb: crate::vcek::TcbVersion) -> [u8; 32] {
-        crate::vcek::derive_vcek(&self.chip_seed, tcb)
+    /// Plays the AMD KDS role for a remote verifier: returns one that
+    /// trusts this chip's VCEK at the current TCB version (nothing older)
+    /// and the launch measurement `expected`, without ever seeing the chip
+    /// seed.
+    pub fn kds_verifier(&self, expected: [u8; 32]) -> crate::vcek::ChainVerifier {
+        let mut verifier = crate::vcek::ChainVerifier::new(expected, self.tcb_version);
+        let vcek = crate::vcek::derive_vcek(&self.chip_seed, self.tcb_version);
+        verifier.trust_tcb(self.tcb_version, vcek);
+        verifier
     }
 
     /// Number of guest frames.
@@ -868,14 +851,28 @@ mod tests {
     }
 
     #[test]
-    fn attestation_requires_launch() {
+    fn launch_records_its_own_measurement_once() {
         let mut m = machine();
-        assert!(m.attest(Vmpl::Vmpl0, [0; 64]).is_none());
-        m.launch_finalize([9; 32]);
-        let report = m.attest(Vmpl::Vmpl0, [1; 64]).unwrap();
-        assert!(report.verify(&m.device_verification_key()));
-        assert_eq!(report.measurement, [9; 32]);
-        assert_eq!(report.vmpl, Vmpl::Vmpl0);
+        assert!(m.attest_chain(Vmpl::Vmpl0, [0; 32], [0; 64]).is_none(), "no report before launch");
+        let image = vec![(1, b"monitor".to_vec())];
+        let digest = m.launch(&image, 2).unwrap();
+        assert_eq!(digest, crate::attest::measure_launch(&image, 2));
+        assert_eq!(m.launch_measurement(), Some(digest));
+        assert_eq!(m.launch(&[(3, Vec::new())], 4), Err(LaunchError::AlreadyLaunched));
+        assert_eq!(m.launch_measurement(), Some(digest), "a second launch changes nothing");
+        let report = m.attest_chain(Vmpl::Vmpl0, [1; 32], [2; 64]).unwrap();
+        assert_eq!(report.measurement, digest);
+        assert_eq!(m.kds_verifier(digest).verify(&report, &[1; 32]), Ok(()));
+    }
+
+    #[test]
+    fn oversized_boot_page_is_refused_before_loading() {
+        let mut m = machine();
+        let image = vec![(1, vec![1u8; 8]), (2, vec![0u8; PAGE_SIZE + 1])];
+        let refused = Err(LaunchError::OversizedPage { gfn: 2, len: PAGE_SIZE + 1 });
+        assert_eq!(m.launch(&image, 3), refused);
+        assert_eq!(m.launch_measurement(), None);
+        assert_eq!(m.rmp().entry(1).map(|e| e.state()), Some(PageState::Shared), "nothing loaded");
     }
 
     #[test]

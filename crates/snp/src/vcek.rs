@@ -122,6 +122,10 @@ pub enum VerifyError {
     NonceMismatch,
     /// The nonce was already consumed by an earlier report (replay).
     Replayed,
+    /// The report is genuine but does not bind the DH public value the
+    /// channel handshake presented (a relay swapped keys). Checked after
+    /// every chain check, by the channel bootstrap only.
+    BadBinding,
 }
 
 impl fmt::Display for VerifyError {
@@ -140,6 +144,7 @@ impl fmt::Display for VerifyError {
             VerifyError::WrongVmpl(v) => write!(f, "report requested from {v:?}, not VMPL-0"),
             VerifyError::NonceMismatch => write!(f, "nonce does not match challenge"),
             VerifyError::Replayed => write!(f, "nonce already consumed (replay)"),
+            VerifyError::BadBinding => write!(f, "DH public value not bound in report"),
         }
     }
 }

@@ -48,8 +48,8 @@ fn main() {
 
     // Remote attestation: only VMPL-0 software can speak for the CVM.
     let golden = cvm.hv.machine.launch_measurement().unwrap();
-    let user = RemoteUser::new(cvm.hv.machine.device_verification_key(), Some(golden), &[1; 32]);
-    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv).unwrap();
+    let mut user = RemoteUser::new(cvm.hv.machine.kds_verifier(golden), &[1; 32]);
+    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, user.challenge()).unwrap();
     let channel = user.verify_and_derive(&report, &mon_pub);
     println!("\nremote user verified VeilMon's attestation: {}", channel.is_ok());
     cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public()).unwrap();

@@ -14,12 +14,18 @@ use veil_snp::mem::gpa_of;
 use veil_snp::perms::Vmpl;
 
 fn main() {
-    let mut cvm = CvmBuilder::new().frames(4096).vcpus(1).log_frames(64).build().expect("boot");
+    // Serial gate (`batch(false)`): the paper's execute-ahead protocol,
+    // where each record reaches Dom_SER before its syscall returns. The
+    // default batched gate would hold records in the ring until the next
+    // doorbell drain (DESIGN.md §12).
+    let mut cvm =
+        CvmBuilder::new().frames(4096).vcpus(1).log_frames(64).batch(false).build().expect("boot");
 
     // Attested secure channel with the remote analyst (§5.1).
     let golden = cvm.hv.machine.launch_measurement().unwrap();
-    let analyst = RemoteUser::new(cvm.hv.machine.device_verification_key(), Some(golden), &[9; 32]);
-    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv).unwrap();
+    let mut analyst = RemoteUser::new(cvm.hv.machine.kds_verifier(golden), &[9; 32]);
+    let (report, mon_pub) =
+        cvm.gate.monitor.begin_channel(&mut cvm.hv, analyst.challenge()).unwrap();
     let mut analyst_chan = analyst.verify_and_derive(&report, &mon_pub).expect("attestation");
     cvm.gate.monitor.complete_channel(&mut cvm.hv, &analyst.public()).unwrap();
     let mut service_chan = SecureChannel::new(cvm.gate.monitor.channel_key().unwrap());

@@ -1,6 +1,7 @@
 //! The hostile-derivation test battery for the attestation chain
 //! (DESIGN.md §15): one test per tamper point asserting the *exact*
-//! verification error, property tests over the VCEK derivation, and the
+//! verification error, the same errors through the §5.1 channel
+//! bootstrap, property tests over the VCEK derivation, and the
 //! golden-pinned report bytes + attested-workload trace digest.
 //!
 //! The tamper battery is the paper's VCEK-seed threat model made
@@ -13,6 +14,7 @@ use std::path::Path;
 
 use veil::prelude::*;
 use veil_crypto::sha256::hex;
+use veil_crypto::{DhKeyPair, DhPublic};
 use veil_os::monitor::{MonRequest, MonResponse, MonitorChannel};
 use veil_snp::machine::MachineConfig;
 use veil_snp::perms::Vmpl;
@@ -204,6 +206,74 @@ fn malformed_bytes_are_rejected_before_any_crypto() {
     assert_eq!(verifier.verify_bytes(&bad_magic, &GOLDEN_NONCE), Err(VerifyError::Malformed));
 }
 
+// ---- the channel bootstrap runs the same checks (§5.1) -----------------
+
+/// Through `RemoteUser::verify_and_derive`, every tamper point is named
+/// with exactly the error `ChainVerifier::verify` gives: the handshake adds
+/// its DH binding check after the chain checks, never before them.
+#[test]
+fn channel_bootstrap_names_every_tamper_like_the_verifier() {
+    let (seed, measurement, verifier) = fixture();
+    let monitor = DhKeyPair::from_seed(&[0x4d; 32]);
+    let mut bound = [0u8; 64];
+    bound[..32].copy_from_slice(&monitor.public.0.to_be_bytes());
+    for tamper in [
+        Tamper::WrongSeed,
+        Tamper::StaleTcb(TcbVersion(0)),
+        Tamper::SkipVcekStage,
+        Tamper::FlipSignature,
+        Tamper::MutateMeasurement,
+        Tamper::ClaimVmpl(Vmpl::Vmpl3),
+    ] {
+        let mut user = RemoteUser::new(verifier.clone(), &[0x75; 32]);
+        let challenge = user.challenge();
+        let report = ChainReport::issue_tampered(
+            tamper,
+            &seed,
+            TcbVersion(2),
+            measurement,
+            challenge,
+            bound,
+        );
+        let want = verifier.clone().verify(&report, &challenge).unwrap_err();
+        assert_eq!(
+            user.verify_and_derive(&report, &monitor.public).err(),
+            Some(want),
+            "{tamper:?}"
+        );
+    }
+}
+
+/// A booted CVM's VeilMon answering a fresh remote user's challenge.
+fn handshake() -> (RemoteUser, ChainReport, DhPublic) {
+    let mut cvm = CvmBuilder::new().frames(2048).vcpus(1).build().unwrap();
+    let golden = cvm.hv.machine.launch_measurement().unwrap();
+    let user = RemoteUser::new(cvm.hv.machine.kds_verifier(golden), &[0x75; 32]);
+    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, user.challenge()).unwrap();
+    (user, report, mon_pub)
+}
+
+/// A relay that swaps VeilMon's DH value for its own holds a genuine
+/// report that binds a different key. The failed attempt still consumes
+/// the challenge, so the report cannot be retried with the genuine key.
+#[test]
+fn channel_bootstrap_names_a_swapped_monitor_key_as_bad_binding() {
+    let (mut user, report, mon_pub) = handshake();
+    let relay = DhKeyPair::from_seed(&[0x66; 32]);
+    assert_eq!(user.verify_and_derive(&report, &relay.public).err(), Some(VerifyError::BadBinding));
+    assert_eq!(user.verify_and_derive(&report, &mon_pub).err(), Some(VerifyError::Replayed));
+}
+
+/// A handshake report that opened one channel cannot open another. (A
+/// tampered boot image is named `WrongMeasurement` by the same path; see
+/// `boot_time_malicious_disk_changes_measurement`.)
+#[test]
+fn channel_bootstrap_refuses_a_replayed_handshake_report() {
+    let (mut user, report, mon_pub) = handshake();
+    assert!(user.verify_and_derive(&report, &mon_pub).is_ok());
+    assert_eq!(user.verify_and_derive(&report, &mon_pub).err(), Some(VerifyError::Replayed));
+}
+
 // ---- property tests over the derivation -------------------------------
 
 fn seeds() -> Strategy<[u8; 32]> {
@@ -332,10 +402,10 @@ fn golden_attest_report_bytes_are_pinned() {
 }
 
 /// The attested twin of the batched-http protocol pin: with the
-/// firmware measurement stage armed, the whole-run trace digest is (a)
-/// pinned and (b) *identical* to the plain `batched_http` golden —
-/// measured boot is a pre-boot computation and must not perturb the
-/// runtime protocol by a single event.
+/// measured-boot check armed, the whole-run trace digest is (a) pinned
+/// and (b) *identical* to the plain `batched_http` golden — the check
+/// only compares digests and must not perturb the runtime protocol by a
+/// single event.
 #[test]
 fn golden_attested_http_trace_digest() {
     let mut cvm = CvmBuilder::new().frames(2048).vcpus(1).batch(true).attest(true).build().unwrap();
@@ -362,7 +432,7 @@ fn golden_attested_http_trace_digest() {
         assert_eq!(
             digest,
             plain.trim(),
-            "the firmware stage perturbed the runtime trace — measured boot must be free"
+            "the measured-boot check perturbed the runtime trace — it must be free"
         );
     }
 }

@@ -80,8 +80,8 @@ fn log_retrieval_after_full_run() {
 
     // Remote user establishes the attested channel with VeilMon.
     let golden = cvm.hv.machine.launch_measurement().unwrap();
-    let user = RemoteUser::new(cvm.hv.machine.device_verification_key(), Some(golden), &[7; 32]);
-    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv).unwrap();
+    let mut user = RemoteUser::new(cvm.hv.machine.kds_verifier(golden), &[7; 32]);
+    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, user.challenge()).unwrap();
     let mut user_chan = user.verify_and_derive(&report, &mon_pub).unwrap();
     cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public()).unwrap();
     let mut svc_chan = SecureChannel::new(cvm.gate.monitor.channel_key().unwrap());

@@ -205,6 +205,81 @@ fn secure_channel_roundtrip() {
     });
 }
 
+// ---- decoders of host-relayed bytes never panic ------------------------
+//
+// The remote user decodes bytes the untrusted host relays: the chain
+// report of the channel bootstrap, sealed channel messages, and the audit
+// records inside them. Each decoder gets random bytes, truncations and
+// single-byte mutations of a valid encoding, and may only answer with a
+// value or its typed error (a panic fails the property).
+
+/// Random bytes, a prefix of `valid`, or `valid` with one byte XORed.
+fn hostile_bytes(valid: Vec<u8>) -> Strategy<Vec<u8>> {
+    let len = valid.len();
+    let prefix = valid.clone();
+    one_of(vec![
+        bytes(0..2 * len),
+        usizes(0..len + 1).map(move |n| prefix[..n].to_vec()),
+        tuple2(usizes(0..len), u8s(0..255)).map(move |(at, x)| {
+            let mut v = valid.clone();
+            v[at] ^= x;
+            v
+        }),
+    ])
+}
+
+#[test]
+fn chain_report_decoder_never_panics() {
+    use veil_snp::vcek::{chip_seed, ChainReport, ChainVerifier, TcbVersion, VerifyError};
+    let seed = chip_seed(&[0x3c; 32]);
+    let valid = ChainReport::issue(&seed, TcbVersion(2), [1; 32], Vmpl::Vmpl0, [2; 32], [3; 64]);
+    check("chain_report_decoder", 256, &hostile_bytes(valid.to_bytes()), |b| {
+        match ChainReport::from_bytes(&b) {
+            Ok(report) => prop_assert_eq!(report.to_bytes(), b.clone()),
+            Err(e) => prop_assert_eq!(e, VerifyError::Malformed),
+        }
+        // The full check order runs on whatever decodes.
+        let mut verifier = ChainVerifier::with_kds(&seed, TcbVersion(1), TcbVersion(3), [1; 32]);
+        let verdict = verifier.verify_bytes(&b, &[2; 32]);
+        prop_assert!(verdict.is_err() || b == valid.to_bytes());
+        Ok(())
+    });
+}
+
+#[test]
+fn sealed_channel_decoder_never_panics() {
+    use veil_core::remote::{ChannelError, SecureChannel};
+    let valid = SecureChannel::new([5; 32]).seal(b"audit record bytes");
+    check("sealed_channel_decoder", 256, &hostile_bytes(valid.clone()), |b| {
+        match SecureChannel::new([5; 32]).open(&b) {
+            Ok(plaintext) => {
+                prop_assert!(b == valid, "only the genuine message opens");
+                prop_assert_eq!(plaintext, b"audit record bytes".to_vec());
+            }
+            Err(ChannelError::Truncated) => prop_assert!(b.len() < 32),
+            Err(ChannelError::BadTag) => prop_assert!(b != valid),
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn audit_record_decoder_never_panics() {
+    use veil_os::audit::AuditRecord;
+    use veil_os::syscall::Sysno;
+    let record = AuditRecord { seq: 7, pid: 3, uid: 0, sysno: Sysno::Pwrite64, ret: -13, tsc: 99 };
+    check("audit_record_decoder", 256, &hostile_bytes(record.to_bytes()), |b| {
+        if let Some(parsed) = AuditRecord::from_bytes(&b) {
+            prop_assert_eq!(parsed.to_bytes()[..40], b[..40]);
+        } else {
+            prop_assert!(
+                b.len() < 40 || !Sysno::ALL.iter().any(|s| s.num().to_le_bytes() == b[16..24])
+            );
+        }
+        Ok(())
+    });
+}
+
 /// LZ77 compression round-trips arbitrary data (the Fig. 5 compute
 /// kernel must be *correct*, not just costed).
 #[test]

@@ -178,11 +178,11 @@ fn golden_channel_handshake_trace() {
     let mut cvm = CvmBuilder::new().frames(2048).vcpus(1).build().unwrap();
     // Enabling resets the stream, so the digest covers just the handshake.
     cvm.hv.set_trace(true);
-    let user = veil::crypto::DhKeyPair::from_seed(&[7; 32]);
-    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv).unwrap();
-    assert!(report.verify(&cvm.hv.machine.device_verification_key()));
-    let _secret = user.agree(&mon_pub);
-    cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public).unwrap();
+    let golden = cvm.hv.machine.launch_measurement().unwrap();
+    let mut user = RemoteUser::new(cvm.hv.machine.kds_verifier(golden), &[7; 32]);
+    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, user.challenge()).unwrap();
+    user.verify_and_derive(&report, &mon_pub).expect("VeilMon's report verifies");
+    cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public()).unwrap();
     let counters = cvm.hv.machine.tracer().counters();
     assert_eq!(counters.handshake_steps, 2, "begin + complete");
     assert_golden("GOLDEN_HANDSHAKE", GOLDEN_HANDSHAKE, &cvm.trace_digest_hex());

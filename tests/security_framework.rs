@@ -8,47 +8,51 @@ use veil::prelude::*;
 use veil_core::cvm::veil_boot_image;
 use veil_core::layout::{Layout, LayoutConfig};
 use veil_os::monitor::MonRequest;
-use veil_snp::machine::{Machine, MachineConfig};
+use veil_snp::attest::{measure_launch, LaunchError};
 use veil_snp::mem::gpa_of;
 use veil_snp::perms::{Cpl, Vmpl};
+use veil_snp::vcek::VerifyError;
 
 fn cvm() -> Cvm {
     CvmBuilder::new().frames(2048).vcpus(1).build().expect("boot")
 }
 
 /// Table 1, "Load mal. code at Dom_MON/Dom_SER" → remote attestation.
+///
+/// The hypervisor boots a tampered disk and then tries to launch the
+/// machine again with the honest image, which would have recorded the
+/// golden measurement. The firmware refuses the second launch, so the
+/// tampered machine's channel handshake names the measurement mismatch.
 #[test]
 fn boot_time_malicious_disk_changes_measurement() {
-    // The golden measurement from an honest boot.
-    let honest = cvm();
-    let golden = honest.hv.machine.launch_measurement().expect("measured");
-
-    // Attacker substitutes a tampered boot disk.
     let layout = Layout::compute(&LayoutConfig { frames: 2048, vcpus: 1, ..Default::default() });
-    let mut evil_image = veil_boot_image(&layout);
-    evil_image[0].1[100] ^= 0xff; // patch one byte of "VeilMon code"
-    let machine = Machine::new(MachineConfig { frames: 2048, ..Default::default() });
-    let mut hv = veil_hv::Hypervisor::new(machine);
-    hv.launch(&evil_image, layout.boot_vmsa).expect("launch succeeds");
-    let evil = hv.machine.launch_measurement().expect("measured");
+    let honest_image = veil_boot_image(&layout);
+    let golden = measure_launch(&honest_image, layout.boot_vmsa);
 
-    // The remote user sees a different measurement and refuses.
-    assert_ne!(golden, evil, "tampered disk must change the measurement");
-    let user = RemoteUser::new(hv.machine.device_verification_key(), Some(golden), &[5; 32]);
-    let report = hv.machine.attest(Vmpl::Vmpl0, [0; 64]).expect("report");
-    // Any channel attempt binds the measurement; it mismatches.
-    let dh = veil_crypto::DhKeyPair::from_seed(&[1; 32]);
-    let mut data = [0u8; 64];
-    data[..32].copy_from_slice(&dh.public.0.to_be_bytes());
-    let bound = veil_snp::attest::AttestationReport::sign(
-        // The attacker cannot sign with the device key themselves — this
-        // uses the real device, so the (evil) measurement is embedded.
-        &hv.machine.device_verification_key(),
-        report.measurement,
-        Vmpl::Vmpl0,
-        data,
+    // Patch one byte of "VeilMon code" on the boot disk. The in-guest
+    // measured-boot check is off: the remote user must catch it.
+    let mut evil = CvmBuilder::new()
+        .frames(2048)
+        .vcpus(1)
+        .attest(false)
+        .tamper_boot_image(0, 100)
+        .build()
+        .unwrap();
+    let evil_measurement = evil.hv.machine.launch_measurement().expect("measured");
+    assert_ne!(evil_measurement, golden, "tampered disk must change the measurement");
+
+    // The measurement cannot be re-recorded after boot.
+    assert_eq!(evil.hv.launch(&honest_image, layout.boot_vmsa), Err(LaunchError::AlreadyLaunched));
+    assert_eq!(evil.hv.machine.launch_measurement(), Some(evil_measurement));
+
+    // The remote user expecting the golden image refuses the channel.
+    let mut user = RemoteUser::new(evil.hv.machine.kds_verifier(golden), &[5; 32]);
+    let (report, mon_pub) =
+        evil.gate.monitor.begin_channel(&mut evil.hv, user.challenge()).unwrap();
+    assert_eq!(
+        user.verify_and_derive(&report, &mon_pub).unwrap_err(),
+        VerifyError::WrongMeasurement
     );
-    assert!(user.verify_and_derive(&bound, &dh.public).is_err());
 }
 
 /// Table 1, "Read/write at Dom_MON/Dom_SER" → restricted by VMPL.

@@ -34,7 +34,7 @@ fn traced_workload_cvm() -> Cvm {
     cvm.kernel.audit.rules = paper_ruleset();
 
     let user = veil::crypto::DhKeyPair::from_seed(&[3; 32]);
-    let (_report, _mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv).unwrap();
+    let (_report, _mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, [3; 32]).unwrap();
     cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public).unwrap();
 
     let pid = cvm.spawn();
