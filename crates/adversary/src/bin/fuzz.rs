@@ -18,16 +18,17 @@
 //!   `allow-double-validate`); with `--expect-caught` the run succeeds
 //!   only if the bug is caught and shrunk to ≤ 10 ops — the harness's
 //!   own mutation self-test.
-//! * `--bench` measures fuzzer throughput (wall-clock ops/sec plus
-//!   model cycles per sequence) and writes `BENCH_ADVERSARY.json`,
-//!   failing the run if throughput drops below a regression floor.
+//! * `--bench` measures fuzzer throughput (wall-clock ops/sec plus the
+//!   min/median/max model cycles per sequence) and writes
+//!   `BENCH_ADVERSARY.json`, failing the run if throughput drops below a
+//!   regression floor.
 
 use std::time::Instant;
 
 use veil_adversary::{case_seed, run_fuzz, run_sequence, sequence_strategy, FuzzConfig};
+use veil_snp::metrics::nearest_rank;
 use veil_snp::rmp::RmpMutation;
-use veil_testkit::bench::BenchGroup;
-use veil_testkit::fmt::{json_array, json_f64, json_field, json_object, json_str_field};
+use veil_testkit::fmt::{json_f64, json_field, json_object, json_str_field};
 use veil_testkit::prop::SEED_ENV;
 use veil_testkit::TestRng;
 
@@ -152,9 +153,9 @@ fn main() {
 }
 
 /// Throughput bench: wall-clock ops/sec over a fixed differential
-/// workload, plus deterministic model-cycle stats per sequence, written
-/// as `BENCH_ADVERSARY.json` so later PRs cannot silently slow the
-/// harness down.
+/// workload, plus the deterministic model cycles of each sequence
+/// (min/median/max), written as `BENCH_ADVERSARY.json` so later PRs
+/// cannot silently slow the harness down.
 fn bench(args: &Args) {
     const BENCH_SEQUENCES: u64 = 12;
     const BENCH_OPS: usize = 150;
@@ -171,26 +172,24 @@ fn bench(args: &Args) {
         .collect();
     let total_ops: usize = sequences.iter().map(Vec::len).sum();
 
-    // Wall-clock pass: every op runs on the machine and the oracle,
-    // with full invariant sweeps — that whole package is the unit "op"
-    // here, matching what CI budgets actually pay for.
+    // Every op runs on the machine and the oracle, with full invariant
+    // sweeps — that whole package is the unit "op" here, matching what
+    // CI budgets actually pay for. The same runs report the model cycles
+    // each sequence charged, which are identical on every machine.
     let start = Instant::now();
-    for (i, ops) in sequences.iter().enumerate() {
-        run_sequence(ops, None).unwrap_or_else(|e| panic!("bench sequence {i} diverged: {e}"));
-    }
+    let mut cycles: Vec<u64> = sequences
+        .iter()
+        .enumerate()
+        .map(|(i, ops)| {
+            run_sequence(ops, None)
+                .unwrap_or_else(|e| panic!("bench sequence {i} diverged: {e}"))
+                .total_cycles
+        })
+        .collect();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let ops_per_sec = total_ops as f64 / (wall_ms / 1e3);
-
-    // Deterministic pass: model cycles charged per differential
-    // sequence (identical on every machine, so trend lines are exact).
-    let mut group = BenchGroup::new("adversary_fuzz").warmup(1).iters(5);
-    let mut pick = 0usize;
-    group.bench("differential_sequence_cycles", || {
-        let ops = &sequences[pick % sequences.len()];
-        pick += 1;
-        run_sequence(ops, None).expect("bench sequence diverged").total_cycles
-    });
-    let results = group.finish();
+    cycles.sort_unstable();
+    let median = cycles[nearest_rank(cycles.len(), 50.0) - 1];
 
     let json = json_object(&[
         json_str_field("bench", "adversary_fuzz"),
@@ -199,7 +198,14 @@ fn bench(args: &Args) {
         json_field("total_ops", total_ops),
         json_field("wall_ms", json_f64(wall_ms)),
         json_field("ops_per_sec", json_f64(ops_per_sec)),
-        json_field("cycles", json_array(&results.iter().map(|r| r.json()).collect::<Vec<_>>())),
+        json_field(
+            "sequence_cycles",
+            json_object(&[
+                json_field("min", cycles[0]),
+                json_field("p50", median),
+                json_field("max", cycles[cycles.len() - 1]),
+            ]),
+        ),
     ]);
     println!("{json}");
     match std::fs::write(&args.out, format!("{json}\n")) {

@@ -7,7 +7,9 @@
 //!   reproduce --json            # machine-readable output (veil-testkit JSON)
 //!
 //! Experiments: boot, switch, background, fig4, fig5, fig6, cs1, ltp,
-//! ablation-partition, ablation-exitless, ablation-auditd.
+//! ablation-partition, ablation-exitless, ablation-auditd. An unknown
+//! experiment, a `--scale` that is not a positive integer, or any other
+//! argument prints the usage and exits 2.
 //!
 //! Everything is driven by the deterministic cycle model, so two runs of
 //! the same binary produce byte-identical tables (and JSON) on any host.
@@ -18,223 +20,258 @@ use veil_bench::fmt::{
 };
 use veil_bench::*;
 
+/// One paper table or figure.
+struct Experiment {
+    /// The `--experiment` name; its JSON key is the same with `-` as `_`.
+    name: &'static str,
+    /// Prints the paper-style table at the given scale.
+    table: fn(usize),
+    /// Renders the rows at the given scale as one JSON value.
+    json: fn(usize) -> String,
+}
+
+/// Every experiment, in output order. Both output modes walk this list,
+/// and `--experiment` must name one of its entries.
+const EXPERIMENTS: [Experiment; 11] = [
+    Experiment { name: "boot", table: |_| run_boot(), json: |_| boot_json() },
+    Experiment { name: "switch", table: |_| run_switch(), json: |_| switch_json() },
+    Experiment { name: "background", table: run_background, json: background_json },
+    Experiment { name: "fig4", table: run_fig4, json: fig4_json },
+    Experiment { name: "fig5", table: run_fig5, json: fig5_json },
+    Experiment { name: "fig6", table: run_fig6, json: fig6_json },
+    Experiment { name: "cs1", table: |_| run_cs1(), json: |_| cs1_json() },
+    Experiment { name: "ltp", table: |_| run_ltp(), json: |_| ltp_json() },
+    Experiment {
+        name: "ablation-partition",
+        table: |_| run_ablation_partition(),
+        json: |_| ablation_partition_json(),
+    },
+    Experiment {
+        name: "ablation-exitless",
+        table: run_ablation_exitless,
+        json: ablation_exitless_json,
+    },
+    Experiment { name: "ablation-auditd", table: run_ablation_auditd, json: ablation_auditd_json },
+];
+
+/// A parsed command line.
+struct Args {
+    selected: Vec<&'static Experiment>,
+    scale: usize,
+    json: bool,
+}
+
+/// Parses the arguments after the program name. Every argument must be
+/// understood: a typo fails instead of silently running something else.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args { selected: EXPERIMENTS.iter().collect(), scale: 1, json: false };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--json" => parsed.json = true,
+            "--experiment" => {
+                let name = it.next().ok_or("--experiment needs a name")?;
+                let experiment = EXPERIMENTS
+                    .iter()
+                    .find(|e| e.name == name)
+                    .ok_or_else(|| format!("unknown experiment {name:?}"))?;
+                parsed.selected = vec![experiment];
+            }
+            "--scale" => {
+                let value = it.next().ok_or("--scale needs a value")?;
+                parsed.scale = value
+                    .parse()
+                    .ok()
+                    .filter(|&s| s > 0)
+                    .ok_or_else(|| format!("--scale {value:?} is not a positive integer"))?;
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let experiment = flag_value(&args, "--experiment");
-    let scale: usize = flag_value(&args, "--scale").and_then(|s| s.parse().ok()).unwrap_or(1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args { selected, scale, json } = parse_args(&args).unwrap_or_else(|e| {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        eprintln!("reproduce: {e}");
+        eprintln!("usage: reproduce [--experiment NAME] [--scale N] [--json]");
+        eprintln!("experiments: {}", names.join(", "));
+        std::process::exit(2);
+    });
 
-    let want = |name: &str| experiment.as_deref().is_none_or(|e| e == name);
-
-    if args.iter().any(|a| a == "--json") {
-        println!("{}", render_json(&want, scale));
+    if json {
+        let mut fields = vec![json_field("scale", scale)];
+        fields.extend(
+            selected.iter().map(|e| json_field(&e.name.replace('-', "_"), (e.json)(scale))),
+        );
+        println!("{}", json_object(&fields));
         return;
     }
 
     println!("Veil (ASPLOS'23) evaluation reproduction — simulated SEV-SNP substrate");
     println!("scale factor: {scale} (paper-sized workloads are larger; relative results are scale-stable)");
-
-    if want("boot") {
-        run_boot();
-    }
-    if want("switch") {
-        run_switch();
-    }
-    if want("background") {
-        run_background(scale);
-    }
-    if want("fig4") {
-        run_fig4(scale);
-    }
-    if want("fig5") {
-        run_fig5(scale);
-    }
-    if want("fig6") {
-        run_fig6(scale);
-    }
-    if want("cs1") {
-        run_cs1();
-    }
-    if want("ltp") {
-        run_ltp();
-    }
-    if want("ablation-partition") {
-        run_ablation_partition();
-    }
-    if want("ablation-exitless") {
-        run_ablation_exitless(scale);
-    }
-    if want("ablation-auditd") {
-        run_ablation_auditd(scale);
+    for e in selected {
+        (e.table)(scale);
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+fn boot_json() -> String {
+    let r = boot_time(8192);
+    json_object(&[
+        json_field("frames", r.frames),
+        json_field("native_cycles", r.native_cycles),
+        json_field("veil_cycles", r.veil_cycles),
+        json_field("rmpadjust_share", json_f64(r.rmpadjust_share)),
+        json_field("extrapolated_2gb_seconds", json_f64(r.extrapolated_2gb_seconds)),
+        json_field("increase_over_full_boot", json_f64(r.increase_over_full_boot())),
+    ])
 }
 
-/// Renders every selected experiment as one JSON object, for table
-/// regeneration and CI trend lines.
-fn render_json(want: &dyn Fn(&str) -> bool, scale: usize) -> String {
-    let mut fields = vec![json_field("scale", scale)];
-    if want("boot") {
-        let r = boot_time(8192);
-        fields.push(format!(
-            "\"boot\": {}",
+fn switch_json() -> String {
+    let r = domain_switch(10_000);
+    json_object(&[
+        json_field("iterations", r.iterations),
+        json_field("switch_cycles", r.switch_cycles),
+        json_field("vmcall_cycles", r.vmcall_cycles),
+    ])
+}
+
+fn background_json(scale: usize) -> String {
+    let rows: Vec<String> = background(scale)
+        .iter()
+        .map(|r| {
             json_object(&[
-                json_field("frames", r.frames),
+                json_str_field("program", r.program),
                 json_field("native_cycles", r.native_cycles),
                 json_field("veil_cycles", r.veil_cycles),
-                json_field("rmpadjust_share", json_f64(r.rmpadjust_share)),
-                json_field("extrapolated_2gb_seconds", json_f64(r.extrapolated_2gb_seconds)),
-                json_field("increase_over_full_boot", json_f64(r.increase_over_full_boot())),
+                json_field("overhead", json_f64(r.overhead())),
+                json_field("checksum_match", r.checksum_match),
             ])
-        ));
-    }
-    if want("switch") {
-        let r = domain_switch(10_000);
-        fields.push(format!(
-            "\"switch\": {}",
+        })
+        .collect();
+    json_array(&rows)
+}
+
+fn fig4_json(scale: usize) -> String {
+    let rows: Vec<String> = fig4(200 * scale as u64)
+        .iter()
+        .map(|r| {
             json_object(&[
-                json_field("iterations", r.iterations),
-                json_field("switch_cycles", r.switch_cycles),
-                json_field("vmcall_cycles", r.vmcall_cycles),
+                json_str_field("name", r.name),
+                json_field("native_cycles", r.native_cycles),
+                json_field("enclave_cycles", r.enclave_cycles),
+                json_field("slowdown", json_f64(r.slowdown())),
+                json_field(
+                    "paper_band",
+                    format!("[{}, {}]", json_f64(r.paper_band.0), json_f64(r.paper_band.1)),
+                ),
             ])
-        ));
-    }
-    if want("background") {
-        let rows: Vec<String> = background(scale)
-            .iter()
-            .map(|r| {
-                json_object(&[
-                    json_str_field("program", r.program),
-                    json_field("native_cycles", r.native_cycles),
-                    json_field("veil_cycles", r.veil_cycles),
-                    json_field("overhead", json_f64(r.overhead())),
-                    json_field("checksum_match", r.checksum_match),
-                ])
-            })
-            .collect();
-        fields.push(format!("\"background\": {}", json_array(&rows)));
-    }
-    if want("fig4") {
-        let rows: Vec<String> = fig4(200 * scale as u64)
-            .iter()
-            .map(|r| {
-                json_object(&[
-                    json_str_field("name", r.name),
-                    json_field("native_cycles", r.native_cycles),
-                    json_field("enclave_cycles", r.enclave_cycles),
-                    json_field("slowdown", json_f64(r.slowdown())),
-                    json_field(
-                        "paper_band",
-                        format!("[{}, {}]", json_f64(r.paper_band.0), json_f64(r.paper_band.1)),
-                    ),
-                ])
-            })
-            .collect();
-        fields.push(format!("\"fig4\": {}", json_array(&rows)));
-    }
-    if want("fig5") {
-        let rows: Vec<String> = fig5(scale)
-            .iter()
-            .map(|r| {
-                json_object(&[
-                    json_str_field("program", r.program),
-                    json_field("overhead", json_f64(r.overhead())),
-                    json_field("paper_overhead", json_f64(r.paper_overhead)),
-                    json_field("redirect_points", json_f64(r.redirect_points())),
-                    json_field("exit_points", json_f64(r.exit_points())),
-                    json_field("exit_rate_per_s", json_f64(r.exit_rate_per_s)),
-                    json_field("checksum_match", r.checksum_match),
-                ])
-            })
-            .collect();
-        fields.push(format!("\"fig5\": {}", json_array(&rows)));
-    }
-    if want("fig6") {
-        let rows: Vec<String> = fig6(scale)
-            .iter()
-            .map(|r| {
-                json_object(&[
-                    json_str_field("program", r.program),
-                    json_field("kaudit_overhead", json_f64(r.kaudit_overhead())),
-                    json_field("veil_overhead", json_f64(r.veil_overhead())),
-                    json_field("paper_kaudit", json_f64(r.paper.0)),
-                    json_field("paper_veil", json_f64(r.paper.1)),
-                    json_field("log_rate_per_s", json_f64(r.log_rate_per_s)),
-                    json_field("records", r.records),
-                ])
-            })
-            .collect();
-        fields.push(format!("\"fig6\": {}", json_array(&rows)));
-    }
-    if want("cs1") {
-        let r = cs1(100);
-        fields.push(format!(
-            "\"cs1\": {}",
+        })
+        .collect();
+    json_array(&rows)
+}
+
+fn fig5_json(scale: usize) -> String {
+    let rows: Vec<String> = fig5(scale)
+        .iter()
+        .map(|r| {
             json_object(&[
-                json_field("load_native", r.load_native),
-                json_field("load_kci", r.load_kci),
-                json_field("unload_native", r.unload_native),
-                json_field("unload_kci", r.unload_kci),
-                json_field("load_increase", json_f64(r.load_increase())),
-                json_field("unload_increase", json_f64(r.unload_increase())),
+                json_str_field("program", r.program),
+                json_field("overhead", json_f64(r.overhead())),
+                json_field("paper_overhead", json_f64(r.paper_overhead)),
+                json_field("redirect_points", json_f64(r.redirect_points())),
+                json_field("exit_points", json_f64(r.exit_points())),
+                json_field("exit_rate_per_s", json_f64(r.exit_rate_per_s)),
+                json_field("checksum_match", r.checksum_match),
             ])
-        ));
-    }
-    if want("ltp") {
-        let r = ltp();
-        let failures: Vec<String> =
-            r.enclave_failures.iter().map(|f| format!("\"{}\"", json_escape(f))).collect();
-        fields.push(format!(
-            "\"ltp\": {}",
+        })
+        .collect();
+    json_array(&rows)
+}
+
+fn fig6_json(scale: usize) -> String {
+    let rows: Vec<String> = fig6(scale)
+        .iter()
+        .map(|r| {
             json_object(&[
-                json_field("total", r.total),
-                json_field("native_pass", r.native_pass),
-                json_field("enclave_pass", r.enclave_pass),
-                json_field("enclave_failures", json_array(&failures)),
+                json_str_field("program", r.program),
+                json_field("kaudit_overhead", json_f64(r.kaudit_overhead())),
+                json_field("veil_overhead", json_f64(r.veil_overhead())),
+                json_field("paper_kaudit", json_f64(r.paper.0)),
+                json_field("paper_veil", json_f64(r.paper.1)),
+                json_field("log_rate_per_s", json_f64(r.log_rate_per_s)),
+                json_field("records", r.records),
             ])
-        ));
-    }
-    if want("ablation-partition") {
-        let rows: Vec<String> = ablation_static_partition()
-            .iter()
-            .map(|r| {
-                json_object(&[
-                    json_field("vcpus", r.vcpus),
-                    json_field("replicated_capacity", r.replicated_capacity),
-                    json_field("static_capacity", r.static_capacity),
-                    json_field("switch_cost", r.switch_cost),
-                ])
-            })
-            .collect();
-        fields.push(format!("\"ablation_partition\": {}", json_array(&rows)));
-    }
-    if want("ablation-exitless") {
-        let rows: Vec<String> = ablation_exitless(400 * scale)
-            .iter()
-            .map(|r| {
-                json_object(&[
-                    json_field("batch", r.batch),
-                    json_field("overhead", json_f64(r.overhead)),
-                ])
-            })
-            .collect();
-        fields.push(format!("\"ablation_exitless\": {}", json_array(&rows)));
-    }
-    if want("ablation-auditd") {
-        let rows: Vec<String> = ablation_auditd(scale)
-            .iter()
-            .map(|r| {
-                json_object(&[
-                    json_str_field("sink", r.sink),
-                    json_field("overhead", json_f64(r.overhead)),
-                ])
-            })
-            .collect();
-        fields.push(format!("\"ablation_auditd\": {}", json_array(&rows)));
-    }
-    json_object(&fields)
+        })
+        .collect();
+    json_array(&rows)
+}
+
+fn cs1_json() -> String {
+    let r = cs1(100);
+    json_object(&[
+        json_field("load_native", r.load_native),
+        json_field("load_kci", r.load_kci),
+        json_field("unload_native", r.unload_native),
+        json_field("unload_kci", r.unload_kci),
+        json_field("load_increase", json_f64(r.load_increase())),
+        json_field("unload_increase", json_f64(r.unload_increase())),
+    ])
+}
+
+fn ltp_json() -> String {
+    let r = ltp();
+    let failures: Vec<String> =
+        r.enclave_failures.iter().map(|f| format!("\"{}\"", json_escape(f))).collect();
+    json_object(&[
+        json_field("total", r.total),
+        json_field("native_pass", r.native_pass),
+        json_field("enclave_pass", r.enclave_pass),
+        json_field("enclave_failures", json_array(&failures)),
+    ])
+}
+
+fn ablation_partition_json() -> String {
+    let rows: Vec<String> = ablation_static_partition()
+        .iter()
+        .map(|r| {
+            json_object(&[
+                json_field("vcpus", r.vcpus),
+                json_field("replicated_capacity", r.replicated_capacity),
+                json_field("static_capacity", r.static_capacity),
+                json_field("switch_cost", r.switch_cost),
+            ])
+        })
+        .collect();
+    json_array(&rows)
+}
+
+fn ablation_exitless_json(scale: usize) -> String {
+    let rows: Vec<String> = ablation_exitless(400 * scale)
+        .iter()
+        .map(|r| {
+            json_object(&[
+                json_field("batch", r.batch),
+                json_field("overhead", json_f64(r.overhead)),
+            ])
+        })
+        .collect();
+    json_array(&rows)
+}
+
+fn ablation_auditd_json(scale: usize) -> String {
+    let rows: Vec<String> = ablation_auditd(scale)
+        .iter()
+        .map(|r| {
+            json_object(&[
+                json_str_field("sink", r.sink),
+                json_field("overhead", json_f64(r.overhead)),
+            ])
+        })
+        .collect();
+    json_array(&rows)
 }
 
 fn run_boot() {
@@ -403,5 +440,51 @@ fn run_ablation_exitless(scale: usize) {
     row(&[("batch size", 12), ("SQLite overhead", 17)]);
     for r in ablation_exitless(400 * scale) {
         row(&[(&r.batch.to_string(), 12), (&pct(r.overhead), 17)]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn names(args: &Args) -> Vec<&'static str> {
+        args.selected.iter().map(|e| e.name).collect()
+    }
+
+    #[test]
+    fn no_arguments_select_every_experiment_in_order_at_scale_one() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(names(&args), EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>());
+        assert_eq!((args.scale, args.json), (1, false));
+    }
+
+    #[test]
+    fn each_name_selects_exactly_its_experiment() {
+        for e in &EXPERIMENTS {
+            let args = parse(&["--json", "--experiment", e.name, "--scale", "4"]).unwrap();
+            assert_eq!(names(&args), [e.name]);
+            assert_eq!((args.scale, args.json), (4, true));
+        }
+    }
+
+    #[test]
+    fn unknown_experiment_bad_scale_and_stray_arguments_are_refused() {
+        for bad in [
+            &["--experiment", "fig44"][..],
+            &["--experiment", "Fig5"],
+            &["--experiment"],
+            &["--scale", "abc"],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale"],
+            &["--experimnet", "fig5"],
+            &["fig5"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
     }
 }

@@ -27,7 +27,9 @@ pub const BENCH_FRAMES: u64 = 8192;
 
 // The paper's figures measure the serial Fig. 3 gate protocol, so every
 // paper-reproduction experiment pins batching off; the batched gate path
-// is evaluated separately (`hotpath` bench, `batch_differential` tests).
+// is evaluated separately: `tests/batch_differential.rs` holds its model
+// cycles and switch counts against the serial protocol, and perfbench's
+// enclave-kv-audited workload measures its host time.
 fn veil_cvm() -> Cvm {
     CvmBuilder::new()
         .frames(BENCH_FRAMES)

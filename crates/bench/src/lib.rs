@@ -1,10 +1,10 @@
 //! The evaluation harness: one function per paper table/figure.
 //!
-//! Every experiment returns structured rows so three consumers share the
-//! same code: the `reproduce` binary (prints paper-style tables), the
-//! Criterion benches (`benches/`), and the regression tests. Paper
-//! reference values are embedded next to each experiment so EXPERIMENTS.md
-//! can be regenerated mechanically.
+//! Every experiment returns structured rows so two consumers share the
+//! same code: the `reproduce` binary (paper-style tables and JSON) and
+//! the regression tests (`tests/experiments_regression.rs`). Paper
+//! reference values are embedded next to each experiment so
+//! EXPERIMENTS.md can be regenerated mechanically.
 //!
 //! Scaling: the paper's testbed runs minutes of wall-clock work; the
 //! simulation charges deterministic cycles, so experiments use scaled

@@ -6,10 +6,11 @@
 //! bucket math is integer-only (no floating point in the record path), so
 //! bucket assignment is bit-deterministic on every platform.
 //!
-//! Percentiles use the same nearest-rank convention as the testkit bench
-//! runner — both call [`nearest_rank`] — so a percentile over raw samples
-//! and a percentile over the histogram of those samples can only differ
-//! by bucket quantization, never by rank convention.
+//! Percentiles use the nearest-rank convention of [`nearest_rank`], which
+//! exact percentiles over raw samples call too (the adversary fuzzer's
+//! `--bench` mode), so a percentile over raw samples and a percentile
+//! over the histogram of those samples can only differ by bucket
+//! quantization, never by rank convention.
 
 /// Number of buckets: one zero bucket plus two buckets per power of two
 /// across the full `u64` range (`2 * 64` halves, of which the first pair
@@ -64,8 +65,8 @@ fn isqrt(n: u128) -> u128 {
 }
 
 /// Nearest-rank position (1-based) of percentile `p` among `n` samples:
-/// `clamp(⌈p/100 · n⌉, 1, n)`. The single rank convention shared by the
-/// testkit bench runner and [`Histogram::percentile`].
+/// `clamp(⌈p/100 · n⌉, 1, n)`. The single rank convention shared by
+/// [`Histogram::percentile`] and exact percentiles over raw samples.
 pub fn nearest_rank(n: usize, p: f64) -> usize {
     let rank = ((p / 100.0) * n as f64).ceil() as usize;
     rank.clamp(1, n.max(1))

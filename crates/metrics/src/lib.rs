@@ -7,7 +7,8 @@
 //!
 //! * [`Histogram`] — log-bucketed (HDR-style, powers-of-√2) cycle
 //!   histograms with integer-only bucket math and a [`nearest_rank`]
-//!   percentile convention shared with the testkit bench runner.
+//!   percentile convention shared with exact percentiles over raw
+//!   samples (the adversary fuzzer's `--bench` mode).
 //! * [`MetricsRegistry`] — counters, gauges, and histograms keyed by
 //!   `(metric, domain, op)`, fed by the same `Tracer` fold as the trace
 //!   itself ([`MetricsRegistry::observe_event`]) so event-derived counters

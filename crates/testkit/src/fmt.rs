@@ -1,5 +1,6 @@
-//! Table, number, and JSON formatting shared by the bench runner and
-//! the `reproduce`/`inspect` binaries.
+//! Table, number, and JSON formatting shared by the `reproduce`/`inspect`
+//! binaries and the JSON writers of `fleet`, `trend`, `fuzz` and
+//! `modelcheck`.
 
 /// Formats a fraction as a signed percentage.
 pub fn pct(f: f64) -> String {

@@ -1,4 +1,4 @@
-//! `veil-testkit` — the hermetic, first-party test and benchmark harness.
+//! `veil-testkit` — the hermetic, first-party test harness.
 //!
 //! Veil's thesis is TCB minimization through self-contained, auditable
 //! trusted components (§3). The testing layer follows the same rule: no
@@ -12,23 +12,21 @@
 //! * [`prop`] — a minimal property-testing engine (generators,
 //!   configurable case counts, greedy shrinking) whose failures print a
 //!   seed that `VEIL_TEST_SEED=<hex>` replays exactly;
-//! * [`bench`] — a criterion-free micro-bench runner reporting
-//!   mean/p50/p99 over the deterministic `veil-snp::cost` cycle model,
-//!   with table and JSON output;
-//! * [`fmt`] — table/number formatting shared by the bench runner and
-//!   the `reproduce`/`inspect` binaries;
+//! * [`golden`] — golden-file comparison with a `VEIL_REGEN_GOLDEN=1`
+//!   regeneration flow;
+//! * [`fmt`] — table, number and JSON formatting shared by the
+//!   `reproduce`/`inspect` binaries and the JSON writers of `fleet`,
+//!   `trend`, `fuzz` and `modelcheck`;
 //! * [`trace`] — table/JSON rendering of `veil-trace` event streams for
 //!   the `inspect trace` mode.
 
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod fmt;
 pub mod golden;
 pub mod prop;
 pub mod rng;
 pub mod trace;
 
-pub use bench::{BenchGroup, BenchResult};
 pub use prop::Strategy;
 pub use rng::TestRng;

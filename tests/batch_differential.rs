@@ -10,7 +10,8 @@
 //! * identical protected log storage content, byte for byte;
 //! * identical event-stream fold except for the switch plumbing itself
 //!   (`vmgexits`, `vmenters`, `domain_switches`, `doorbells`);
-//! * and the batched run must actually switch less, not merely equally.
+//! * and the batched run must actually pay less: strictly fewer switches,
+//!   fewer than one switch per gate request, and fewer model cycles.
 
 use veil::prelude::*;
 use veil::trace::EventCounters;
@@ -25,6 +26,8 @@ use veil_workloads::{
 /// One audited run of `workload` over the serial or batched protocol.
 struct RunResult {
     stats: WorkloadStats,
+    /// Model cycles from the workload's first op through the final flush.
+    cycles: u64,
     cvm: Cvm,
 }
 
@@ -44,12 +47,14 @@ fn run(workload: &mut dyn Workload, batched: bool) -> RunResult {
     cvm.kernel.audit.rules.insert(Sysno::Pwrite64);
     cvm.kernel.audit.rules.insert(Sysno::Pread64);
     let pid = cvm.spawn();
+    let cycles_before = cvm.hv.machine.cycles().total();
     let stats = {
         let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
         workload.run(&mut driver).expect("workload")
     };
     cvm.flush_gate().expect("flush");
-    RunResult { stats, cvm }
+    let cycles = cvm.hv.machine.cycles().total() - cycles_before;
+    RunResult { stats, cycles, cvm }
 }
 
 /// Zeroes the counters that legitimately differ between the serial and
@@ -121,6 +126,23 @@ fn differential(name: &str, mk: &dyn Fn() -> Box<dyn Workload>) {
     );
     assert!(b_fold.doorbells > 0, "{name}: batched run never rang the doorbell");
     assert_eq!(s_fold.doorbells, 0, "{name}: serial run must not ring the doorbell");
+
+    // The serial protocol spends exactly two switches (call + return) per
+    // gate request; the batched run spends that minus its switch deficit
+    // against the serial twin, so the boot's switches cancel out.
+    let reqs = serial.cvm.gate.gate_requests();
+    let saved = s_fold.domain_switches - b_fold.domain_switches;
+    let switches_per_request = (2 * reqs - saved) as f64 / reqs as f64;
+    assert!(
+        switches_per_request < 1.0,
+        "{name}: batched run spent {switches_per_request:.3} switches per gate request"
+    );
+    assert!(
+        batched.cycles < serial.cycles,
+        "{name}: batched run must cost fewer model cycles ({} vs {})",
+        batched.cycles,
+        serial.cycles
+    );
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //!   well-formed folded-stack lines;
 //! * metrics collection is observationally inert: the trace digest,
 //!   cycle account, and hypervisor stats of a metrics-on run are
-//!   bit-identical to its metrics-off twin.
+//!   bit-identical to its metrics-off twin, both for plain http and for
+//!   http audited over the batched gate.
 
 use veil::metrics::Histogram;
 use veil::prelude::*;
@@ -155,25 +156,46 @@ fn http_workload_snapshot_digest_matches_golden() {
 
 #[test]
 fn metrics_are_observationally_inert() {
-    let run = |metrics: bool| {
-        let mut cvm =
-            CvmBuilder::new().frames(2048).vcpus(1).trace(true).metrics(metrics).build().unwrap();
+    // Two configurations: plain http, and http audited to VeilS-LOG over
+    // the batched gate (pinned, so `VEIL_NO_BATCH` cannot turn it off),
+    // where metrics observe doorbell drains with occupancy-scaled relay
+    // costs.
+    let run = |metrics: bool, audited: bool| {
+        let builder = CvmBuilder::new().frames(2048).vcpus(1).trace(true).metrics(metrics);
+        let mut cvm = if audited { builder.batch(true) } else { builder }.build().unwrap();
+        if audited {
+            cvm.kernel.audit.mode = veil_os::audit::AuditMode::VeilLog;
+            cvm.kernel.audit.rules = veil_os::audit::paper_ruleset();
+        }
         let pid = cvm.spawn();
         let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
         HttpWorkload::nginx(25).run(&mut driver).unwrap();
+        cvm.flush_gate().unwrap();
         cvm
     };
-    let on = run(true);
-    let off = run(false);
-    // Bit-identical externally visible behavior: measurement, cycles,
-    // per-domain attribution, hypervisor stats, and the trace digest.
-    assert_eq!(on.hv.machine.launch_measurement(), off.hv.machine.launch_measurement());
-    assert_eq!(on.hv.machine.cycles().total(), off.hv.machine.cycles().total());
-    assert_eq!(on.domain_cycles(), off.domain_cycles());
-    assert_eq!(on.hv.stats(), off.hv.stats());
-    assert_eq!(on.trace_digest_hex(), off.trace_digest_hex());
-    // Only the metrics-on twin accumulated anything.
-    assert!(!on.metrics().is_empty());
-    assert!(off.metrics().is_empty());
-    assert!(off.spans().is_empty());
+    for audited in [false, true] {
+        let on = run(true, audited);
+        let off = run(false, audited);
+        // Bit-identical externally visible behavior: measurement, cycles,
+        // per-domain attribution, hypervisor stats, and the trace digest.
+        let config = if audited { "audited batched" } else { "plain" };
+        assert_eq!(
+            on.hv.machine.launch_measurement(),
+            off.hv.machine.launch_measurement(),
+            "{config}"
+        );
+        assert_eq!(on.hv.machine.cycles().total(), off.hv.machine.cycles().total(), "{config}");
+        assert_eq!(on.domain_cycles(), off.domain_cycles(), "{config}");
+        assert_eq!(on.hv.stats(), off.hv.stats(), "{config}");
+        assert_eq!(on.trace_digest_hex(), off.trace_digest_hex(), "{config}");
+        // Only the metrics-on twin accumulated anything.
+        assert!(!on.metrics().is_empty(), "{config}");
+        assert!(off.metrics().is_empty(), "{config}");
+        assert!(off.spans().is_empty(), "{config}");
+        if audited {
+            assert!(on.hv.stats().doorbells > 0, "audited batched run never drained the ring");
+            let relay = on.hv.machine.metrics().merged_histogram("relay_cycles");
+            assert!(relay.count() > 0, "audited batched run recorded no relay latencies");
+        }
+    }
 }
