@@ -15,9 +15,7 @@ use veil_snp::machine::{Machine, MachineConfig};
 use veil_snp::perms::{Access, Cpl, Vmpl, VmplPerms};
 use veil_snp::pt::{AddressSpace, PtError, PteFlags};
 use veil_snp::rmp::{PageState, RmpMutation};
-use veil_snp::vcek::{
-    self, ChainReport, ChainVerifier, DeriveStage, Tamper, TcbVersion, VerifyError,
-};
+use veil_snp::vcek::{self, ChainReport, ChainVerifier, TcbVersion, VerifyError};
 use veil_trace::EventCounters;
 
 use crate::ops::{AdversaryOp, PolicyKnob, DATA_FRAMES, FRAMES, VA_SLOTS};
@@ -584,23 +582,8 @@ impl World {
                 let seed = vcek::chip_seed(&ADVERSARY_DEVICE_SEED);
                 let measurement = [0x33u8; 32];
                 let nonce = [0x44u8; 32];
-                let (tamper, want) = match tamper % 6 {
-                    0 => (
-                        Tamper::WrongSeed,
-                        VerifyError::DerivationMismatch { stage: DeriveStage::Vcek },
-                    ),
-                    1 => (
-                        Tamper::StaleTcb(TcbVersion(0)),
-                        VerifyError::StaleTcb { claimed: TcbVersion(0), minimum: TcbVersion(1) },
-                    ),
-                    2 => (
-                        Tamper::SkipVcekStage,
-                        VerifyError::DerivationMismatch { stage: DeriveStage::AttestationKey },
-                    ),
-                    3 => (Tamper::FlipSignature, VerifyError::BadSignature),
-                    4 => (Tamper::MutateMeasurement, VerifyError::WrongMeasurement),
-                    _ => (Tamper::ClaimVmpl(Vmpl::Vmpl3), VerifyError::WrongVmpl(Vmpl::Vmpl3)),
-                };
+                let suite = &vcek::TAMPER_SUITE;
+                let (_, tamper, want) = suite[usize::from(tamper) % suite.len()].clone();
                 let mut verifier =
                     ChainVerifier::with_kds(&seed, TcbVersion(1), TcbVersion(8), measurement);
                 let hostile = ChainReport::issue_tampered(

@@ -27,9 +27,7 @@ use veil_os::monitor::{MonRequest, MonResponse, MonitorChannel};
 use veil_services::CvmBuilder;
 use veil_snp::attest::measure_launch;
 use veil_snp::perms::Vmpl;
-use veil_snp::vcek::{
-    self, ChainReport, ChainVerifier, DeriveStage, Tamper, TcbVersion, VerifyError,
-};
+use veil_snp::vcek::{self, ChainReport, ChainVerifier, TcbVersion, VerifyError};
 
 /// Challenge the golden fixture report answers (must match
 /// `tests/attest_chain.rs` and `tests/goldens/attest_report.hex`).
@@ -179,29 +177,8 @@ fn tamper_suite_mode() -> ExitCode {
     let tcb = TcbVersion(2);
     let nonce = GOLDEN_NONCE;
 
-    let cases: [(&str, Tamper, VerifyError); 6] = [
-        (
-            "wrong-seed",
-            Tamper::WrongSeed,
-            VerifyError::DerivationMismatch { stage: DeriveStage::Vcek },
-        ),
-        (
-            "stale-tcb",
-            Tamper::StaleTcb(TcbVersion(0)),
-            VerifyError::StaleTcb { claimed: TcbVersion(0), minimum: TcbVersion(1) },
-        ),
-        (
-            "skip-hkdf-stage",
-            Tamper::SkipVcekStage,
-            VerifyError::DerivationMismatch { stage: DeriveStage::AttestationKey },
-        ),
-        ("flip-signature", Tamper::FlipSignature, VerifyError::BadSignature),
-        ("mutate-measurement", Tamper::MutateMeasurement, VerifyError::WrongMeasurement),
-        ("claim-vmpl3", Tamper::ClaimVmpl(Vmpl::Vmpl3), VerifyError::WrongVmpl(Vmpl::Vmpl3)),
-    ];
-
     let mut failures = 0u32;
-    for (name, tamper, want) in cases {
+    for (name, tamper, want) in vcek::TAMPER_SUITE {
         let mut verifier =
             ChainVerifier::with_kds(&seed, TcbVersion(1), TcbVersion(8), measurement);
         let hostile =

@@ -2,6 +2,15 @@
 //! histograms keyed by `(metric, domain, op)`, fed from the same event
 //! stream as the [`veil_trace::Tracer`] so derived counters can never
 //! drift from the trace.
+//!
+//! Each series kind is a key-ordered index (`BTreeMap<Key, slot>`) over a
+//! `Vec` of values. Exporters walk the index, so their bytes depend only
+//! on the key set and the values, never on slot numbers or on the order
+//! in which series were first seen. The hot path,
+//! [`MetricsRegistry::observe_event`], skips the index: a fixed table
+//! indexed by event tag, exit-code label and domain remembers each
+//! event-derived series' slot after its first lookup, so a steady-state
+//! event costs array loads, not string-keyed tree walks.
 
 use crate::hist::Histogram;
 use std::collections::BTreeMap;
@@ -13,32 +22,62 @@ pub const DOMAIN_NONE: u8 = 0xff;
 /// Stable label for a domain value (`vmpl0`..`vmpl3`, `all` for
 /// [`DOMAIN_NONE`], `unknown` otherwise).
 pub fn domain_label(domain: u8) -> &'static str {
-    match domain {
-        0 => "vmpl0",
-        1 => "vmpl1",
-        2 => "vmpl2",
-        3 => "vmpl3",
-        DOMAIN_NONE => "all",
-        _ => "unknown",
-    }
+    ["vmpl0", "vmpl1", "vmpl2", "vmpl3", "all", "unknown"][domain_label_index(domain)]
 }
 
 /// Stable label for a `VMGEXIT` exit code, used as the `op` dimension of
 /// relay metrics.
 pub fn exit_code_label(code: u64) -> &'static str {
+    EXIT_CODE_LABELS[exit_code_index(code)]
+}
+
+/// The labels [`exit_code_label`] can return, indexed by
+/// [`exit_code_index`].
+const EXIT_CODE_LABELS: [&str; 11] = [
+    "io",
+    "msr",
+    "page_state_change",
+    "domain_switch",
+    "create_vcpu",
+    "doorbell",
+    "psc_batch",
+    "shutdown",
+    "automatic",
+    "unknown",
+    "other",
+];
+
+fn exit_code_index(code: u64) -> usize {
     match code {
-        exit_code::IO => "io",
-        exit_code::MSR => "msr",
-        exit_code::PAGE_STATE_CHANGE => "page_state_change",
-        exit_code::DOMAIN_SWITCH => "domain_switch",
-        exit_code::CREATE_VCPU => "create_vcpu",
-        exit_code::DOORBELL => "doorbell",
-        exit_code::PSC_BATCH => "psc_batch",
-        exit_code::SHUTDOWN => "shutdown",
-        exit_code::AUTOMATIC => "automatic",
-        exit_code::UNKNOWN => "unknown",
-        _ => "other",
+        exit_code::IO => 0,
+        exit_code::MSR => 1,
+        exit_code::PAGE_STATE_CHANGE => 2,
+        exit_code::DOMAIN_SWITCH => 3,
+        exit_code::CREATE_VCPU => 4,
+        exit_code::DOORBELL => 5,
+        exit_code::PSC_BATCH => 6,
+        exit_code::SHUTDOWN => 7,
+        exit_code::AUTOMATIC => 8,
+        exit_code::UNKNOWN => 9,
+        _ => 10,
     }
+}
+
+/// Domains with a slot-table row: VMPL 0–3 and [`DOMAIN_NONE`]. Any
+/// other domain value resolves its series through the key index.
+const TABLE_DOMAINS: usize = 5;
+
+fn domain_row(domain: u8) -> Option<usize> {
+    match domain {
+        0..=3 => Some(usize::from(domain)),
+        DOMAIN_NONE => Some(4),
+        _ => None,
+    }
+}
+
+/// The index of [`domain_label`]: VMPL 0–3, `all`, then `unknown`.
+fn domain_label_index(domain: u8) -> usize {
+    domain_row(domain).unwrap_or(TABLE_DOMAINS)
 }
 
 /// A metric series key: metric name plus the `(domain, op)` label pair.
@@ -61,18 +100,101 @@ impl Key {
     }
 }
 
+/// One series kind: a key-ordered index over slot-addressed values. A
+/// slot, once handed out, names the same key for the series' lifetime.
+#[derive(Debug, Clone, Default)]
+struct Series<V> {
+    index: BTreeMap<Key, u32>,
+    values: Vec<V>,
+}
+
+impl<V: Default> Series<V> {
+    /// The slot of `key`, creating the series (at `V::default()`) if new.
+    fn slot(&mut self, key: Key) -> u32 {
+        let next = u32::try_from(self.values.len()).expect("fewer than 2^32 series");
+        let slot = *self.index.entry(key).or_insert(next);
+        if slot == next {
+            self.values.push(V::default());
+        }
+        slot
+    }
+
+    /// The value of `key`, reached through the table cell `cell` when the
+    /// caller has one: the cached slot if the cell is filled, else an
+    /// index lookup that fills it.
+    #[inline]
+    fn value_mut(&mut self, cell: Option<&mut Option<u32>>, key: Key) -> &mut V {
+        let slot = match cell {
+            Some(&mut Some(slot)) => slot,
+            cell => self.resolve(cell, key),
+        };
+        &mut self.values[slot as usize]
+    }
+
+    /// The index lookup behind [`Series::value_mut`], kept out of line so
+    /// the cached path stays small.
+    #[cold]
+    fn resolve(&mut self, cell: Option<&mut Option<u32>>, key: Key) -> u32 {
+        let slot = self.slot(key);
+        if let Some(cell) = cell {
+            *cell = Some(slot);
+        }
+        slot
+    }
+
+    fn get(&self, key: &Key) -> Option<&V> {
+        self.index.get(key).map(|&s| &self.values[s as usize])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&Key, &V)> {
+        self.index.iter().map(|(k, &s)| (k, &self.values[s as usize]))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+}
+
+/// [`Event::tag`] values are dense over `0..EVENT_TAGS` (pinned by
+/// veil-trace's encoding tests).
+const EVENT_TAGS: usize = 16;
+
+/// Cached slots of the event-derived series, indexed by event tag,
+/// exit-code label and domain row. Filled on first use; cleared together
+/// with the series whenever recording is (re-)enabled.
+#[derive(Debug, Clone, Default)]
+struct SlotTable {
+    /// `events_total{domain, event name}` by `[tag][domain row]`.
+    events_total: [[Option<u32>; TABLE_DOMAINS]; EVENT_TAGS],
+    /// `relay_cycles{vmpl, exit code label}` by `[label][domain row]`.
+    relay_cycles: [[Option<u32>; TABLE_DOMAINS]; EXIT_CODE_LABELS.len()],
+    /// `domain_switch_total{from, to label}` by `[from row][to label]`.
+    domain_switch_total: [[Option<u32>; TABLE_DOMAINS + 1]; TABLE_DOMAINS],
+    /// `ring_depth{target, doorbell|enqueue}` by `[op][domain row]`.
+    ring_depth: [[Option<u32>; TABLE_DOMAINS]; 2],
+    /// `cycles_total{all}`.
+    cycles_total: Option<u32>,
+    /// `gate_deferred_errors_total{all}`.
+    deferred_errors: Option<u32>,
+}
+
 /// Deterministic metrics registry.
 ///
-/// All state lives in `BTreeMap`s so iteration (and therefore every
-/// exporter) is ordered and reproducible. The registry is runtime gated:
-/// when disabled every observation method returns immediately, so the
-/// only disabled-mode cost at a call site is one branch.
+/// Each series kind keeps one key-ordered index over a `Vec` of values,
+/// so iteration (and therefore every exporter) is ordered and
+/// reproducible. [`MetricsRegistry::observe_event`] reaches its
+/// event-derived series through a table of cached slots; caller-supplied
+/// keys, and events whose domain is not VMPL 0–3 or [`DOMAIN_NONE`], go
+/// through the index. The registry is runtime gated: when disabled every
+/// observation method returns immediately, so the only disabled-mode
+/// cost at a call site is one branch.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, u64>,
-    histograms: BTreeMap<Key, Histogram>,
+    counters: Series<u64>,
+    gauges: Series<u64>,
+    histograms: Series<Histogram>,
+    slots: SlotTable,
     /// The same fold the tracer runs, re-run here so the drift test can
     /// prove tracer, ring replay, and registry agree.
     events: EventCounters,
@@ -99,11 +221,7 @@ impl MetricsRegistry {
     /// even if the `VEIL_METRICS` environment knob already enabled them.
     pub fn set_enabled(&mut self, enabled: bool) {
         if enabled {
-            self.counters.clear();
-            self.gauges.clear();
-            self.histograms.clear();
-            self.events = EventCounters::default();
-            self.pending_exit.clear();
+            *self = MetricsRegistry::default();
         }
         self.enabled = enabled;
     }
@@ -113,7 +231,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        *self.counters.entry(key).or_insert(0) += by;
+        *self.counters.value_mut(None, key) += by;
     }
 
     /// Sets the gauge at `key` to `value`.
@@ -121,7 +239,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.gauges.insert(key, value);
+        *self.gauges.value_mut(None, key) = value;
     }
 
     /// Records `value` into the histogram at `key`.
@@ -129,7 +247,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.histograms.entry(key).or_default().record(value);
+        self.histograms.value_mut(None, key).record(value);
     }
 
     /// Folds one trace event, stamped at virtual-cycle time `cycles`, into
@@ -141,37 +259,45 @@ impl MetricsRegistry {
         }
         self.events.observe(event);
         let (domain, op) = event_labels(event);
-        self.inc_counter(Key::new("events_total", domain, op), 1);
+        let t = &mut self.slots;
+        let cell = domain_row(domain).map(|d| &mut t.events_total[usize::from(event.tag())][d]);
+        *self.counters.value_mut(cell, Key::new("events_total", domain, op)) += 1;
         match *event {
             Event::VmgExit { vcpu, vmpl, code, automatic: false, .. } => {
                 self.pending_exit.insert(vcpu, (cycles, vmpl, code));
             }
             Event::VmEnter { vcpu, .. } => {
                 if let Some((start, vmpl, code)) = self.pending_exit.remove(&vcpu) {
-                    self.record_hist(
-                        Key::new("relay_cycles", vmpl, exit_code_label(code)),
-                        cycles.saturating_sub(start),
-                    );
+                    let label = exit_code_index(code);
+                    let cell = domain_row(vmpl).map(|d| &mut t.relay_cycles[label][d]);
+                    let key = Key::new("relay_cycles", vmpl, EXIT_CODE_LABELS[label]);
+                    self.histograms.value_mut(cell, key).record(cycles.saturating_sub(start));
                 }
             }
             Event::DomainSwitch { from, to, .. } => {
-                self.inc_counter(Key::new("domain_switch_total", from, domain_label(to)), 1);
+                let to_label = domain_label_index(to);
+                let cell = domain_row(from).map(|d| &mut t.domain_switch_total[d][to_label]);
+                let key = Key::new("domain_switch_total", from, domain_label(to));
+                *self.counters.value_mut(cell, key) += 1;
             }
             Event::Doorbell { target, depth, .. } => {
-                self.record_hist(Key::new("ring_depth", target, "doorbell"), depth as u64);
+                let cell = domain_row(target).map(|d| &mut t.ring_depth[0][d]);
+                let key = Key::new("ring_depth", target, "doorbell");
+                self.histograms.value_mut(cell, key).record(u64::from(depth));
             }
             Event::RingEnqueue { target, depth, .. } => {
-                self.record_hist(Key::new("ring_depth", target, "enqueue"), depth as u64);
+                let cell = domain_row(target).map(|d| &mut t.ring_depth[1][d]);
+                let key = Key::new("ring_depth", target, "enqueue");
+                self.histograms.value_mut(cell, key).record(u64::from(depth));
             }
             Event::DeferredError { count, .. } => {
-                self.inc_counter(
-                    Key::new("gate_deferred_errors_total", DOMAIN_NONE, ""),
-                    u64::from(count),
-                );
+                let key = Key::new("gate_deferred_errors_total", DOMAIN_NONE, "");
+                *self.counters.value_mut(Some(&mut t.deferred_errors), key) += u64::from(count);
             }
             _ => {}
         }
-        self.set_gauge(Key::new("cycles_total", DOMAIN_NONE, ""), cycles);
+        let key = Key::new("cycles_total", DOMAIN_NONE, "");
+        *self.gauges.value_mut(Some(&mut t.cycles_total), key) = cycles;
     }
 
     /// The registry's own event fold (the drift test compares this against
@@ -205,7 +331,7 @@ impl MetricsRegistry {
     /// result is label-order independent.
     pub fn merged_histogram(&self, metric: &str) -> Histogram {
         let mut out = Histogram::new();
-        for (k, h) in &self.histograms {
+        for (k, h) in self.histograms.iter() {
             if k.metric == metric {
                 out.merge(h);
             }

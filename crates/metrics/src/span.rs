@@ -6,6 +6,12 @@
 //! call path rooted at the domain that entered the outermost span — the
 //! exact shape flamegraph tooling consumes (`vmpl3;gate.request;gate.switch
 //! 7135` per folded-stack line).
+//!
+//! Call paths are interned: each distinct path is one node whose string
+//! is built once, open frames carry node ids, and each (node, root
+//! domain) pair finds its stat slot once. The stats themselves sit behind
+//! a `(path, domain)`-ordered index, so exports read exactly as if every
+//! span had been keyed by its path string.
 
 use crate::hist::Histogram;
 use crate::registry::domain_label;
@@ -15,12 +21,24 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 struct Frame {
     name: &'static str,
+    /// Interned call path including this frame.
+    node: u32,
     start: u64,
     /// Cycles consumed by already-closed children (subtracted from total
     /// to obtain self time).
     child_cycles: u64,
+}
+
+/// One interned call path.
+#[derive(Debug, Clone)]
+struct PathNode {
+    name: &'static str,
     /// `;`-joined path including this frame.
     path: String,
+    /// Nodes of the paths one frame deeper.
+    children: Vec<u32>,
+    /// Stat slot per root domain that has closed a span on this path.
+    slots: Vec<(u8, u32)>,
 }
 
 /// Aggregated statistics for one `(path, domain)` series.
@@ -42,6 +60,11 @@ pub struct SpanStat {
 /// no-ops when disabled. Unbalanced exits (a name that does not match the
 /// top of the stack) are ignored rather than corrupting attribution, so a
 /// span leaked through an error path degrades gracefully.
+///
+/// Aggregates live in a `Vec` behind a `BTreeMap<(path, domain), slot>`
+/// index that fixes export order. Two call paths whose joined strings
+/// coincide (a span name containing `;`) share one series, as they would
+/// if the path string were the key.
 #[derive(Debug, Clone, Default)]
 pub struct SpanProfiler {
     enabled: bool,
@@ -49,7 +72,11 @@ pub struct SpanProfiler {
     /// Domain that entered the current outermost span (the flamegraph
     /// root frame).
     root_domain: u8,
-    stats: BTreeMap<(String, u8), SpanStat>,
+    /// Interned call paths; `roots` are the outermost ones.
+    nodes: Vec<PathNode>,
+    roots: Vec<u32>,
+    index: BTreeMap<(String, u8), u32>,
+    stats: Vec<SpanStat>,
 }
 
 impl SpanProfiler {
@@ -67,8 +94,7 @@ impl SpanProfiler {
     /// and abandons any open spans (same contract as the registry).
     pub fn set_enabled(&mut self, enabled: bool) {
         if enabled {
-            self.stack.clear();
-            self.stats.clear();
+            *self = SpanProfiler::default();
         }
         self.enabled = enabled;
     }
@@ -79,20 +105,42 @@ impl SpanProfiler {
         if !self.enabled {
             return;
         }
-        let path = match self.stack.last() {
-            Some(parent) => {
-                let mut p = String::with_capacity(parent.path.len() + 1 + name.len());
-                p.push_str(&parent.path);
-                p.push(';');
-                p.push_str(name);
-                p
-            }
-            None => {
-                self.root_domain = domain;
-                name.to_string()
-            }
+        let parent = self.stack.last().map(|f| f.node);
+        if parent.is_none() {
+            self.root_domain = domain;
+        }
+        let node = self.intern(parent, name);
+        self.stack.push(Frame { name, node, start: now, child_cycles: 0 });
+    }
+
+    /// The node of path `parent;name` (or of `name` alone at the root),
+    /// created on first sight.
+    fn intern(&mut self, parent: Option<u32>, name: &'static str) -> u32 {
+        let siblings = match parent {
+            Some(p) => &self.nodes[p as usize].children,
+            None => &self.roots,
         };
-        self.stack.push(Frame { name, start: now, child_cycles: 0, path });
+        if let Some(&id) = siblings.iter().find(|&&id| self.nodes[id as usize].name == name) {
+            return id;
+        }
+        let path = match parent {
+            Some(p) => {
+                let parent_path = &self.nodes[p as usize].path;
+                let mut path = String::with_capacity(parent_path.len() + 1 + name.len());
+                path.push_str(parent_path);
+                path.push(';');
+                path.push_str(name);
+                path
+            }
+            None => name.to_string(),
+        };
+        let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 call paths");
+        self.nodes.push(PathNode { name, path, children: Vec::new(), slots: Vec::new() });
+        match parent {
+            Some(p) => self.nodes[p as usize].children.push(id),
+            None => self.roots.push(id),
+        }
+        id
     }
 
     /// Closes the span named `name` at virtual-cycle time `now`. Ignored
@@ -110,11 +158,31 @@ impl SpanProfiler {
         if let Some(parent) = self.stack.last_mut() {
             parent.child_cycles += total;
         }
-        let stat = self.stats.entry((frame.path, self.root_domain)).or_default();
+        let stat = self.stat_mut(frame.node);
         stat.count += 1;
         stat.total_cycles += total;
         stat.self_cycles += self_cycles;
         stat.durations.record(total);
+    }
+
+    /// The aggregate of `node` under the current root domain, created on
+    /// first sight.
+    fn stat_mut(&mut self, node: u32) -> &mut SpanStat {
+        let domain = self.root_domain;
+        let node = &mut self.nodes[node as usize];
+        let slot = match node.slots.iter().find(|&&(d, _)| d == domain) {
+            Some(&(_, slot)) => slot,
+            None => {
+                let next = u32::try_from(self.stats.len()).expect("fewer than 2^32 span series");
+                let slot = *self.index.entry((node.path.clone(), domain)).or_insert(next);
+                if slot == next {
+                    self.stats.push(SpanStat::default());
+                }
+                node.slots.push((domain, slot));
+                slot
+            }
+        };
+        &mut self.stats[slot as usize]
     }
 
     /// Number of currently open spans.
@@ -124,17 +192,20 @@ impl SpanProfiler {
 
     /// Aggregated series in `(path, domain)` order.
     pub fn stats(&self) -> impl Iterator<Item = (&str, u8, &SpanStat)> {
-        self.stats.iter().map(|((path, domain), stat)| (path.as_str(), *domain, stat))
+        self.index
+            .iter()
+            .map(|((path, domain), &slot)| (path.as_str(), *domain, &self.stats[slot as usize]))
     }
 
     /// The aggregate for one exact path and domain.
     pub fn stat(&self, path: &str, domain: u8) -> Option<&SpanStat> {
-        self.stats.get(&(path.to_string(), domain))
+        let slot = *self.index.get(&(path.to_string(), domain))?;
+        Some(&self.stats[slot as usize])
     }
 
     /// Whether no span has completed.
     pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
+        self.index.is_empty()
     }
 
     /// Renders the aggregates in folded-stack format, one line per
@@ -143,8 +214,8 @@ impl SpanProfiler {
     /// are kept (flamegraph tools treat them as structure-only frames).
     pub fn folded(&self) -> String {
         let mut out = String::new();
-        for ((path, domain), stat) in &self.stats {
-            out.push_str(domain_label(*domain));
+        for (path, domain, stat) in self.stats() {
+            out.push_str(domain_label(domain));
             out.push(';');
             out.push_str(path);
             out.push(' ');

@@ -205,6 +205,28 @@ pub enum Tamper {
     ClaimVmpl(Vmpl),
 }
 
+/// The tamper battery: one row per [`Tamper`] point, with its
+/// `verify tamper-suite` name and the exact error a verifier whose
+/// minimum TCB is 1 must name it with. Row order is fixed: the adversary
+/// fuzzer's `ForgeReport { tamper }` op runs row `tamper % 6`, so
+/// reordering would move fuzz coverage and its pinned results.
+pub const TAMPER_SUITE: [(&str, Tamper, VerifyError); 6] = [
+    ("wrong-seed", Tamper::WrongSeed, VerifyError::DerivationMismatch { stage: DeriveStage::Vcek }),
+    (
+        "stale-tcb",
+        Tamper::StaleTcb(TcbVersion(0)),
+        VerifyError::StaleTcb { claimed: TcbVersion(0), minimum: TcbVersion(1) },
+    ),
+    (
+        "skip-hkdf-stage",
+        Tamper::SkipVcekStage,
+        VerifyError::DerivationMismatch { stage: DeriveStage::AttestationKey },
+    ),
+    ("flip-signature", Tamper::FlipSignature, VerifyError::BadSignature),
+    ("mutate-measurement", Tamper::MutateMeasurement, VerifyError::WrongMeasurement),
+    ("claim-vmpl3", Tamper::ClaimVmpl(Vmpl::Vmpl3), VerifyError::WrongVmpl(Vmpl::Vmpl3)),
+];
+
 // ---- the report --------------------------------------------------------
 
 /// A chain attestation report: claims + DICE certificates + signature.

@@ -20,6 +20,7 @@ use veil_snp::machine::MachineConfig;
 use veil_snp::perms::Vmpl;
 use veil_snp::vcek::{
     self, ChainReport, ChainVerifier, DeriveStage, Tamper, TcbVersion, VerifyError, REPORT_LEN,
+    TAMPER_SUITE,
 };
 use veil_testkit::golden;
 use veil_testkit::prop::{bytes, check, ints, tuple2, tuple3, Strategy};
@@ -217,14 +218,7 @@ fn channel_bootstrap_names_every_tamper_like_the_verifier() {
     let monitor = DhKeyPair::from_seed(&[0x4d; 32]);
     let mut bound = [0u8; 64];
     bound[..32].copy_from_slice(&monitor.public.0.to_be_bytes());
-    for tamper in [
-        Tamper::WrongSeed,
-        Tamper::StaleTcb(TcbVersion(0)),
-        Tamper::SkipVcekStage,
-        Tamper::FlipSignature,
-        Tamper::MutateMeasurement,
-        Tamper::ClaimVmpl(Vmpl::Vmpl3),
-    ] {
+    for (_, tamper, _) in TAMPER_SUITE {
         let mut user = RemoteUser::new(verifier.clone(), &[0x75; 32]);
         let challenge = user.challenge();
         let report = ChainReport::issue_tampered(

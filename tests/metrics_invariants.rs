@@ -4,15 +4,25 @@
 //!   (permutation-invariant), and merge is commutative and associative;
 //! * the JSON snapshot digest is bit-stable across same-seed replays of
 //!   the same workload (fresh CVM each time);
-//! * the http workload produces a golden-pinned snapshot digest and
-//!   well-formed folded-stack lines;
+//! * the http workload produces golden-pinned snapshot digests, plain and
+//!   audited over the batched gate, and well-formed folded-stack lines;
 //! * metrics collection is observationally inert: the trace digest,
 //!   cycle account, and hypervisor stats of a metrics-on run are
 //!   bit-identical to its metrics-off twin, both for plain http and for
-//!   http audited over the batched gate.
+//!   http audited over the batched gate;
+//! * the slot-indexed registry and the interned span profiler export
+//!   exactly what a naive string-keyed reference model exports, under
+//!   random event, custom-series, re-enable and span streams.
 
-use veil::metrics::Histogram;
+use std::collections::BTreeMap;
+use veil::metrics::export::{hist_json, json_snapshot, label_escape, prometheus};
+use veil::metrics::{
+    bucket_lower, domain_label, exit_code_label, Histogram, Key, MetricsRegistry, SpanProfiler,
+    SpanStat, BUCKETS, DOMAIN_NONE,
+};
 use veil::prelude::*;
+use veil::trace::{exit_code, Event, EventCounters};
+use veil_testkit::rng::TestRng;
 use veil_testkit::{prop, prop_assert, prop_assert_eq};
 use veil_workloads::driver::VeilUnshieldedDriver;
 use veil_workloads::http::HttpWorkload;
@@ -154,28 +164,49 @@ fn http_workload_snapshot_digest_matches_golden() {
     );
 }
 
+/// Runs `HttpWorkload::nginx(25)` on a traced 2048-frame single-VCPU
+/// CVM. `audited` audits to VeilS-LOG over the batched gate (pinned, so
+/// `VEIL_NO_BATCH` cannot turn it off), where metrics observe doorbell
+/// drains, ring depths and occupancy-scaled relay costs.
+fn http_traced_cvm(metrics: bool, audited: bool) -> Cvm {
+    let builder = CvmBuilder::new().frames(2048).vcpus(1).trace(true).metrics(metrics);
+    let mut cvm = if audited { builder.batch(true) } else { builder }.build().unwrap();
+    if audited {
+        cvm.kernel.audit.mode = veil_os::audit::AuditMode::VeilLog;
+        cvm.kernel.audit.rules = veil_os::audit::paper_ruleset();
+    }
+    let pid = cvm.spawn();
+    let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
+    HttpWorkload::nginx(25).run(&mut driver).unwrap();
+    cvm.flush_gate().unwrap();
+    cvm
+}
+
+#[test]
+fn audited_batched_snapshot_digest_matches_golden() {
+    // Second golden pin, covering the series the plain run never fills:
+    // `ring_depth`, doorbell `relay_cycles` and `domain_switch_total`.
+    // Same update procedure as the plain golden above.
+    let cvm = http_traced_cvm(true, true);
+    let digest = cvm.metrics_digest_hex();
+    println!("audited batched http snapshot digest: {digest}");
+    let snapshot = cvm.metrics_snapshot();
+    for series in ["\"ring_depth\"", "\"relay_cycles\"", "\"domain_switch_total\""] {
+        assert!(snapshot.contains(series), "golden run lost the {series} series");
+    }
+    assert_eq!(
+        digest, "febb83163a53cc6b283a3085a066ce2e6f355e34351044202703e070cdf1a97e",
+        "audited batched metrics snapshot drifted from the pinned golden"
+    );
+}
+
 #[test]
 fn metrics_are_observationally_inert() {
-    // Two configurations: plain http, and http audited to VeilS-LOG over
-    // the batched gate (pinned, so `VEIL_NO_BATCH` cannot turn it off),
-    // where metrics observe doorbell drains with occupancy-scaled relay
-    // costs.
-    let run = |metrics: bool, audited: bool| {
-        let builder = CvmBuilder::new().frames(2048).vcpus(1).trace(true).metrics(metrics);
-        let mut cvm = if audited { builder.batch(true) } else { builder }.build().unwrap();
-        if audited {
-            cvm.kernel.audit.mode = veil_os::audit::AuditMode::VeilLog;
-            cvm.kernel.audit.rules = veil_os::audit::paper_ruleset();
-        }
-        let pid = cvm.spawn();
-        let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
-        HttpWorkload::nginx(25).run(&mut driver).unwrap();
-        cvm.flush_gate().unwrap();
-        cvm
-    };
+    // Two configurations: plain http, and http audited over the batched
+    // gate (see `http_traced_cvm`).
     for audited in [false, true] {
-        let on = run(true, audited);
-        let off = run(false, audited);
+        let on = http_traced_cvm(true, audited);
+        let off = http_traced_cvm(false, audited);
         // Bit-identical externally visible behavior: measurement, cycles,
         // per-domain attribution, hypervisor stats, and the trace digest.
         let config = if audited { "audited batched" } else { "plain" };
@@ -198,4 +229,466 @@ fn metrics_are_observationally_inert() {
             assert!(relay.count() > 0, "audited batched run recorded no relay latencies");
         }
     }
+}
+
+// ---- reference model ----------------------------------------------------
+
+/// The registry and span profiler as they stood before slot indexing and
+/// path interning: every series in a string-keyed `BTreeMap`, one `String`
+/// path per open span, and exporters that walk those maps directly.
+#[derive(Default)]
+struct Model {
+    enabled: bool,
+    counters: BTreeMap<Key, u64>,
+    gauges: BTreeMap<Key, u64>,
+    histograms: BTreeMap<Key, Histogram>,
+    events: EventCounters,
+    pending_exit: BTreeMap<u32, (u64, u8, u64)>,
+    /// Open spans: (name, start, child cycles, `;`-joined path).
+    stack: Vec<(&'static str, u64, u64, String)>,
+    root_domain: u8,
+    spans: BTreeMap<(String, u8), SpanStat>,
+}
+
+impl Model {
+    fn set_enabled(&mut self, enabled: bool) {
+        if enabled {
+            *self = Model::default();
+        }
+        self.enabled = enabled;
+    }
+
+    fn inc_counter(&mut self, key: Key, by: u64) {
+        if self.enabled {
+            *self.counters.entry(key).or_insert(0) += by;
+        }
+    }
+
+    fn set_gauge(&mut self, key: Key, value: u64) {
+        if self.enabled {
+            self.gauges.insert(key, value);
+        }
+    }
+
+    fn record_hist(&mut self, key: Key, value: u64) {
+        if self.enabled {
+            self.histograms.entry(key).or_default().record(value);
+        }
+    }
+
+    fn observe_event(&mut self, cycles: u64, event: &Event) {
+        if !self.enabled {
+            return;
+        }
+        self.events.observe(event);
+        let domain = match *event {
+            Event::Pvalidate { vmpl, .. }
+            | Event::VmgExit { vmpl, .. }
+            | Event::VmEnter { vmpl, .. }
+            | Event::NestedPageFault { vmpl, .. } => vmpl,
+            Event::RmpAdjust { executing, .. } => executing,
+            Event::DomainSwitch { from, .. } => from,
+            Event::SyscallRedirect { .. } => 2,
+            Event::AuditAppend { .. } => 3,
+            Event::Doorbell { target, .. } | Event::RingEnqueue { target, .. } => target,
+            _ => DOMAIN_NONE,
+        };
+        self.inc_counter(Key::new("events_total", domain, event.name()), 1);
+        match *event {
+            Event::VmgExit { vcpu, vmpl, code, automatic: false, .. } => {
+                self.pending_exit.insert(vcpu, (cycles, vmpl, code));
+            }
+            Event::VmEnter { vcpu, .. } => {
+                if let Some((start, vmpl, code)) = self.pending_exit.remove(&vcpu) {
+                    let key = Key::new("relay_cycles", vmpl, exit_code_label(code));
+                    self.record_hist(key, cycles.saturating_sub(start));
+                }
+            }
+            Event::DomainSwitch { from, to, .. } => {
+                self.inc_counter(Key::new("domain_switch_total", from, domain_label(to)), 1);
+            }
+            Event::Doorbell { target, depth, .. } => {
+                self.record_hist(Key::new("ring_depth", target, "doorbell"), u64::from(depth));
+            }
+            Event::RingEnqueue { target, depth, .. } => {
+                self.record_hist(Key::new("ring_depth", target, "enqueue"), u64::from(depth));
+            }
+            Event::DeferredError { count, .. } => {
+                let key = Key::new("gate_deferred_errors_total", DOMAIN_NONE, "");
+                self.inc_counter(key, u64::from(count));
+            }
+            _ => {}
+        }
+        self.set_gauge(Key::new("cycles_total", DOMAIN_NONE, ""), cycles);
+    }
+
+    fn enter(&mut self, name: &'static str, domain: u8, now: u64) {
+        if !self.enabled {
+            return;
+        }
+        let path = match self.stack.last() {
+            Some((_, _, _, parent)) => format!("{parent};{name}"),
+            None => {
+                self.root_domain = domain;
+                name.to_string()
+            }
+        };
+        self.stack.push((name, now, 0, path));
+    }
+
+    fn exit(&mut self, name: &'static str, now: u64) {
+        if !self.enabled || self.stack.last().map(|f| f.0) != Some(name) {
+            return;
+        }
+        let (_, start, child_cycles, path) = self.stack.pop().unwrap();
+        let total = now.saturating_sub(start);
+        if let Some(parent) = self.stack.last_mut() {
+            parent.2 += total;
+        }
+        let stat = self.spans.entry((path, self.root_domain)).or_default();
+        stat.count += 1;
+        stat.total_cycles += total;
+        stat.self_cycles += total.saturating_sub(child_cycles);
+        stat.durations.record(total);
+    }
+
+    fn merged_relay(&self) -> Histogram {
+        let mut out = Histogram::new();
+        for h in self.histograms.iter().filter(|(k, _)| k.metric == "relay_cycles").map(|e| e.1) {
+            out.merge(h);
+        }
+        out
+    }
+
+    fn folded(&self) -> String {
+        let lines = self.spans.iter().map(|((path, domain), stat)| {
+            format!("{};{path} {}\n", domain_label(*domain), stat.self_cycles)
+        });
+        lines.collect()
+    }
+
+    fn prometheus(&self) -> String {
+        fn series(out: &mut String, name: &str, domain: u8, op: &str, le: Option<&str>, v: String) {
+            out.push_str(&format!("veil_{name}{{domain=\"{}\"", domain_label(domain)));
+            if !op.is_empty() {
+                out.push_str(&format!(",op=\"{}\"", label_escape(op)));
+            }
+            if let Some(le) = le {
+                out.push_str(&format!(",le=\"{le}\""));
+            }
+            out.push_str(&format!("}} {v}\n"));
+        }
+        let mut out = String::new();
+        let mut last_type = None;
+        let mut type_line = |out: &mut String, metric: &str, kind: &str| {
+            let line = format!("# TYPE veil_{metric} {kind}\n");
+            if last_type.as_ref() != Some(&line) {
+                out.push_str(&line);
+                last_type = Some(line);
+            }
+        };
+        for (kind, map) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for (k, v) in map {
+                type_line(&mut out, k.metric, kind);
+                series(&mut out, k.metric, k.domain, k.op, None, v.to_string());
+            }
+        }
+        for (k, h) in &self.histograms {
+            type_line(&mut out, k.metric, "histogram");
+            let bucket = format!("{}_bucket", k.metric);
+            let mut cumulative = 0u64;
+            for (i, &count) in h.buckets().iter().enumerate().filter(|(_, &c)| c > 0) {
+                cumulative += count;
+                let le = if i + 1 < BUCKETS {
+                    (bucket_lower(i + 1) - 1).to_string()
+                } else {
+                    "+Inf".to_string()
+                };
+                series(&mut out, &bucket, k.domain, k.op, Some(&le), cumulative.to_string());
+            }
+            series(&mut out, &bucket, k.domain, k.op, Some("+Inf"), cumulative.to_string());
+            series(
+                &mut out,
+                &format!("{}_sum", k.metric),
+                k.domain,
+                k.op,
+                None,
+                h.sum().to_string(),
+            );
+            let count = format!("{}_count", k.metric);
+            series(&mut out, &count, k.domain, k.op, None, h.count().to_string());
+        }
+        if !self.spans.is_empty() {
+            for metric in ["span_self_cycles", "span_total_cycles", "span_count"] {
+                out.push_str(&format!("# TYPE veil_{metric} counter\n"));
+                for ((path, domain), stat) in &self.spans {
+                    let value = match metric {
+                        "span_self_cycles" => stat.self_cycles,
+                        "span_total_cycles" => stat.total_cycles,
+                        _ => stat.count,
+                    };
+                    out.push_str(&format!(
+                        "veil_{metric}{{domain=\"{}\",path=\"{}\"}} {value}\n",
+                        domain_label(*domain),
+                        label_escape(path)
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    fn json_snapshot(&self) -> String {
+        fn escape(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let row = |k: &Key, rest: String| {
+            format!(
+                "{{\"metric\": \"{}\", \"domain\": \"{}\", \"op\": \"{}\", {rest}}}",
+                k.metric,
+                domain_label(k.domain),
+                escape(k.op)
+            )
+        };
+        let values = |map: &BTreeMap<Key, u64>| {
+            map.iter().map(|(k, v)| row(k, format!("\"value\": {v}"))).collect::<Vec<_>>()
+        };
+        let hists: Vec<String> =
+            self.histograms.iter().map(|(k, h)| row(k, hist_json(h))).collect();
+        let spans: Vec<String> = self
+            .spans
+            .iter()
+            .map(|((path, domain), s)| {
+                format!(
+                    "{{\"path\": \"{}\", \"domain\": \"{}\", \"count\": {}, \"total_cycles\": {}, \
+                     \"self_cycles\": {}, \"p50\": {}, \"p99\": {}}}",
+                    escape(path),
+                    domain_label(*domain),
+                    s.count,
+                    s.total_cycles,
+                    s.self_cycles,
+                    s.durations.percentile(50.0),
+                    s.durations.percentile(99.0)
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"counters\": [{}],\n  \"gauges\": [{}],\n  \"histograms\": [{}],\n  \
+             \"spans\": [{}]\n}}\n",
+            values(&self.counters).join(", "),
+            values(&self.gauges).join(", "),
+            hists.join(", "),
+            spans.join(", ")
+        )
+    }
+}
+
+/// One step of a metrics stream. Every step first advances the virtual
+/// clock by its `u64`.
+#[derive(Debug, Clone)]
+enum MetricsOp {
+    Event(u64, Event),
+    Counter(u64, Key, u64),
+    Gauge(u64, Key, u64),
+    Hist(u64, Key, u64),
+    Enable(u64, bool),
+    Enter(u64, &'static str, u8),
+    /// Exits the named span, or the innermost open one for `None`.
+    Exit(u64, Option<&'static str>),
+}
+
+/// Domains and VMPLs: the four levels, then values the slot table has no
+/// row for (4, 0x7f) and `DOMAIN_NONE`.
+const DOMAINS: [u8; 7] = [0, 1, 2, 3, 4, 0x7f, DOMAIN_NONE];
+
+const EXIT_CODES: [u64; 11] = [
+    exit_code::IO,
+    exit_code::MSR,
+    exit_code::PAGE_STATE_CHANGE,
+    exit_code::DOMAIN_SWITCH,
+    exit_code::CREATE_VCPU,
+    exit_code::DOORBELL,
+    exit_code::PSC_BATCH,
+    exit_code::SHUTDOWN,
+    exit_code::AUTOMATIC,
+    exit_code::UNKNOWN,
+    0xdead,
+];
+
+/// Caller-chosen metric names, including the event-derived ones so that
+/// caller keys collide with series the slot table caches.
+const METRICS: [&str; 6] =
+    ["events_total", "relay_cycles", "ring_depth", "cycles_total", "fleet_latency_cycles", "x"];
+
+/// Ops: event names and exit-code labels that event-derived series use,
+/// plus hostile label values.
+const OPS: [&str; 8] = [
+    "",
+    "vmenter",
+    "io",
+    "enqueue",
+    "vmpl0",
+    "evil\"} 1\nveil_forged_total{domain=\"all\"",
+    "back\\slash\ttab\u{1}",
+    "ünï",
+];
+
+/// Span names, including ones whose joined paths alias (`a;b` is both
+/// one frame and the frames `a`, `b`), and the root domains spans open
+/// under.
+const SPANS: [&str; 7] = ["gate.request", "gate.switch", "hv.vmgexit", "a", "b", "a;b", "q\"\n"];
+const SPAN_DOMAINS: [u8; 3] = [0, 3, 0x7f];
+
+fn pick<T: Copy>(rng: &mut TestRng, xs: &[T]) -> T {
+    *rng.choose(xs).unwrap()
+}
+
+fn random_event(rng: &mut TestRng) -> Event {
+    let vcpu = rng.below(4) as u32;
+    let d = |rng: &mut TestRng| pick(rng, &DOMAINS);
+    let small = |rng: &mut TestRng| rng.below(20) as u32;
+    match rng.below(16) {
+        0 => Event::RmpTransition { gfn: rng.below(64), to_private: rng.gen_bool() },
+        1 => Event::Pvalidate { vmpl: d(rng), gfn: rng.below(64), validate: rng.gen_bool() },
+        2 => Event::RmpAdjust {
+            executing: d(rng),
+            target: d(rng),
+            gfn: rng.below(64),
+            perms: rng.below(16) as u8,
+            executing_perms: rng.below(16) as u8,
+        },
+        3 => Event::VmgExit {
+            vcpu,
+            vmpl: d(rng),
+            code: pick(rng, &EXIT_CODES),
+            user_ghcb: rng.gen_bool(),
+            automatic: rng.below(4) == 0,
+        },
+        4 => Event::VmEnter { vcpu, vmpl: d(rng) },
+        5 => Event::DomainSwitch {
+            vcpu,
+            from: d(rng),
+            to: d(rng),
+            user_ghcb: rng.gen_bool(),
+            automatic: rng.gen_bool(),
+        },
+        6 => Event::NestedPageFault { gfn: rng.below(64), vmpl: d(rng) },
+        7 => Event::SyscallRedirect { vcpu, pid: small(rng), sysno: small(rng) },
+        8 => Event::AuditAppend { pid: small(rng), sysno: small(rng) },
+        9 => Event::ChannelHandshake { step: rng.below(3) as u8 },
+        10 => {
+            Event::ModuleLoad { pages: small(rng), protected: rng.gen_bool(), load: rng.gen_bool() }
+        }
+        11 => Event::Doorbell { vcpu, target: d(rng), depth: small(rng) },
+        12 => Event::ReqDispatch {
+            tenant: rng.below(4),
+            req: rng.below(8),
+            arrival: rng.below(1 << 20),
+            start: rng.below(1 << 20),
+        },
+        13 => Event::ReqComplete { tenant: rng.below(4), req: rng.below(8) },
+        14 => Event::RingEnqueue {
+            vcpu,
+            target: d(rng),
+            depth: small(rng),
+            tenant: rng.below(4),
+            req: rng.below(8),
+        },
+        _ => Event::DeferredError { vcpu, count: small(rng) },
+    }
+}
+
+fn random_op(rng: &mut TestRng) -> MetricsOp {
+    let dt = match rng.below(4) {
+        0 => 0,
+        1 => rng.below(16),
+        _ => rng.below(20_000),
+    };
+    let key =
+        |rng: &mut TestRng| Key::new(pick(rng, &METRICS), pick(rng, &DOMAINS), pick(rng, &OPS));
+    match rng.below(40) {
+        0..=19 => MetricsOp::Event(dt, random_event(rng)),
+        20..=22 => MetricsOp::Counter(dt, key(rng), rng.below(3) * rng.below(1000)),
+        23..=24 => MetricsOp::Gauge(dt, key(rng), rng.next_u64()),
+        25..=26 => MetricsOp::Hist(dt, key(rng), rng.next_u64() >> rng.below(64)),
+        27 => MetricsOp::Enable(dt, rng.below(3) > 0),
+        28..=33 => MetricsOp::Enter(dt, pick(rng, &SPANS), pick(rng, &SPAN_DOMAINS)),
+        34 => MetricsOp::Exit(dt, Some(pick(rng, &SPANS))),
+        _ => MetricsOp::Exit(dt, None),
+    }
+}
+
+#[test]
+fn exports_match_the_string_keyed_reference_model() {
+    let ops = prop::vecs(prop::Strategy::from_fn(random_op), 0..160);
+    prop::check("exports_match_the_string_keyed_reference_model", 500, &ops, |ops| {
+        let (mut reg, mut spans, mut model) =
+            (MetricsRegistry::new(), SpanProfiler::new(), Model::default());
+        reg.set_enabled(true);
+        spans.set_enabled(true);
+        model.set_enabled(true);
+        let mut now = 0u64;
+        for op in ops {
+            match op {
+                MetricsOp::Event(dt, e) => {
+                    now += dt;
+                    reg.observe_event(now, &e);
+                    model.observe_event(now, &e);
+                }
+                MetricsOp::Counter(dt, key, by) => {
+                    now += dt;
+                    reg.inc_counter(key, by);
+                    model.inc_counter(key, by);
+                }
+                MetricsOp::Gauge(dt, key, value) => {
+                    now += dt;
+                    reg.set_gauge(key, value);
+                    model.set_gauge(key, value);
+                }
+                MetricsOp::Hist(dt, key, value) => {
+                    now += dt;
+                    reg.record_hist(key, value);
+                    model.record_hist(key, value);
+                }
+                MetricsOp::Enable(dt, on) => {
+                    now += dt;
+                    reg.set_enabled(on);
+                    spans.set_enabled(on);
+                    model.set_enabled(on);
+                }
+                MetricsOp::Enter(dt, name, domain) => {
+                    now += dt;
+                    spans.enter(name, domain, now);
+                    model.enter(name, domain, now);
+                }
+                MetricsOp::Exit(dt, name) => {
+                    now += dt;
+                    if let Some(name) = name.or(model.stack.last().map(|f| f.0)) {
+                        spans.exit(name, now);
+                        model.exit(name, now);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(reg.event_counters(), &model.events);
+        prop_assert_eq!(reg.merged_histogram("relay_cycles"), model.merged_relay());
+        prop_assert_eq!(spans.folded(), model.folded());
+        prop_assert_eq!(prometheus(&reg, &spans), model.prometheus());
+        prop_assert_eq!(json_snapshot(&reg, &spans), model.json_snapshot());
+        prop_assert_eq!(
+            reg.is_empty(),
+            model.counters.is_empty() && model.gauges.is_empty() && model.histograms.is_empty()
+        );
+        Ok(())
+    });
 }

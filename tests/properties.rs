@@ -291,3 +291,63 @@ fn lz77_roundtrip() {
         Ok(())
     });
 }
+
+/// A batched, VeilLog-audited CVM with `k` audited syscalls (file
+/// creations) queued in VCPU 0's gate ring, plus the gate-request,
+/// deferred-error and log-record counts from before they were issued.
+fn queued_audit_cvm(k: usize) -> (veil::prelude::Cvm, [u64; 3]) {
+    use veil::prelude::*;
+    use veil_os::sys::OpenFlags;
+    let mut cvm = CvmBuilder::new().frames(2048).vcpus(1).batch(true).build().unwrap();
+    cvm.kernel.audit.mode = veil_os::audit::AuditMode::VeilLog;
+    cvm.kernel.audit.rules = veil_os::audit::paper_ruleset();
+    let pid = cvm.spawn();
+    cvm.flush_gate().unwrap();
+    let before = [
+        cvm.gate.gate_requests(),
+        cvm.gate.deferred_errors(),
+        cvm.gate.services.log.record_count(),
+    ];
+    let mut sys = cvm.sys(pid);
+    for i in 0..k {
+        sys.open(&format!("/tmp/q{i}"), OpenFlags::rdwr_create()).unwrap();
+    }
+    assert_eq!(cvm.gate.pending_depth(0) as usize, k, "every audit record must still be queued");
+    (cvm, before)
+}
+
+/// The gate ring is written by the untrusted kernel (VMPL-3) and re-read
+/// by the trusted drain. Whatever bytes the kernel leaves there between
+/// an audited syscall and the doorbell, the flush must not panic, may
+/// only fail with a typed `OsError`, and must account for every deferred
+/// request: each one is either a stored log record or a deferred error.
+/// k stays below the ring's 15 slots, where the ring drains on its own
+/// before it can be corrupted.
+#[test]
+fn hostile_gate_ring_bytes_complete_or_count_every_deferred_request() {
+    use veil_snp::mem::{gpa_of, PAGE_SIZE};
+    let ring_gfn = |cvm: &veil::prelude::Cvm| cvm.gate.monitor.layout.gate_ring_gfn(0).unwrap();
+    let attacks: Vec<Strategy<(usize, Vec<u8>)>> = (1..=14)
+        .map(|k| {
+            let (cvm, _) = queued_audit_cvm(k);
+            let valid =
+                cvm.hv.machine.read(Vmpl::Vmpl3, gpa_of(ring_gfn(&cvm)), PAGE_SIZE).unwrap();
+            hostile_bytes(valid).map(move |bytes| (k, bytes))
+        })
+        .collect();
+    check("hostile_gate_ring_bytes", 160, &one_of(attacks), |(k, mut bytes)| {
+        bytes.truncate(PAGE_SIZE);
+        let (mut cvm, [requests, errors, records]) = queued_audit_cvm(k);
+        let ring = gpa_of(ring_gfn(&cvm));
+        prop_assert!(cvm.hv.machine.write(Vmpl::Vmpl3, ring, &bytes).is_ok());
+        // Any result is a typed `OsError` or success; a panic fails the case.
+        let _flushed: Result<(), veil_os::error::OsError> = cvm.flush_gate();
+        prop_assert_eq!(cvm.gate.pending_depth(0), 0);
+        let requests = cvm.gate.gate_requests() - requests;
+        let errors = cvm.gate.deferred_errors() - errors;
+        let records = cvm.gate.services.log.record_count() - records;
+        prop_assert_eq!(requests, k as u64);
+        prop_assert_eq!(records + errors, requests);
+        Ok(())
+    });
+}
