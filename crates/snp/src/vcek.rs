@@ -187,8 +187,10 @@ pub fn kcv(key: &[u8; 32]) -> [u8; 32] {
 /// verifier must name the matching [`VerifyError`] every time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tamper {
-    /// Derive the whole chain from a different chip seed (the extracted-seed
-    /// forgery: attacker mints keys from material that is not this device's).
+    /// Derive the whole chain from another chip's seed: an attacker mints
+    /// keys from material that is not this device's. A forger holding
+    /// *this* chip's extracted seed is outside the trust model: the chain
+    /// is a pure function of the seed, so its reports verify.
     WrongSeed,
     /// Derive and claim a TCB version below the verifier's policy minimum
     /// (firmware-downgrade attack enabled by seed extraction).

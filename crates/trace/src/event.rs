@@ -203,6 +203,17 @@ pub enum Event {
     },
 }
 
+/// Appends `v` as canonical (shortest) unsigned LEB128: seven bits per
+/// byte, least-significant group first, the high bit set on every byte
+/// but the last. Values below 128 take one byte; `u64::MAX` takes ten.
+pub(crate) fn put_leb128(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 impl Event {
     /// Canonical tag byte, the first byte of the event encoding.
     pub fn tag(&self) -> u8 {
@@ -248,91 +259,89 @@ impl Event {
         }
     }
 
-    /// Appends the canonical encoding (tag byte, then each field
-    /// little-endian in declaration order) to `buf`. This byte layout is
-    /// the contract behind [`crate::Tracer::digest`]: changing it breaks
-    /// every pinned golden digest, intentionally.
+    /// Appends the canonical encoding to `buf`: the tag byte, then each
+    /// field in declaration order, a `u8` raw, a `bool` as one byte 0 or
+    /// 1, and every `u32`/`u64` as canonical (shortest) unsigned LEB128.
+    /// Each tag fixes its field list and LEB128 is self-delimiting, so a
+    /// concatenation of encodings parses one way only. This byte layout,
+    /// behind [`Record::encode_into`](crate::Record::encode_into), is the
+    /// contract of [`crate::Tracer::digest`]: changing it breaks every
+    /// pinned golden digest, intentionally. The record's `seq` is stored
+    /// but never hashed.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.push(self.tag());
         match *self {
             Event::RmpTransition { gfn, to_private } => {
-                buf.extend_from_slice(&gfn.to_le_bytes());
+                put_leb128(buf, gfn);
                 buf.push(to_private as u8);
             }
             Event::Pvalidate { vmpl, gfn, validate } => {
                 buf.push(vmpl);
-                buf.extend_from_slice(&gfn.to_le_bytes());
+                put_leb128(buf, gfn);
                 buf.push(validate as u8);
             }
             Event::RmpAdjust { executing, target, gfn, perms, executing_perms } => {
-                buf.push(executing);
-                buf.push(target);
-                buf.extend_from_slice(&gfn.to_le_bytes());
-                buf.push(perms);
-                buf.push(executing_perms);
+                buf.extend_from_slice(&[executing, target]);
+                put_leb128(buf, gfn);
+                buf.extend_from_slice(&[perms, executing_perms]);
             }
             Event::VmgExit { vcpu, vmpl, code, user_ghcb, automatic } => {
-                buf.extend_from_slice(&vcpu.to_le_bytes());
+                put_leb128(buf, vcpu.into());
                 buf.push(vmpl);
-                buf.extend_from_slice(&code.to_le_bytes());
-                buf.push(user_ghcb as u8);
-                buf.push(automatic as u8);
+                put_leb128(buf, code);
+                buf.extend_from_slice(&[user_ghcb as u8, automatic as u8]);
             }
             Event::VmEnter { vcpu, vmpl } => {
-                buf.extend_from_slice(&vcpu.to_le_bytes());
+                put_leb128(buf, vcpu.into());
                 buf.push(vmpl);
             }
             Event::DomainSwitch { vcpu, from, to, user_ghcb, automatic } => {
-                buf.extend_from_slice(&vcpu.to_le_bytes());
-                buf.push(from);
-                buf.push(to);
-                buf.push(user_ghcb as u8);
-                buf.push(automatic as u8);
+                put_leb128(buf, vcpu.into());
+                buf.extend_from_slice(&[from, to, user_ghcb as u8, automatic as u8]);
             }
             Event::NestedPageFault { gfn, vmpl } => {
-                buf.extend_from_slice(&gfn.to_le_bytes());
+                put_leb128(buf, gfn);
                 buf.push(vmpl);
             }
             Event::SyscallRedirect { vcpu, pid, sysno } => {
-                buf.extend_from_slice(&vcpu.to_le_bytes());
-                buf.extend_from_slice(&pid.to_le_bytes());
-                buf.extend_from_slice(&sysno.to_le_bytes());
+                put_leb128(buf, vcpu.into());
+                put_leb128(buf, pid.into());
+                put_leb128(buf, sysno.into());
             }
             Event::AuditAppend { pid, sysno } => {
-                buf.extend_from_slice(&pid.to_le_bytes());
-                buf.extend_from_slice(&sysno.to_le_bytes());
+                put_leb128(buf, pid.into());
+                put_leb128(buf, sysno.into());
             }
             Event::ChannelHandshake { step } => buf.push(step),
             Event::ModuleLoad { pages, protected, load } => {
-                buf.extend_from_slice(&pages.to_le_bytes());
-                buf.push(protected as u8);
-                buf.push(load as u8);
+                put_leb128(buf, pages.into());
+                buf.extend_from_slice(&[protected as u8, load as u8]);
             }
             Event::Doorbell { vcpu, target, depth } => {
-                buf.extend_from_slice(&vcpu.to_le_bytes());
+                put_leb128(buf, vcpu.into());
                 buf.push(target);
-                buf.extend_from_slice(&depth.to_le_bytes());
+                put_leb128(buf, depth.into());
             }
             Event::ReqDispatch { tenant, req, arrival, start } => {
-                buf.extend_from_slice(&tenant.to_le_bytes());
-                buf.extend_from_slice(&req.to_le_bytes());
-                buf.extend_from_slice(&arrival.to_le_bytes());
-                buf.extend_from_slice(&start.to_le_bytes());
+                put_leb128(buf, tenant);
+                put_leb128(buf, req);
+                put_leb128(buf, arrival);
+                put_leb128(buf, start);
             }
             Event::ReqComplete { tenant, req } => {
-                buf.extend_from_slice(&tenant.to_le_bytes());
-                buf.extend_from_slice(&req.to_le_bytes());
+                put_leb128(buf, tenant);
+                put_leb128(buf, req);
             }
             Event::RingEnqueue { vcpu, target, depth, tenant, req } => {
-                buf.extend_from_slice(&vcpu.to_le_bytes());
+                put_leb128(buf, vcpu.into());
                 buf.push(target);
-                buf.extend_from_slice(&depth.to_le_bytes());
-                buf.extend_from_slice(&tenant.to_le_bytes());
-                buf.extend_from_slice(&req.to_le_bytes());
+                put_leb128(buf, depth.into());
+                put_leb128(buf, tenant);
+                put_leb128(buf, req);
             }
             Event::DeferredError { vcpu, count } => {
-                buf.extend_from_slice(&vcpu.to_le_bytes());
-                buf.extend_from_slice(&count.to_le_bytes());
+                put_leb128(buf, vcpu.into());
+                put_leb128(buf, count.into());
             }
         }
     }
@@ -458,10 +467,65 @@ mod tests {
 
     #[test]
     fn encoding_starts_with_tag_and_is_field_order_stable() {
-        let ev = Event::DomainSwitch { vcpu: 7, from: 3, to: 0, user_ghcb: true, automatic: false };
-        let mut buf = Vec::new();
-        ev.encode_into(&mut buf);
-        assert_eq!(buf, vec![5, 7, 0, 0, 0, 3, 0, 1, 0]);
+        // One row per tag: the tag byte, then the fields in declaration
+        // order, u8/bool raw and u32/u64 as shortest LEB128. The values
+        // straddle the varint length steps (127 | 128, 16,383 | 16,384)
+        // and reach the widest encodings (u32::MAX, u64::MAX).
+        let max = [0xff; 9];
+        let rows: [(Event, Vec<u8>); 16] = [
+            (Event::RmpTransition { gfn: 300, to_private: true }, vec![0, 0xac, 0x02, 1]),
+            (Event::Pvalidate { vmpl: 0, gfn: 42, validate: true }, vec![1, 0, 42, 1]),
+            (
+                Event::RmpAdjust {
+                    executing: 0,
+                    target: 3,
+                    gfn: 128,
+                    perms: 3,
+                    executing_perms: 15,
+                },
+                vec![2, 0, 3, 0x80, 0x01, 3, 15],
+            ),
+            (
+                Event::VmgExit {
+                    vcpu: 1,
+                    vmpl: 3,
+                    code: exit_code::PAGE_STATE_CHANGE,
+                    user_ghcb: true,
+                    automatic: false,
+                },
+                vec![3, 1, 3, 0x90, 0x80, 0x80, 0x80, 0x08, 1, 0],
+            ),
+            (Event::VmEnter { vcpu: 0, vmpl: 3 }, vec![4, 0, 3]),
+            (
+                Event::DomainSwitch { vcpu: 7, from: 3, to: 0, user_ghcb: true, automatic: false },
+                vec![5, 7, 3, 0, 1, 0],
+            ),
+            (Event::NestedPageFault { gfn: 16_384, vmpl: 2 }, vec![6, 0x80, 0x80, 0x01, 2]),
+            (Event::SyscallRedirect { vcpu: 0, pid: 1, sysno: 231 }, vec![7, 0, 1, 0xe7, 0x01]),
+            (Event::AuditAppend { pid: 1, sysno: 18 }, vec![8, 1, 18]),
+            (Event::ChannelHandshake { step: 1 }, vec![9, 1]),
+            (Event::ModuleLoad { pages: 6, protected: true, load: false }, vec![10, 6, 1, 0]),
+            (Event::Doorbell { vcpu: 0, target: 1, depth: 5 }, vec![11, 0, 1, 5]),
+            (
+                Event::ReqDispatch { tenant: 3, req: 127, arrival: 16_383, start: u64::MAX },
+                [&[12, 3, 0x7f, 0xff, 0x7f][..], &max, &[0x01]].concat(),
+            ),
+            (Event::ReqComplete { tenant: 3, req: 127 }, vec![13, 3, 0x7f]),
+            (
+                Event::RingEnqueue { vcpu: 0, target: 1, depth: 2, tenant: 3, req: 128 },
+                vec![14, 0, 1, 2, 3, 0x80, 0x01],
+            ),
+            (
+                Event::DeferredError { vcpu: 0, count: u32::MAX },
+                vec![15, 0, 0xff, 0xff, 0xff, 0xff, 0x0f],
+            ),
+        ];
+        for (tag, (ev, expected)) in rows.iter().enumerate() {
+            assert_eq!(usize::from(ev.tag()), tag, "rows are in tag order");
+            let mut buf = Vec::new();
+            ev.encode_into(&mut buf);
+            assert_eq!(&buf, expected, "{} encoding", ev.name());
+        }
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!   primitive fields so every layer (snp, hv, core, os, sdk) can emit them
 //!   without dependency cycles.
 //! * [`Record`] — an event stamped with a monotonic sequence number and the
-//!   virtual-cycle timestamp of `veil_snp::cost` at emission time.
+//!   virtual-cycle timestamp of `veil_snp::cost` at emission time. The
+//!   digest hashes each record compactly ([`Record::encode_into`]): the
+//!   timestamp as a LEB128 delta from the previous record, then the tag
+//!   and LEB128-sized fields. `seq` is stored but not hashed, since the
+//!   record's position in the stream implies it.
 //! * [`Tracer`] — a ring-buffer recorder owned by the machine. Its
 //!   [`EventCounters`] fold runs *always* (so statistics like the
 //!   hypervisor's `HvStats` are a pure fold over the event stream and can

@@ -1,7 +1,7 @@
 //! The ring-buffer recorder, its always-on counter fold, and the running
 //! SHA-256 trace digest.
 
-use crate::event::{exit_code, Event};
+use crate::event::{exit_code, put_leb128, Event};
 use std::collections::VecDeque;
 use veil_crypto::sha256::Sha256;
 
@@ -14,6 +14,8 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     /// Position in the stream since tracing was (re-)enabled, starting at 0.
+    /// Stored for the ring's readers but not hashed: the position in the
+    /// digest's input already implies it.
     pub seq: u64,
     /// `CycleAccount::total()` of the owning machine when the event fired.
     pub cycles: u64,
@@ -22,12 +24,14 @@ pub struct Record {
 }
 
 impl Record {
-    /// Appends the canonical encoding (`seq` LE, `cycles` LE, then the
-    /// event encoding) to `buf`. The digest is SHA-256 over the
-    /// concatenation of these encodings in stream order.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.seq.to_le_bytes());
-        buf.extend_from_slice(&self.cycles.to_le_bytes());
+    /// Appends the canonical encoding to `buf`: `cycles − prev_cycles`
+    /// (wrapping) as canonical unsigned LEB128, then the
+    /// [`Event::encode_into`] bytes. `prev_cycles` is the previous
+    /// record's `cycles`, or 0 for the first record of a stream; `seq` is
+    /// not encoded. The digest is SHA-256 over the concatenation of these
+    /// encodings in stream order.
+    pub fn encode_into(&self, prev_cycles: u64, buf: &mut Vec<u8>) {
+        put_leb128(buf, self.cycles.wrapping_sub(prev_cycles));
         self.event.encode_into(buf);
     }
 }
@@ -230,10 +234,7 @@ impl Tracer {
     /// keeps the buffer for inspection. The counter fold is unaffected.
     pub fn set_enabled(&mut self, enabled: bool) {
         if enabled {
-            self.ring.clear();
-            self.seq = 0;
-            self.dropped = 0;
-            self.hasher = Sha256::new();
+            self.clear();
         }
         self.enabled = enabled;
     }
@@ -255,8 +256,11 @@ impl Tracer {
         }
         let record = Record { seq: self.seq, cycles, event };
         self.seq += 1;
+        // The ring always keeps the newest record (capacity >= 1), so its
+        // back is the previous record of this stream, if any.
+        let prev_cycles = self.ring.back().map_or(0, |r| r.cycles);
         self.scratch.clear();
-        record.encode_into(&mut self.scratch);
+        record.encode_into(prev_cycles, &mut self.scratch);
         self.hasher.update(&self.scratch);
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
@@ -311,9 +315,11 @@ impl Tracer {
         self.ring.iter().copied().collect()
     }
 
-    /// SHA-256 over the canonical encoding of every record since tracing
-    /// was enabled. Bit-stable for identical runs; `[0; 32]`-distinct from
-    /// the empty stream only once something was recorded.
+    /// SHA-256 over the [`Record::encode_into`] bytes of every record since
+    /// tracing was enabled, each timestamp delta-coded against the record
+    /// before it. `seq` is stored in the ring but not hashed. Bit-stable
+    /// for identical runs; distinct from the empty-stream digest only once
+    /// something was recorded.
     pub fn digest(&self) -> [u8; 32] {
         self.hasher.clone().finalize()
     }
@@ -345,14 +351,23 @@ mod tests {
     fn digest_matches_one_shot_encoding() {
         let mut t = Tracer::new();
         t.set_enabled(true);
-        t.record(5, sample(0));
-        t.record(9, Event::ChannelHandshake { step: 1 });
+        t.record(300, sample(0));
+        t.record(302, Event::ChannelHandshake { step: 1 });
         let mut bytes = Vec::new();
+        let mut prev = 0;
         for r in t.records() {
-            r.encode_into(&mut bytes);
+            r.encode_into(prev, &mut bytes);
+            prev = r.cycles;
         }
+        // The first delta is the absolute timestamp (300 = LEB128 ac 02),
+        // the second is relative to the first; no seq is in the bytes.
+        assert_eq!(bytes, [0xac, 0x02, 4, 0, 3, 2, 9, 1]);
         assert_eq!(t.digest(), Sha256::digest(&bytes));
         assert_eq!(t.digest_hex(), veil_crypto::sha256::hex(&t.digest()));
+        // Re-enabling restarts the delta base at 0 (302 = LEB128 ae 02).
+        t.set_enabled(true);
+        t.record(302, sample(0));
+        assert_eq!(t.digest(), Sha256::digest(&[0xae, 0x02, 4, 0, 3]));
     }
 
     #[test]

@@ -62,8 +62,8 @@ fn hostile(seed: &[u8; 32], measurement: [u8; 32], tamper: Tamper) -> ChainRepor
 // ---- tamper battery: one test per tamper point, exact errors ----------
 
 /// Wrong seed: the whole chain is internally consistent but rooted in
-/// material that is not this device's — caught at the *first* DICE
-/// stage, the VCEK certificate.
+/// another chip's seed — caught at the *first* DICE stage, the VCEK
+/// certificate.
 #[test]
 fn wrong_seed_is_named_as_vcek_derivation_mismatch() {
     let (seed, measurement, mut verifier) = fixture();
@@ -72,6 +72,26 @@ fn wrong_seed_is_named_as_vcek_derivation_mismatch() {
         verifier.verify(&report, &GOLDEN_NONCE),
         Err(VerifyError::DerivationMismatch { stage: DeriveStage::Vcek })
     );
+}
+
+/// The trust assumption behind the wrong-seed test: the chain is a pure
+/// function of the chip seed, so a forger holding *this* chip's
+/// extracted seed (the software extraction of "Insecure Despite Proven
+/// Updated") mints a report the verifier accepts. Only another chip's
+/// seed is caught. Seed secrecy is outside the verifier's trust model,
+/// and recovering from its loss is out of scope.
+#[test]
+fn assumes_seed_secrecy_so_this_chips_extracted_seed_is_accepted() {
+    let (seed, measurement, mut verifier) = fixture();
+    let forged = ChainReport::issue(
+        &seed,
+        TcbVersion(2),
+        measurement,
+        Vmpl::Vmpl0,
+        GOLDEN_NONCE,
+        GOLDEN_REPORT_DATA,
+    );
+    assert_eq!(verifier.verify(&forged, &GOLDEN_NONCE), Ok(()));
 }
 
 /// Stale TCB: a correctly derived chain for a rolled-back firmware

@@ -10,7 +10,7 @@ use veil_snp::perms::{Access, Cpl, Vmpl, VmplPerms};
 use veil_snp::pt::{AddressSpace, PteFlags};
 use veil_snp::rmp::PageState;
 use veil_testkit::prop::{
-    bools, bytes, check, one_of, tuple2, tuple3, tuple4, u64s, u8s, usizes, vecs, Strategy,
+    any_u8, bools, bytes, check, one_of, tuple2, tuple3, tuple4, u64s, u8s, usizes, vecs, Strategy,
 };
 use veil_testkit::{prop_assert, prop_assert_eq};
 
@@ -275,6 +275,65 @@ fn audit_record_decoder_never_panics() {
             prop_assert!(
                 b.len() < 40 || !Sysno::ALL.iter().any(|s| s.num().to_le_bytes() == b[16..24])
             );
+        }
+        Ok(())
+    });
+}
+
+/// `Idcb::read_message` parses the 16-byte `magic(4) seq(4) len(8)`
+/// header the sending domain wrote. Random headers, and valid ones with a
+/// magic byte flipped or the length at or past the page's capacity
+/// (capacity, capacity + 1, `u64::MAX`), must come back `Ok` exactly when
+/// the magic matches and the length fits, and as an `OsError` otherwise.
+#[test]
+fn idcb_header_decoder_never_panics() {
+    use veil_core::idcb::Idcb;
+    use veil_snp::mem::gpa_of;
+    const GFN: u64 = 3;
+    let machine = || {
+        let mut m = Machine::new(MachineConfig { frames: 8, ..Default::default() });
+        m.rmp_assign(GFN).unwrap();
+        m.pvalidate(Vmpl::Vmpl0, GFN, true).unwrap();
+        m.rmpadjust(Vmpl::Vmpl0, GFN, Vmpl::Vmpl3, VmplPerms::rw()).unwrap();
+        m
+    };
+    let idcb = Idcb::at(GFN);
+    let mut m = machine();
+    idcb.write_message(&mut m, Vmpl::Vmpl3, 9, b"pvalidate 0x50").unwrap();
+    let valid = m.read(Vmpl::Vmpl3, gpa_of(GFN), 16).unwrap();
+    let cap = Idcb::capacity() as u64;
+    let lengths = one_of(vec![
+        usizes(0..3).map(move |i| [cap, cap + 1, u64::MAX][i]),
+        u64s(0..cap + 2),
+        u64s(0..u64::MAX),
+    ]);
+    // (magic byte to flip, 4 = none; its XOR mask; seq; len)
+    let mutated = tuple4(usizes(0..5), any_u8(), u64s(0..1 << 32), lengths);
+    let magic = valid[..4].to_vec();
+    let headers = one_of(vec![
+        bytes(16..17),
+        mutated.map(move |(at, x, seq, len)| {
+            let mut h = magic.clone();
+            if at < 4 {
+                h[at] ^= x.max(1);
+            }
+            h.extend_from_slice(&(seq as u32).to_le_bytes());
+            h.extend_from_slice(&len.to_le_bytes());
+            h
+        }),
+    ]);
+    check("idcb_header_decoder", 512, &headers, |header| {
+        let mut m = machine();
+        prop_assert!(m.write(Vmpl::Vmpl3, gpa_of(GFN), &header).is_ok());
+        let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
+        let well_formed = header[..4] == valid[..4] && len <= cap;
+        match idcb.read_message(&m, Vmpl::Vmpl0) {
+            Ok((seq, payload)) => {
+                prop_assert!(well_formed, "accepted a corrupt header {header:02x?}");
+                prop_assert_eq!(seq.to_le_bytes()[..], header[4..8]);
+                prop_assert_eq!(payload.len() as u64, len);
+            }
+            Err(e) => prop_assert!(!well_formed, "refused a valid header {header:02x?}: {e}"),
         }
         Ok(())
     });

@@ -132,22 +132,24 @@ fn enclave_syscall_is_two_user_ghcb_crossings() {
 
 // ---- golden trace digests (§regression pins) ---------------------------
 //
-// Each pin is the SHA-256 trace digest (`veil-trace` canonical encoding:
-// sequence number, virtual-cycle timestamp, event tag + fields, all
-// little-endian) of one protocol flow. The digests are bit-stable for a
-// fixed build + configuration; any drift means the privileged-event
-// protocol changed. After an *intentional* change, regenerate with:
+// Each pin is the SHA-256 trace digest of one protocol flow, over the
+// `veil-trace` canonical encoding: per record, the virtual-cycle delta
+// from the previous record as LEB128, the event tag, then its fields with
+// every u32/u64 as LEB128. `seq` is stored but not hashed. The digests are
+// bit-stable for a fixed build + configuration; any drift means the
+// privileged-event protocol changed. After an *intentional* change,
+// regenerate with:
 //
 //   VEIL_REGEN_GOLDEN=1 cargo test -q --test protocol_trace -- --nocapture golden
 //
 // and paste the printed constants over the pins below.
 
-const GOLDEN_BOOT: &str = "e99a51b526701e8af9a201cb0dc773a819af29ea9872f857ca6a03795f0b7d08";
-const GOLDEN_HANDSHAKE: &str = "9c861cfd71bc21dcd288553bc5c4e51724ce2ff799aa10e29d6195a5fd8677ba";
+const GOLDEN_BOOT: &str = "358422f164e6a39bb1f874fec24d12e9f6104aa1b1a90f4473cf0dbf45175e55";
+const GOLDEN_HANDSHAKE: &str = "21035750610a9558e53b57664fd1caddcd990261d724e1b8d9defd69563b9e69";
 const GOLDEN_DOMAIN_SWITCH: &str =
-    "3fe0db8b33960c54f25778a0c6cdf2957912be5a2ff01625ccbd55eea641cb71";
+    "26fa5ef31990643d69b25d1db50d92b08712437dd78f288d433ce325c53dc865";
 const GOLDEN_SYSCALL_REDIRECT: &str =
-    "c53f3c76f67778a0ca949f236b31ea3c4e5b8dbe54c840e83bfc7833352fd60d";
+    "a40ec3974557eece0c9d120376547152b29f1c2bd91b9397851bde44c22aa3e7";
 
 fn assert_golden(name: &str, pinned: &str, actual: &str) {
     if std::env::var_os("VEIL_REGEN_GOLDEN").is_some() {

@@ -9,13 +9,16 @@
 //! * folding the event stream reproduces the live counters and the
 //!   hypervisor's `HvStats` exactly (zero drift);
 //! * per-domain cycle attribution sums to the machine total;
-//! * disabling tracing records nothing and changes no behavior.
+//! * disabling tracing records nothing and changes no behavior;
+//! * the digest's record encoding round-trips through a reference
+//!   decoder and is injective, so no two streams share a digest input.
 
 use veil::prelude::*;
-use veil::trace::{invariants, Event, EventCounters};
+use veil::trace::{invariants, Event, EventCounters, Record, Tracer};
+use veil_crypto::sha256::Sha256;
 use veil_os::audit::{paper_ruleset, AuditMode};
 use veil_sdk::{install_enclave, EnclaveBinary, EnclaveRuntime, EnclaveSys};
-use veil_testkit::{prop, prop_assert, prop_assert_eq};
+use veil_testkit::{prop, prop_assert, prop_assert_eq, Strategy, TestRng};
 use veil_workloads::driver::VeilUnshieldedDriver;
 use veil_workloads::http::HttpWorkload;
 use veil_workloads::kvstore::UnqliteWorkload;
@@ -245,6 +248,294 @@ fn random_workload_schedules_satisfy_invariants() {
         prop_assert_eq!(EventCounters::from_records(&records), *cvm.hv.machine.tracer().counters());
         let total: u64 = cvm.domain_cycles().iter().sum();
         prop_assert_eq!(total, cvm.hv.machine.cycles().total());
+        Ok(())
+    });
+}
+
+// ---- the digest encoding: round trip, hostile bytes, injectivity -------
+//
+// A reference decoder for the bytes `Tracer::digest` hashes, kept here
+// because nothing in the library reads them back. Per record:
+// `LEB128(cycles - prev_cycles) || tag || fields`, a `u8` raw, a `bool`
+// one byte 0 or 1, every `u32`/`u64` canonical unsigned LEB128.
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DecodeError {
+    Truncated,
+    UnknownTag(u8),
+    /// A varint with a redundant zero final group.
+    NonCanonicalVarint,
+    /// A varint past ten bytes, or carrying more than 64 bits.
+    OverlongVarint,
+    U32Overflow(u64),
+    BadBool(u8),
+}
+
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Reader<'_> {
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        let b = *self.bytes.get(self.pos).ok_or(DecodeError::Truncated)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    fn bool(&mut self) -> Result<bool, DecodeError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(DecodeError::BadBool(b)),
+        }
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(DecodeError::OverlongVarint);
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return if b == 0 && shift > 0 {
+                    Err(DecodeError::NonCanonicalVarint)
+                } else {
+                    Ok(v)
+                };
+            }
+        }
+        Err(DecodeError::OverlongVarint)
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        let v = self.u64()?;
+        u32::try_from(v).map_err(|_| DecodeError::U32Overflow(v))
+    }
+}
+
+/// Decodes a digest input back into `(cycles, event)` pairs. Struct
+/// fields evaluate in source order, which is declaration order here.
+fn decode(bytes: &[u8]) -> Result<Vec<(u64, Event)>, DecodeError> {
+    let mut r = Reader { bytes, pos: 0 };
+    let mut cycles = 0u64;
+    let mut stream = Vec::new();
+    while r.pos < bytes.len() {
+        cycles = cycles.wrapping_add(r.u64()?);
+        let event = match r.u8()? {
+            0 => Event::RmpTransition { gfn: r.u64()?, to_private: r.bool()? },
+            1 => Event::Pvalidate { vmpl: r.u8()?, gfn: r.u64()?, validate: r.bool()? },
+            2 => Event::RmpAdjust {
+                executing: r.u8()?,
+                target: r.u8()?,
+                gfn: r.u64()?,
+                perms: r.u8()?,
+                executing_perms: r.u8()?,
+            },
+            3 => Event::VmgExit {
+                vcpu: r.u32()?,
+                vmpl: r.u8()?,
+                code: r.u64()?,
+                user_ghcb: r.bool()?,
+                automatic: r.bool()?,
+            },
+            4 => Event::VmEnter { vcpu: r.u32()?, vmpl: r.u8()? },
+            5 => Event::DomainSwitch {
+                vcpu: r.u32()?,
+                from: r.u8()?,
+                to: r.u8()?,
+                user_ghcb: r.bool()?,
+                automatic: r.bool()?,
+            },
+            6 => Event::NestedPageFault { gfn: r.u64()?, vmpl: r.u8()? },
+            7 => Event::SyscallRedirect { vcpu: r.u32()?, pid: r.u32()?, sysno: r.u32()? },
+            8 => Event::AuditAppend { pid: r.u32()?, sysno: r.u32()? },
+            9 => Event::ChannelHandshake { step: r.u8()? },
+            10 => Event::ModuleLoad { pages: r.u32()?, protected: r.bool()?, load: r.bool()? },
+            11 => Event::Doorbell { vcpu: r.u32()?, target: r.u8()?, depth: r.u32()? },
+            12 => Event::ReqDispatch {
+                tenant: r.u64()?,
+                req: r.u64()?,
+                arrival: r.u64()?,
+                start: r.u64()?,
+            },
+            13 => Event::ReqComplete { tenant: r.u64()?, req: r.u64()? },
+            14 => Event::RingEnqueue {
+                vcpu: r.u32()?,
+                target: r.u8()?,
+                depth: r.u32()?,
+                tenant: r.u64()?,
+                req: r.u64()?,
+            },
+            15 => Event::DeferredError { vcpu: r.u32()?, count: r.u32()? },
+            tag => return Err(DecodeError::UnknownTag(tag)),
+        };
+        stream.push((cycles, event));
+    }
+    Ok(stream)
+}
+
+/// The library encoding of a stream; `seq` varies but must not show.
+fn encode(stream: &[(u64, Event)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut prev = 0;
+    for (seq, &(cycles, event)) in stream.iter().enumerate() {
+        Record { seq: seq as u64 * 3 + 1, cycles, event }.encode_into(prev, &mut bytes);
+        prev = cycles;
+    }
+    bytes
+}
+
+/// An integer field: a LEB128 length boundary, a width extreme, or a
+/// random value of random bit width.
+fn wide(rng: &mut TestRng) -> u64 {
+    const EDGES: [u64; 9] = [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, 1 << 63, u64::MAX];
+    match rng.below(EDGES.len() as u64 + 1) as usize {
+        i if i < EDGES.len() => EDGES[i],
+        _ => rng.next_u64() >> rng.below(64),
+    }
+}
+
+/// A `u32` field, drawn like [`wide`] and saturated.
+fn narrow(rng: &mut TestRng) -> u32 {
+    u32::try_from(wide(rng)).unwrap_or(u32::MAX)
+}
+
+fn byte(rng: &mut TestRng) -> u8 {
+    rng.next_u64() as u8
+}
+
+fn any_event(rng: &mut TestRng) -> Event {
+    match rng.below(16) {
+        0 => Event::RmpTransition { gfn: wide(rng), to_private: rng.gen_bool() },
+        1 => Event::Pvalidate { vmpl: byte(rng), gfn: wide(rng), validate: rng.gen_bool() },
+        2 => Event::RmpAdjust {
+            executing: byte(rng),
+            target: byte(rng),
+            gfn: wide(rng),
+            perms: byte(rng),
+            executing_perms: byte(rng),
+        },
+        3 => Event::VmgExit {
+            vcpu: narrow(rng),
+            vmpl: byte(rng),
+            code: wide(rng),
+            user_ghcb: rng.gen_bool(),
+            automatic: rng.gen_bool(),
+        },
+        4 => Event::VmEnter { vcpu: narrow(rng), vmpl: byte(rng) },
+        5 => Event::DomainSwitch {
+            vcpu: narrow(rng),
+            from: byte(rng),
+            to: byte(rng),
+            user_ghcb: rng.gen_bool(),
+            automatic: rng.gen_bool(),
+        },
+        6 => Event::NestedPageFault { gfn: wide(rng), vmpl: byte(rng) },
+        7 => Event::SyscallRedirect { vcpu: narrow(rng), pid: narrow(rng), sysno: narrow(rng) },
+        8 => Event::AuditAppend { pid: narrow(rng), sysno: narrow(rng) },
+        9 => Event::ChannelHandshake { step: byte(rng) },
+        10 => Event::ModuleLoad {
+            pages: narrow(rng),
+            protected: rng.gen_bool(),
+            load: rng.gen_bool(),
+        },
+        11 => Event::Doorbell { vcpu: narrow(rng), target: byte(rng), depth: narrow(rng) },
+        12 => Event::ReqDispatch {
+            tenant: wide(rng),
+            req: wide(rng),
+            arrival: wide(rng),
+            start: wide(rng),
+        },
+        13 => Event::ReqComplete { tenant: wide(rng), req: wide(rng) },
+        14 => Event::RingEnqueue {
+            vcpu: narrow(rng),
+            target: byte(rng),
+            depth: narrow(rng),
+            tenant: wide(rng),
+            req: wide(rng),
+        },
+        _ => Event::DeferredError { vcpu: narrow(rng), count: narrow(rng) },
+    }
+}
+
+/// Random event streams over all 16 tags, as `(cycle step, event)`
+/// pairs so that shrinking can drop records. Timestamps mostly rise by
+/// steps of varied magnitude; about one record in eight jumps to a
+/// random time, which is earlier than its predecessor half the time.
+fn streams() -> Strategy<Vec<(u64, Event)>> {
+    let step = Strategy::from_fn(|rng: &mut TestRng| match rng.below(8) {
+        0 => rng.next_u64(),
+        _ => {
+            let bits = rng.below(40);
+            rng.below(1 << bits)
+        }
+    });
+    prop::tuple2(step, Strategy::from_fn(any_event)).vec_of(0..48)
+}
+
+/// Turns `(cycle step, event)` pairs into `(cycles, event)` records.
+fn timestamped(steps: &[(u64, Event)]) -> Vec<(u64, Event)> {
+    let mut cycles = 0u64;
+    steps
+        .iter()
+        .map(|&(step, event)| {
+            cycles = cycles.wrapping_add(step);
+            (cycles, event)
+        })
+        .collect()
+}
+
+#[test]
+fn trace_encoding_round_trips_and_is_what_the_digest_hashes() {
+    prop::check("trace_encoding_round_trip", 256, &streams(), |steps| {
+        let stream = timestamped(&steps);
+        let bytes = encode(&stream);
+        prop_assert_eq!(decode(&bytes), Ok(stream.clone()));
+        let expected = Sha256::digest(&bytes);
+        // A ring that holds the whole stream, and one that wraps: the
+        // digest covers every record either way.
+        for capacity in [stream.len().max(1), 2] {
+            let mut tracer = Tracer::with_capacity(capacity);
+            tracer.set_enabled(true);
+            for &(cycles, event) in &stream {
+                tracer.record(cycles, event);
+            }
+            prop_assert_eq!(tracer.digest(), expected);
+        }
+        Ok(())
+    });
+}
+
+/// Random bytes, truncations and single-byte mutations of valid
+/// encodings never panic the decoder, and whatever it accepts re-encodes
+/// to the same bytes. With the round trip above, decode is a left
+/// inverse of encode on every stream and encode is a right inverse on
+/// every accepted input: the encoding is injective, so two different
+/// streams never share a digest input.
+#[test]
+fn hostile_trace_bytes_are_refused_or_reencode_exactly() {
+    let valid = || streams().map(|steps| encode(&timestamped(&steps)));
+    let hostile = prop::one_of(vec![
+        prop::bytes(0..64),
+        prop::tuple2(valid(), prop::u64s(0..u64::MAX)).map(|(mut b, at)| {
+            b.truncate((at % (b.len() as u64 + 1)) as usize);
+            b
+        }),
+        prop::tuple3(valid(), prop::u64s(0..u64::MAX), prop::any_u8()).map(|(mut b, at, x)| {
+            if !b.is_empty() {
+                let i = (at % b.len() as u64) as usize;
+                b[i] ^= x.max(1);
+            }
+            b
+        }),
+    ]);
+    prop::check("hostile_trace_bytes", 512, &hostile, |bytes| {
+        if let Ok(stream) = decode(&bytes) {
+            prop_assert_eq!(encode(&stream), bytes);
+        }
         Ok(())
     });
 }
