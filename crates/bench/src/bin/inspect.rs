@@ -17,11 +17,11 @@
 //! stacks (`vmplN;parent;child self_cycles` per line), ready for
 //! `flamegraph.pl` or any folded-stack consumer.
 //!
-//! `inspect veiltop [--tenants N] [--shards N] [--requests N]
-//! [--seed N]` runs a small fleet and renders the `veiltop` console:
-//! per-shard rows cross-checked against veilstat gate-service
-//! snapshots, fleet-wide critical-path attribution, and the top-K SLO
-//! offender table.
+//! `inspect veiltop [--tenants N] [--shards N] [--workers N]
+//! [--requests N] [--interarrival CYCLES] [--seed N]` runs a small fleet
+//! and renders the `veiltop` console: per-shard rows read from veilstat
+//! gate-service snapshots, fleet-wide critical-path attribution, and the
+//! top-K SLO offender table.
 
 use veil_crypto::DhKeyPair;
 use veil_os::sys::{OpenFlags, Sys};

@@ -4,8 +4,7 @@
 //! N fully independent shards — each a complete Veil CVM with its own
 //! RMP, page tables, trace stream, and metrics registry — serve
 //! thousands of simulated tenants, multiplexed by a deterministic
-//! virtual-time event loop and executed by a work-stealing scheduler
-//! over real OS worker threads.
+//! virtual-time event loop and executed on scoped OS worker threads.
 //!
 //! The load is open-loop: tenants emit Poisson-style arrival streams
 //! from seeded DRBGs, independent of service speed, so overload behaves
@@ -21,14 +20,13 @@
 //!
 //! Module map:
 //!
-//! * [`sched`] — the work-stealing scheduler (per-worker deques, seeded
-//!   steal order, results in submission order);
 //! * [`shard`] — one shard's virtual-time event loop and
 //!   [`shard::ShardReport`];
-//! * [`report`] — fleet execution and the order-fixed merge, including
+//! * [`report`] — fleet execution (worker threads claiming shard ids
+//!   from a shared counter) and the order-fixed merge, including
 //!   critical-path attribution and the above-p99 tail breakdown;
-//! * [`slo`] — per-tenant SLO ledgers: bounded latency sketches,
-//!   burn-rate counters, deterministic top-K offenders;
+//! * [`slo`] — per-tenant SLO ledgers: breach and burn-rate counters,
+//!   deterministic top-K offenders;
 //! * [`top`] — the `veiltop` console renderer over veilstat
 //!   gate-service snapshots.
 
@@ -36,13 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod report;
-pub mod sched;
 pub mod shard;
 pub mod slo;
 pub mod top;
 
 pub use report::{run_fleet, FleetReport, TailAttribution};
-pub use sched::{run_tasks, run_tasks_with_stats, SchedStats};
 pub use shard::{run_shard, ShardReport};
 pub use slo::{Offender, SloReport, TenantSlo};
 pub use veil_snp::trace::{Attribution, Component, ReqPath};
@@ -52,13 +48,14 @@ pub use veil_workloads::tenant::TenantKind;
 /// produce bit-identical [`FleetReport`] digests on the same build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
-    /// Master seed: arrival streams and steal order derive from it.
+    /// Master seed: every tenant's arrival stream derives from it.
     pub seed: u64,
     /// Simulated tenants across the whole fleet.
     pub tenants: u32,
     /// Independent CVM shards; tenant `t` lives on shard `t % shards`.
     pub shards: u32,
-    /// OS worker threads executing shards (clamped to at least 1).
+    /// OS worker threads executing shards, clamped to `1..=shards`.
+    /// Decides only wall-clock time: results are identical at any value.
     pub workers: usize,
     /// Requests each tenant issues.
     pub requests_per_tenant: u32,
@@ -89,8 +86,8 @@ impl Default for FleetConfig {
     }
 }
 
-// The scheduler moves configs into worker closures by reference; the
-// whole config must cross thread boundaries.
+// Every worker thread reads the config by reference; the whole config
+// must cross thread boundaries.
 const _: () = {
     const fn assert_send<T: Send + Sync>() {}
     assert_send::<FleetConfig>();

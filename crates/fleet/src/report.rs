@@ -1,16 +1,18 @@
 //! Fleet execution and deterministic merging of shard reports.
 //!
-//! [`run_fleet`] fans the shards out over the work-stealing scheduler
-//! and folds the per-shard reports into one [`FleetReport`]. The merge
-//! is order-fixed (shard 0, 1, 2, ...) regardless of which worker
-//! finished which shard when, so the merged latency histogram, the
-//! totals, and above all [`FleetReport::merged_digest_hex`] are
-//! bit-identical at any worker count — that digest is the fleet's
-//! determinism witness, pinned by `tests/fleet_determinism.rs`.
+//! [`run_fleet`] runs the shards on scoped worker threads, each pulling
+//! the next shard id from one shared counter, and folds the per-shard
+//! reports into one [`FleetReport`]. The merge is order-fixed (shard 0,
+//! 1, 2, ...) regardless of which worker finished which shard when, so
+//! the merged latency histogram, the totals, and above all
+//! [`FleetReport::merged_digest_hex`] are bit-identical at any worker
+//! count — that digest is the fleet's determinism witness, pinned by
+//! `tests/fleet_determinism.rs`.
 
 use crate::shard::{run_shard, ShardReport};
 use crate::slo::SloReport;
-use crate::{sched, FleetConfig};
+use crate::FleetConfig;
+use std::sync::atomic::{AtomicU32, Ordering};
 use veil_crypto::sha256::{hex, Sha256};
 use veil_metrics::Histogram;
 use veil_snp::cost::CLOCK_HZ;
@@ -33,9 +35,6 @@ pub struct FleetReport {
     /// Slowest shard's virtual completion time: the fleet finishes when
     /// its last shard does (shards run concurrently in virtual time).
     pub makespan_cycles: u64,
-    /// Scheduler steal count (diagnostic only; excluded from the digest
-    /// because it legitimately varies with worker count and seed).
-    pub steals: u64,
     /// Fleet-wide critical-path attribution over every request.
     pub attribution: Attribution,
     /// Fleet-wide per-tenant SLO ledgers (merged in shard order).
@@ -62,12 +61,6 @@ pub struct TailAttribution {
 }
 
 impl TailAttribution {
-    /// Tail requests whose critical path `component` dominates.
-    pub fn dominated_by(&self, component: Component) -> u64 {
-        let idx = Component::ALL.iter().position(|&c| c == component).expect("component");
-        self.dominant[idx]
-    }
-
     /// The component dominating the most tail requests (ties break in
     /// [`Component::ALL`] order).
     pub fn dominant_component(&self) -> Component {
@@ -86,49 +79,44 @@ impl FleetReport {
     pub fn aggregate_ops_per_sec(&self) -> f64 {
         self.total_ops as f64 * CLOCK_HZ as f64 / self.makespan_cycles.max(1) as f64
     }
-
-    /// Tenants fully served per virtual second.
-    pub fn tenants_per_sec(&self) -> f64 {
-        f64::from(self.total_tenants) * CLOCK_HZ as f64 / self.makespan_cycles.max(1) as f64
-    }
-
-    /// The critical-path attribution as folded-stack lines (`flamegraph
-    /// --fromfile` format: `frame;frame value`). Two stacks per
-    /// component: one over all requests, one over the above-p99 tail.
-    pub fn flame_folded(&self, root: &str) -> String {
-        let mut out = String::new();
-        for c in Component::ALL {
-            out.push_str(&format!("{root};all;{} {}\n", c.label(), self.attribution.component(c)));
-        }
-        for c in Component::ALL {
-            out.push_str(&format!(
-                "{root};tail_p99;{} {}\n",
-                c.label(),
-                self.tail.attribution.component(c)
-            ));
-        }
-        out
-    }
 }
 
-/// Runs every shard of `cfg` across `cfg.workers` OS threads and merges
-/// the reports.
+/// Runs every shard of `cfg` on `cfg.workers` scoped OS threads
+/// (clamped to `1..=shards`) and merges the reports. Each worker takes
+/// the next unclaimed shard id until none is left; the reports are then
+/// put back in shard order, so the thread count decides only when a
+/// shard runs, never what it computes.
 ///
 /// # Panics
 ///
 /// If any shard fails (boot or syscall error) — see
 /// [`crate::shard::run_shard`].
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    let shards: Vec<u32> = (0..cfg.shards).collect();
-    let (reports, stats) =
-        sched::run_tasks_with_stats(shards, cfg.workers, cfg.seed, |_, shard| {
-            run_shard(cfg, shard)
-        });
-    merge(reports, stats.steals)
+    let workers = cfg.workers.clamp(1, (cfg.shards as usize).max(1));
+    let next = AtomicU32::new(0);
+    let mut reports: Vec<ShardReport> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let shard = next.fetch_add(1, Ordering::Relaxed);
+                        if shard >= cfg.shards {
+                            return out;
+                        }
+                        out.push(run_shard(cfg, shard));
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("shard worker panicked")).collect()
+    });
+    reports.sort_unstable_by_key(|r| r.shard);
+    merge(reports)
 }
 
 /// Folds shard reports (already in shard order) into a [`FleetReport`].
-fn merge(reports: Vec<ShardReport>, steals: u64) -> FleetReport {
+fn merge(reports: Vec<ShardReport>) -> FleetReport {
     let mut latency = Histogram::new();
     let mut digest = Sha256::new();
     let mut total_ops = 0u64;
@@ -155,7 +143,6 @@ fn merge(reports: Vec<ShardReport>, steals: u64) -> FleetReport {
         total_ops,
         total_tenants,
         makespan_cycles,
-        steals,
         attribution,
         slo,
         tail,
@@ -220,7 +207,6 @@ mod tests {
         assert_eq!(r.total_ops, 8 * 4);
         assert_eq!(r.latency.count(), r.total_ops);
         assert!(r.aggregate_ops_per_sec() > 0.0);
-        assert!(r.tenants_per_sec() > 0.0);
     }
 
     #[test]

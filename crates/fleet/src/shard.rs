@@ -4,8 +4,8 @@
 //! A shard owns everything: its own RMP, page tables, trace stream, and
 //! metrics registry. Nothing is shared with other shards, so
 //! shards can execute on any worker thread in any order and still
-//! produce bit-identical results — the scheduler decides *when* a shard
-//! runs, never *what* it computes.
+//! produce bit-identical results — [`crate::run_fleet`]'s worker threads
+//! decide *when* a shard runs, never *what* it computes.
 //!
 //! # Virtual time
 //!
@@ -46,8 +46,6 @@ pub struct ShardReport {
     pub tenants: u32,
     /// Requests completed.
     pub ops: u64,
-    /// Payload bytes moved by those requests.
-    pub bytes: u64,
     /// FNV-1a over per-tenant checksums in tenant order.
     pub checksum: u64,
     /// Model cycles spent inside requests (excludes session setup).
@@ -75,7 +73,7 @@ pub struct ShardReport {
     pub paths: Vec<ReqPath>,
     /// Per-component cycle totals over [`ShardReport::paths`].
     pub attribution: Attribution,
-    /// Per-tenant SLO ledgers (sketches, breaches, top-K source).
+    /// Per-tenant SLO ledgers (breaches, worst case, top-K source).
     pub slo: SloReport,
     /// `ReqComplete` records the causal fold could not match to an open
     /// dispatch window (must stay 0; nonzero means lost propagation).
@@ -85,7 +83,7 @@ pub struct ShardReport {
     pub stat_snapshot: String,
 }
 
-// Reports flow back across the scheduler's thread boundary.
+// Reports flow back from the worker thread that ran the shard.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ShardReport>();
@@ -224,13 +222,11 @@ pub fn run_shard(cfg: &FleetConfig, shard: u32) -> ShardReport {
     // Teardown: close every session, then drain the gate ring so the
     // trace and the LOG store are complete before digesting.
     let mut checksum = 0u64;
-    let mut bytes = 0u64;
     for &tenant in &locals {
         let mut sys = cvm.sys(pid);
         let session = sessions.get_mut(&tenant).expect("session");
         session.close(&mut sys).expect("session close");
         checksum = fnv1a(checksum, &session.checksum.to_le_bytes());
-        bytes += session.bytes;
     }
     cvm.flush_gate().expect("flush");
     for r in cvm.hv.machine.tracer().records_since(folded_seq) {
@@ -249,7 +245,6 @@ pub fn run_shard(cfg: &FleetConfig, shard: u32) -> ShardReport {
         shard,
         tenants: locals.len() as u32,
         ops,
-        bytes,
         checksum,
         service_cycles,
         makespan_cycles: vclock,

@@ -1,11 +1,10 @@
-//! Per-tenant SLO accounting: bounded latency sketches, burn-rate
-//! counters, and a deterministic top-K offender tracker.
+//! Per-tenant SLO accounting: burn-rate counters and a deterministic
+//! top-K offender tracker.
 //!
 //! Every completed request folds its end-to-end latency into its
-//! tenant's [`TenantSlo`]: a fixed-size [`Histogram`] sketch (129
-//! buckets regardless of request count — the sketch is *bounded*), a
-//! breach counter against the workload's [`TenantKind::slo_cycles`]
-//! threshold, and running totals. The per-shard [`SloReport`]s merge
+//! tenant's [`TenantSlo`]: a request count, a breach counter against the
+//! workload's [`TenantKind::slo_cycles`] threshold, and the worst
+//! latency seen. The per-shard [`SloReport`]s merge
 //! commutatively (`BTreeMap` keyed by tenant id), so the fleet-wide
 //! report is bit-identical at any worker count — the same property the
 //! trace digests pin.
@@ -19,13 +18,12 @@
 //! [`TenantKind::slo_cycles`]: veil_workloads::tenant::TenantKind::slo_cycles
 
 use std::collections::BTreeMap;
-use veil_metrics::Histogram;
 
 /// Fraction of requests the SLO allows over threshold (99% target).
 pub const ERROR_BUDGET: f64 = 0.01;
 
-/// One tenant's SLO ledger: a bounded sketch plus breach counters.
-#[derive(Debug, Clone)]
+/// One tenant's SLO ledger: request, breach and worst-case counters.
+#[derive(Debug, Clone, Default)]
 pub struct TenantSlo {
     /// Requests observed.
     pub requests: u64,
@@ -33,39 +31,21 @@ pub struct TenantSlo {
     pub breaches: u64,
     /// Worst end-to-end latency seen, in cycles.
     pub worst_cycles: u64,
-    /// Sum of end-to-end latencies (mean = total / requests).
-    pub total_cycles: u128,
-    /// Fixed-size latency sketch (129 buckets, bounded by construction).
-    pub sketch: Histogram,
 }
 
 impl TenantSlo {
-    fn new() -> Self {
-        TenantSlo {
-            requests: 0,
-            breaches: 0,
-            worst_cycles: 0,
-            total_cycles: 0,
-            sketch: Histogram::new(),
-        }
-    }
-
     fn observe(&mut self, latency: u64, slo_cycles: u64) {
         self.requests += 1;
         if latency > slo_cycles {
             self.breaches += 1;
         }
         self.worst_cycles = self.worst_cycles.max(latency);
-        self.total_cycles += u128::from(latency);
-        self.sketch.record(latency);
     }
 
     fn merge(&mut self, other: &TenantSlo) {
         self.requests += other.requests;
         self.breaches += other.breaches;
         self.worst_cycles = self.worst_cycles.max(other.worst_cycles);
-        self.total_cycles += other.total_cycles;
-        self.sketch.merge(&other.sketch);
     }
 }
 
@@ -99,7 +79,7 @@ impl SloReport {
 
     /// Folds one completed request in.
     pub fn observe(&mut self, tenant: u64, latency: u64) {
-        self.tenants.entry(tenant).or_insert_with(TenantSlo::new).observe(latency, self.slo_cycles);
+        self.tenants.entry(tenant).or_default().observe(latency, self.slo_cycles);
     }
 
     /// Merges another report in (commutative; thresholds must match —
@@ -107,7 +87,7 @@ impl SloReport {
     pub fn merge(&mut self, other: &SloReport) {
         debug_assert_eq!(self.slo_cycles, other.slo_cycles, "merging mismatched SLOs");
         for (&tenant, slo) in &other.tenants {
-            self.tenants.entry(tenant).or_insert_with(TenantSlo::new).merge(slo);
+            self.tenants.entry(tenant).or_default().merge(slo);
         }
     }
 
@@ -172,7 +152,6 @@ mod tests {
         assert_eq!(r.breaches(), 2);
         let t7 = &r.tenants[&7];
         assert_eq!((t7.requests, t7.breaches, t7.worst_cycles), (3, 1, 101));
-        assert_eq!(t7.sketch.count(), 3);
     }
 
     #[test]

@@ -314,9 +314,10 @@ mod tests {
     #[test]
     fn interp_separates_tail_percentiles_on_skewed_distribution() {
         // 1960 fast requests plus a 40-sample tail that all lands in one
-        // √2-wide bucket — the BENCH_FLEET degenerate case: nearest-rank
-        // quantization collapses p99 and p999 onto the bucket lower
-        // bound, while interpolation keeps them distinct and ordered.
+        // √2-wide bucket — the overloaded-fleet degenerate case:
+        // nearest-rank quantization collapses p99 and p999 onto the
+        // bucket lower bound, while interpolation keeps them distinct
+        // and ordered.
         let mut h = Histogram::new();
         for _ in 0..1960 {
             h.record(1000);

@@ -1,6 +1,5 @@
 //! Table, number, and JSON formatting shared by the `reproduce`/`inspect`
-//! binaries and the JSON writers of `fleet`, `trend`, `fuzz` and
-//! `modelcheck`.
+//! binaries and the JSON writers of `fuzz` and `modelcheck`.
 
 /// Formats a fraction as a signed percentage.
 pub fn pct(f: f64) -> String {

@@ -7,7 +7,7 @@
 //!
 //! * [`rng::TestRng`] — a seedable PRNG facade over the repo's own
 //!   ChaCha20 DRBG (`veil_crypto::drbg`), with the `gen_range` /
-//!   `shuffle` / `fill_bytes` surface tests previously pulled from the
+//!   `choose` / `fill_bytes` surface tests previously pulled from the
 //!   `rand` crate;
 //! * [`prop`] — a minimal property-testing engine (generators,
 //!   configurable case counts, greedy shrinking) whose failures print a
@@ -15,8 +15,8 @@
 //! * [`golden`] — golden-file comparison with a `VEIL_REGEN_GOLDEN=1`
 //!   regeneration flow;
 //! * [`fmt`] — table, number and JSON formatting shared by the
-//!   `reproduce`/`inspect` binaries and the JSON writers of `fleet`,
-//!   `trend`, `fuzz` and `modelcheck`;
+//!   `reproduce`/`inspect` binaries and the JSON writers of `fuzz` and
+//!   `modelcheck`;
 //! * [`trace`] — table/JSON rendering of `veil-trace` event streams for
 //!   the `inspect trace` mode.
 

@@ -68,14 +68,6 @@ impl TestRng {
         T::from_i128(lo + v as i128)
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// A uniformly chosen element, or `None` on an empty slice.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
         if xs.is_empty() {
@@ -168,17 +160,6 @@ mod tests {
             }
         }
         assert!(high && low);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = TestRng::from_seed(3);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, sorted, "50 elements virtually never shuffle to identity");
     }
 
     #[test]

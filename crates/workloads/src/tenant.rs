@@ -20,7 +20,7 @@
 //! clocks, no host randomness. Given the same syscall surface, two runs
 //! of the same tenant produce the same checksum and the same audited
 //! syscall stream — which is what lets the fleet assert byte-identical
-//! trace digests across scheduler worker counts.
+//! trace digests across worker counts.
 
 use crate::fnv1a;
 use veil_os::error::Errno;
@@ -48,11 +48,6 @@ impl TenantKind {
             TenantKind::Kvstore => "kvstore",
             TenantKind::Memcached => "memcached",
         }
-    }
-
-    /// Parses a [`TenantKind::label`] back (CLI argument parsing).
-    pub fn parse(s: &str) -> Option<TenantKind> {
-        Self::ALL.into_iter().find(|k| k.label() == s)
     }
 
     /// Base service compute per request, calibrated against the per-op
@@ -213,14 +208,6 @@ mod tests {
             let c = native_run(kind, 8, 20);
             assert_ne!(a.0, c.0, "{}: different tenants must diverge", kind.label());
         }
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        for kind in TenantKind::ALL {
-            assert_eq!(TenantKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(TenantKind::parse("nope"), None);
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! Fleet determinism: scheduling must never leak into results.
+//! Fleet determinism: the worker count must never leak into results.
 //!
-//! The fleet's contract (ISSUE 8) is that a given seed produces a
-//! bit-identical merged trace/metrics digest at **any** worker count:
-//! worker threads and steal order decide only *when* a shard executes,
-//! never *what* it computes. These tests pin that contract from the
-//! outside — through `veil-fleet`'s public API, the way the bench binary
-//! uses it — plus a pure scheduler property test that hammers the
-//! work-stealing layer with shuffled steal orders.
+//! A given seed produces a bit-identical merged trace/metrics digest at
+//! **any** worker count: `run_fleet`'s worker threads decide only *when*
+//! a shard executes, never *what* it computes. These tests pin that
+//! contract from the outside, through `veil-fleet`'s public API, along
+//! with the shard order of every report and the exact service cycles of
+//! each tenant kind.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use veil_fleet::{run_fleet, run_tasks, run_tasks_with_stats, FleetConfig, TenantKind};
-use veil_testkit::rng::splitmix64;
+use veil_fleet::{run_fleet, FleetConfig, FleetReport, TenantKind};
+
+/// Summed [`veil_fleet::ShardReport::service_cycles`] of a `small_fleet`
+/// run, in [`TenantKind::ALL`] order. Service cycles are the machine's own
+/// account of each request, independent of arrival times, so they are
+/// the same at every seed and interarrival mean; only a change to what a
+/// request costs on the CVM moves them.
+const SERVICE_CYCLES: [u64; 3] = [6_538_060, 2_801_040, 6_830_680];
 
 fn small_fleet(kind: TenantKind, seed: u64, workers: usize) -> FleetConfig {
     FleetConfig {
@@ -26,11 +30,25 @@ fn small_fleet(kind: TenantKind, seed: u64, workers: usize) -> FleetConfig {
     }
 }
 
+fn service_cycles(r: &FleetReport) -> u64 {
+    r.shards.iter().map(|s| s.service_cycles).sum()
+}
+
+/// Every report sits at the index of its shard id, whichever worker ran it.
+fn assert_shard_order(r: &FleetReport, what: &str) {
+    for (i, s) in r.shards.iter().enumerate() {
+        assert_eq!(s.shard as usize, i, "{what}: report {i} holds shard {}", s.shard);
+    }
+}
+
 #[test]
 fn merged_state_is_worker_count_invariant() {
-    for kind in TenantKind::ALL {
+    for (kind, service) in TenantKind::ALL.into_iter().zip(SERVICE_CYCLES) {
         let base = run_fleet(&small_fleet(kind, 0xd15ea5e, 1));
-        for workers in [2, 4] {
+        assert_shard_order(&base, kind.label());
+        assert_eq!(service_cycles(&base), service, "{}: summed service cycles", kind.label());
+        // 0 clamps to one worker; 8 is more workers than shards.
+        for workers in [0, 2, 4, 8] {
             let other = run_fleet(&small_fleet(kind, 0xd15ea5e, workers));
             assert_eq!(
                 other.merged_digest_hex,
@@ -38,6 +56,7 @@ fn merged_state_is_worker_count_invariant() {
                 "{}: merged digest diverged at {workers} workers",
                 kind.label()
             );
+            assert_shard_order(&other, kind.label());
             // The merged digest already covers these, but pin the parts
             // separately so a failure names the diverging artifact.
             for (a, b) in base.shards.iter().zip(&other.shards) {
@@ -60,6 +79,9 @@ fn seed_perturbs_every_shard() {
     assert_ne!(a.merged_digest_hex, b.merged_digest_hex, "seed must reshape arrivals");
     // Arrival times shift, so virtual makespans differ too.
     assert_ne!(a.makespan_cycles, b.makespan_cycles);
+    // What each request costs does not depend on when it arrives.
+    assert_eq!(service_cycles(&a), SERVICE_CYCLES[1], "seed 1");
+    assert_eq!(service_cycles(&b), SERVICE_CYCLES[1], "seed 2");
 }
 
 #[test]
@@ -78,7 +100,7 @@ fn shard_reports_describe_real_work() {
 
 #[test]
 fn req_propagation_invariants_hold() {
-    // ISSUE 9: every `ReqDispatch` in a shard's stream has exactly one
+    // Every `ReqDispatch` in a shard's stream has exactly one
     // matching `ReqComplete`, and the causal decomposition partitions
     // each request's end-to-end latency with no residual.
     let r = run_fleet(&small_fleet(TenantKind::Kvstore, 0x1d, 2));
@@ -115,82 +137,30 @@ fn req_propagation_invariants_hold() {
 fn causal_paths_and_slo_are_worker_count_invariant() {
     // The observability plane obeys the same contract as the digests:
     // paths, attribution, SLO ledgers, and offender tables must be
-    // bit-identical at 1, 2, and 4 workers.
-    let base = run_fleet(&small_fleet(TenantKind::Http, 0x0b5, 1));
-    for workers in [2, 4] {
-        let other = run_fleet(&small_fleet(TenantKind::Http, 0x0b5, workers));
-        assert_eq!(other.attribution, base.attribution, "attribution at {workers} workers");
-        for (a, b) in base.shards.iter().zip(&other.shards) {
-            assert_eq!(a.paths, b.paths, "shard {} paths diverged at {workers} workers", a.shard);
-            assert_eq!(a.stat_snapshot, b.stat_snapshot, "shard {} veilstat snapshot", a.shard);
-        }
-        assert_eq!(other.slo.breaches(), base.slo.breaches());
-        assert_eq!(other.slo.top_offenders(8), base.slo.top_offenders(8));
-        assert_eq!(other.tail.threshold_cycles, base.tail.threshold_cycles);
-        assert_eq!(other.tail.requests, base.tail.requests);
-        assert_eq!(other.tail.dominant, base.tail.dominant);
-        assert_eq!(other.flame_folded("t"), base.flame_folded("t"), "folded stacks");
-    }
-}
-
-#[test]
-fn scheduler_runs_every_task_once_in_order_under_any_steal_order() {
-    // Pure scheduler property test: no CVMs, so it can afford to sweep
-    // many (seed, worker-count) points. Tasks carry enough busy-work to
-    // force genuine interleaving and stealing.
-    let n_tasks = 97; // prime: exercises uneven round-robin tails
-    let expected: Vec<u64> = (0..n_tasks as u64).map(splitmix64).collect();
-    for seed in 0..12 {
-        for workers in [1usize, 2, 3, 4, 8] {
-            let hits: Vec<AtomicU32> = (0..n_tasks).map(|_| AtomicU32::new(0)).collect();
-            let (results, stats) = run_tasks_with_stats(
-                (0..n_tasks).collect::<Vec<usize>>(),
-                workers,
-                seed,
-                |i, t| {
-                    assert_eq!(i, t, "scheduler must hand the task its submission index");
-                    hits[t].fetch_add(1, Ordering::Relaxed);
-                    // Busy-work proportional to the task id: uneven task
-                    // durations make early queues drain first and force
-                    // steals at higher worker counts.
-                    let mut acc = t as u64;
-                    for _ in 0..(t % 7) * 50 {
-                        acc = splitmix64(acc);
-                    }
-                    std::hint::black_box(acc);
-                    splitmix64(t as u64)
-                },
-            );
-            assert_eq!(results, expected, "seed={seed} workers={workers}");
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "a task ran twice");
-            assert_eq!(stats.executed, n_tasks as u64);
-        }
-    }
-}
-
-#[test]
-fn scheduler_steals_when_work_is_uneven() {
-    // One long task pins worker 0; the rest must be stolen by others.
-    let (results, stats) = run_tasks_with_stats(vec![400u64, 1, 1, 1, 1, 1, 1, 1], 4, 9, |_, t| {
-        let mut acc = t;
-        for _ in 0..t * 1000 {
-            acc = splitmix64(acc);
-        }
-        std::hint::black_box(acc);
-        t
-    });
-    assert_eq!(results, vec![400, 1, 1, 1, 1, 1, 1, 1]);
-    assert_eq!(stats.executed, 8);
-}
-
-#[test]
-fn worker_count_does_not_change_pure_results() {
-    let tasks: Vec<u64> = (0..64).collect();
-    let baseline = run_tasks(tasks.clone(), 1, 0, |_, t| splitmix64(t.wrapping_mul(3)));
-    for workers in [2, 4, 16] {
-        for seed in [0u64, 7, 0xdead] {
-            let got = run_tasks(tasks.clone(), workers, seed, |_, t| splitmix64(t.wrapping_mul(3)));
-            assert_eq!(got, baseline, "workers={workers} seed={seed}");
+    // bit-identical at any worker count. Four shards split the 16
+    // tenants 4/4/4/4, three split them 6/5/5.
+    for (shards, split) in [(4, &[4u32, 4, 4, 4][..]), (3, &[6, 5, 5])] {
+        let geometry =
+            |workers| FleetConfig { shards, ..small_fleet(TenantKind::Http, 0x0b5, workers) };
+        let base = run_fleet(&geometry(1));
+        let tenants: Vec<u32> = base.shards.iter().map(|s| s.tenants).collect();
+        assert_eq!(tenants, split, "{shards} shards");
+        for workers in [0, 2, 4, 8] {
+            let other = run_fleet(&geometry(workers));
+            let what = format!("{shards} shards, {workers} workers");
+            assert_shard_order(&other, &what);
+            assert_eq!(other.merged_digest_hex, base.merged_digest_hex, "{what}: digest");
+            assert_eq!(other.attribution, base.attribution, "{what}: attribution");
+            for (a, b) in base.shards.iter().zip(&other.shards) {
+                assert_eq!(a.paths, b.paths, "{what}: shard {} paths", a.shard);
+                assert_eq!(a.stat_snapshot, b.stat_snapshot, "{what}: shard {} veilstat", a.shard);
+            }
+            assert_eq!(other.slo.breaches(), base.slo.breaches());
+            assert_eq!(other.slo.top_offenders(8), base.slo.top_offenders(8));
+            assert_eq!(other.tail.threshold_cycles, base.tail.threshold_cycles);
+            assert_eq!(other.tail.requests, base.tail.requests);
+            assert_eq!(other.tail.dominant, base.tail.dominant);
+            assert_eq!(other.tail.attribution, base.tail.attribution, "{what}: tail attribution");
         }
     }
 }
