@@ -57,12 +57,15 @@ impl Drbg {
 
     /// Fills `out` with pseudo-random bytes.
     pub fn fill(&mut self, out: &mut [u8]) {
-        for byte in out.iter_mut() {
+        let mut done = 0;
+        while done < out.len() {
             if self.buf_used == 64 {
                 self.refill();
             }
-            *byte = self.buf[self.buf_used];
-            self.buf_used += 1;
+            let n = (out.len() - done).min(64 - self.buf_used);
+            out[done..done + n].copy_from_slice(&self.buf[self.buf_used..self.buf_used + n]);
+            self.buf_used += n;
+            done += n;
         }
     }
 
@@ -111,6 +114,33 @@ mod tests {
         a.fill(&mut buf_a);
         b.fill(&mut buf_b);
         assert_eq!(buf_a, buf_b);
+
+        // The stream does not depend on how it is split: pieces that
+        // straddle 64-byte block boundaries, one whole fill and 8-byte
+        // `next_u64` words all read the same bytes.
+        let mut whole = [0u8; 1200];
+        Drbg::from_seed(b"x").fill(&mut whole);
+        let mut pieces = [0u8; 1200];
+        let mut d = Drbg::from_seed(b"x");
+        let mut at = 0;
+        for len in [1, 3, 63, 64, 65, 1000].into_iter().cycle() {
+            let end = (at + len).min(pieces.len());
+            d.fill(&mut pieces[at..end]);
+            at = end;
+            if at == pieces.len() {
+                break;
+            }
+        }
+        assert_eq!(pieces, whole);
+        let mut d = Drbg::from_seed(b"x");
+        let words: Vec<u8> =
+            (0..whole.len() / 8).flat_map(|_| d.next_u64().to_le_bytes()).collect();
+        assert_eq!(words, whole);
+
+        // Known answer: the head of the GZip workload's input stream.
+        let mut head = [0u8; 16];
+        Drbg::from_seed(b"gzip-input").fill(&mut head);
+        assert_eq!(head, 0x911e31f8809b4ddd1216a89c5c2d0669u128.to_be_bytes());
     }
 
     #[test]

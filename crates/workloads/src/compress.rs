@@ -15,79 +15,158 @@ const WINDOW: usize = 32 * 1024;
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 255;
 const HASH_BITS: usize = 15;
+/// Chain candidates examined per position.
+const MAX_CHAIN: usize = 32;
+/// Offset of a position stored in the hash tables. The empty slot (0)
+/// then reads as a position more than [`WINDOW`] back, so one bound test
+/// per candidate covers both "no candidate" and "expired candidate".
+const BIAS: usize = WINDOW + 1;
 
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+fn load_u32(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("a 4-byte slice"))
+}
+
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of two equal-length slices, compared
+/// 8 bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("an 8-byte chunk"));
+    let mut l = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + a[l..].iter().zip(&b[l..]).take_while(|(x, y)| x == y).count()
+}
+
+/// Appends `run` as literal tokens of at most 255 bytes each.
+fn emit_literals(out: &mut Vec<u8>, run: &[u8]) {
+    for chunk in run.chunks(255) {
+        out.push(0x00);
+        out.push(chunk.len() as u8);
+        out.extend_from_slice(chunk);
+    }
+}
+
+/// The first longest match for position `i` among the chain that starts
+/// at the biased position `candidate`, as `(len, dist)`. `key` holds the
+/// 4 bytes at `i`, which the caller guarantees exist. The length is 0
+/// when no candidate shares the key, and at least `MIN_MATCH` otherwise.
+fn longest_match(
+    data: &[u8],
+    prev: &[u32],
+    i: usize,
+    mut candidate: usize,
+    key: u32,
+) -> (usize, usize) {
+    // Quick reject in one branch. The walk can meet a candidate with the
+    // key only if the newest candidate is live and has it, or a second
+    // candidate is live: `d0` is the newest one's distance, pushed past
+    // the window by a key mismatch, and `d1` the second one's. An empty
+    // or expired newest candidate has no live successor (`prev[0]` is
+    // always empty). On incompressible input most positions stop here,
+    // where separate tests would each be a mispredicted branch.
+    let p0 = candidate.saturating_sub(BIAS);
+    let d0 = (i + BIAS - candidate) as u64 | u64::from(load_u32(data, p0) ^ key) << 32;
+    let d1 = (i + BIAS - prev[p0] as usize) as u64;
+    if d0.min(d1) > WINDOW as u64 {
+        return (0, 0);
+    }
+    let max = MAX_MATCH.min(data.len() - i);
+    let (mut best_len, mut best_dist) = (0, 0);
+    for _ in 0..MAX_CHAIN {
+        if i + BIAS - candidate > WINDOW {
+            break;
+        }
+        let c = candidate - BIAS;
+        if load_u32(data, c) == key {
+            let l = MIN_MATCH
+                + common_prefix(&data[c + MIN_MATCH..c + max], &data[i + MIN_MATCH..i + max]);
+            if l > best_len {
+                best_len = l;
+                best_dist = i - c;
+            }
+        }
+        candidate = prev[c] as usize;
+    }
+    (best_len, best_dist)
+}
+
+/// Greedy hash-chain LZ77 over a 32 KiB window.
+///
 /// Token stream format:
 /// * `0x00 len  bytes...` — literal run (len 1..=255);
 /// * `0x01 len  dist_lo dist_hi` — match of `len` at `dist` back.
+///
+/// At each position with 4 bytes left, the chain of earlier positions
+/// with the same 4-byte hash is walked newest first, at most 32
+/// candidates and none more than 32 KiB back. The first candidate with
+/// the longest match (capped at 255 bytes) wins; a winner of 4 bytes or
+/// more is emitted as a match, and the positions it covers are hashed
+/// too. Anything else is a literal.
+///
+/// The walk skips a candidate whose first 4 bytes differ from the
+/// position's after one `u32` compare (it still counts against the 32),
+/// and a position whose chain can hold no such candidate is not walked.
+/// Neither can change a token. A skipped candidate matches at most 3
+/// bytes, so it can set the best length only while no candidate has
+/// reached `MIN_MATCH`, and if none ever does the position is a literal
+/// whatever that length was. Nor can it displace a candidate of 4 bytes
+/// or more, since a replacement needs a strictly longer match. The
+/// `lz77_roundtrip` property pins the token stream against the
+/// unfiltered byte-by-byte walk.
+///
+/// # Panics
+///
+/// Panics if `data` is 4 GiB or longer: hash-table positions are `u32`.
 pub fn lz77_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len().max(1)];
-    let mut literals: Vec<u8> = Vec::new();
+    let n = data.len();
+    assert!(n <= u32::MAX as usize - BIAS, "lz77_compress: input of {n} bytes is too long");
+    // Room for an all-literal stream, which incompressible input is.
+    let mut out = Vec::with_capacity(n + 2 * n.div_ceil(255));
+    let mut head = vec![0u32; 1 << HASH_BITS];
+    let mut prev = vec![0u32; n.max(1)];
+    let mut literal_start = 0usize;
     let mut i = 0usize;
 
-    let flush_literals = |out: &mut Vec<u8>, literals: &mut Vec<u8>| {
-        for chunk in literals.chunks(255) {
-            out.push(0x00);
-            out.push(chunk.len() as u8);
-            out.extend_from_slice(chunk);
-        }
-        literals.clear();
-    };
-
-    while i < data.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash4(data, i);
-            let mut candidate = head[h];
-            let mut chain = 0;
-            while candidate != usize::MAX && i - candidate <= WINDOW && chain < 32 {
-                let mut l = 0usize;
-                let max = MAX_MATCH.min(data.len() - i);
-                while l < max && data[candidate + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = i - candidate;
-                }
-                candidate = prev[candidate];
-                chain += 1;
-            }
+    while i < n {
+        let (best_len, best_dist) = if i + MIN_MATCH <= n {
+            let key = load_u32(data, i);
+            let h = hash4(key);
+            // Inserting `i` before the walk is safe: the walk reads `prev`
+            // only at earlier positions.
+            let newest = head[h] as usize;
             prev[i] = head[h];
-            head[h] = i;
-        }
+            head[h] = (i + BIAS) as u32;
+            longest_match(data, &prev, i, newest, key)
+        } else {
+            (0, 0)
+        };
         if best_len >= MIN_MATCH {
-            flush_literals(&mut out, &mut literals);
-            out.push(0x01);
-            out.push(best_len as u8);
-            out.push((best_dist & 0xff) as u8);
-            out.push((best_dist >> 8) as u8);
+            emit_literals(&mut out, &data[literal_start..i]);
+            out.extend_from_slice(&[0x01, best_len as u8, best_dist as u8, (best_dist >> 8) as u8]);
             // Insert hash entries for the match body (cheap variant).
-            let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH));
+            let end = (i + best_len).min(n.saturating_sub(MIN_MATCH));
             let mut j = i + 1;
             while j < end {
-                let h = hash4(data, j);
+                let h = hash4(load_u32(data, j));
                 prev[j] = head[h];
-                head[h] = j;
+                head[h] = (j + BIAS) as u32;
                 j += 1;
             }
             i += best_len;
+            literal_start = i;
         } else {
-            literals.push(data[i]);
-            if literals.len() == 255 {
-                flush_literals(&mut out, &mut literals);
-            }
             i += 1;
         }
     }
-    flush_literals(&mut out, &mut literals);
+    emit_literals(&mut out, &data[literal_start..]);
     out
 }
 
@@ -303,9 +382,22 @@ mod tests {
         let stats = w.run(&mut d).unwrap();
         assert_eq!(stats.bytes, 128 * 1024);
         assert!(stats.ops >= 2);
-        // Output exists in the VFS.
+        // The compressed bytes themselves are pinned: a kernel change that
+        // moved a single token would move the checksum.
+        assert_eq!(stats.checksum, 0xde71969df49ff97f);
         let mut sys = cvm.sys(pid);
         let st = veil_os::sys::Sys::stat(&mut sys, "/data/gzip.out").unwrap();
-        assert!(st.size > 0);
+        assert_eq!(st.size, 132_104);
+    }
+
+    #[test]
+    fn seven_zip_workload_output_is_pinned() {
+        let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
+        let pid = cvm.spawn();
+        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut w = SevenZipWorkload { corpus_len: 16 * 1024, iterations: 2 };
+        let stats = w.run(&mut d).unwrap();
+        assert_eq!((stats.ops, stats.bytes), (2, 32 * 1024));
+        assert_eq!(stats.checksum, 0x4dd3aa4d937c8c05);
     }
 }
