@@ -252,11 +252,18 @@ impl MetricsRegistry {
 
     /// Folds one trace event, stamped at virtual-cycle time `cycles`, into
     /// the registry: the embedded [`EventCounters`], a per-`(domain, op)`
-    /// event counter, and the derived relay-latency histograms.
+    /// event counter, and the derived relay-latency histograms. One
+    /// inlined branch when disabled; the collection runs out of line.
+    #[inline]
     pub fn observe_event(&mut self, cycles: u64, event: &Event) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.observe_enabled(cycles, event);
         }
+    }
+
+    /// [`MetricsRegistry::observe_event`] on an enabled registry.
+    #[inline(never)]
+    fn observe_enabled(&mut self, cycles: u64, event: &Event) {
         self.events.observe(event);
         let (domain, op) = event_labels(event);
         let t = &mut self.slots;

@@ -56,10 +56,11 @@ pub struct SpanStat {
 
 /// The profiler: an open-span stack plus per-path aggregates.
 ///
-/// Runtime gated like the registry; `enter`/`exit` are single-branch
-/// no-ops when disabled. Unbalanced exits (a name that does not match the
-/// top of the stack) are ignored rather than corrupting attribution, so a
-/// span leaked through an error path degrades gracefully.
+/// Runtime gated like the registry: `enter`/`exit` inline to one branch
+/// when disabled, and the recording runs out of line. Unbalanced exits (a
+/// name that does not match the top of the stack) are ignored rather than
+/// corrupting attribution, so a span leaked through an error path degrades
+/// gracefully.
 ///
 /// Aggregates live in a `Vec` behind a `BTreeMap<(path, domain), slot>`
 /// index that fixes export order. Two call paths whose joined strings
@@ -101,10 +102,16 @@ impl SpanProfiler {
 
     /// Opens a span named `name` at virtual-cycle time `now`, attributed
     /// to `domain` when it is the outermost span.
+    #[inline]
     pub fn enter(&mut self, name: &'static str, domain: u8, now: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.enter_enabled(name, domain, now);
         }
+    }
+
+    /// [`SpanProfiler::enter`] on an enabled profiler.
+    #[inline(never)]
+    fn enter_enabled(&mut self, name: &'static str, domain: u8, now: u64) {
         let parent = self.stack.last().map(|f| f.node);
         if parent.is_none() {
             self.root_domain = domain;
@@ -145,10 +152,16 @@ impl SpanProfiler {
 
     /// Closes the span named `name` at virtual-cycle time `now`. Ignored
     /// if `name` is not the innermost open span.
+    #[inline]
     pub fn exit(&mut self, name: &'static str, now: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.exit_enabled(name, now);
         }
+    }
+
+    /// [`SpanProfiler::exit`] on an enabled profiler.
+    #[inline(never)]
+    fn exit_enabled(&mut self, name: &'static str, now: u64) {
         if self.stack.last().map(|f| f.name) != Some(name) {
             return;
         }

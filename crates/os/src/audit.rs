@@ -44,26 +44,33 @@ pub struct AuditRecord {
     pub tsc: u64,
 }
 
+/// Bytes before the syscall name: `seq pid uid sysno ret tsc`.
+const FIXED_LEN: usize = 40;
+
 impl AuditRecord {
     /// Serializes to the wire format relayed through the IDCB.
     ///
     /// Format: `seq(8) pid(4) uid(4) sysno(8) ret(8) tsc(8)` little-endian,
-    /// followed by the textual syscall name (as kaudit records carry).
+    /// followed by the textual syscall name [`Sysno::name`] (as kaudit
+    /// records carry).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
+        let name = self.sysno.name();
+        let mut out = Vec::with_capacity(FIXED_LEN + name.len());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.pid.to_le_bytes());
         out.extend_from_slice(&self.uid.to_le_bytes());
         out.extend_from_slice(&self.sysno.num().to_le_bytes());
         out.extend_from_slice(&self.ret.to_le_bytes());
         out.extend_from_slice(&self.tsc.to_le_bytes());
-        out.extend_from_slice(format!("{}", self.sysno).as_bytes());
+        out.extend_from_slice(name.as_bytes());
         out
     }
 
-    /// Parses the wire format (used by log retrieval tooling).
+    /// Parses the wire format (used by log retrieval tooling). Accepts
+    /// exactly what [`AuditRecord::to_bytes`] produces: a known syscall
+    /// number followed by its name and nothing else.
     pub fn from_bytes(bytes: &[u8]) -> Option<AuditRecord> {
-        if bytes.len() < 40 {
+        if bytes.len() < FIXED_LEN {
             return None;
         }
         let seq = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
@@ -73,6 +80,9 @@ impl AuditRecord {
         let ret = i64::from_le_bytes(bytes[24..32].try_into().ok()?);
         let tsc = u64::from_le_bytes(bytes[32..40].try_into().ok()?);
         let sysno = Sysno::ALL.iter().copied().find(|s| s.num() == sysno_num)?;
+        if bytes[FIXED_LEN..] != *sysno.name().as_bytes() {
+            return None;
+        }
         Some(AuditRecord { seq, pid, uid, sysno, ret, tsc })
     }
 }
@@ -150,6 +160,51 @@ mod tests {
     #[test]
     fn record_rejects_short_input() {
         assert!(AuditRecord::from_bytes(&[0u8; 10]).is_none());
+    }
+
+    #[test]
+    fn record_rejects_wrong_or_trailing_name() {
+        let rec = AuditRecord { seq: 1, pid: 2, uid: 3, sysno: Sysno::Pwrite64, ret: 4, tsc: 5 };
+        let bytes = rec.to_bytes();
+        let mut renamed = bytes[..FIXED_LEN].to_vec();
+        renamed.extend_from_slice(b"pread64");
+        assert!(AuditRecord::from_bytes(&renamed).is_none(), "name of another syscall");
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(AuditRecord::from_bytes(&trailing).is_none(), "trailing byte");
+        assert!(AuditRecord::from_bytes(&bytes[..bytes.len() - 1]).is_none(), "cut name");
+        assert!(AuditRecord::from_bytes(&bytes[..FIXED_LEN]).is_none(), "no name");
+    }
+
+    /// Pins the record bytes to a reference encoder: the 40 fixed bytes,
+    /// then the `Debug` name lowercased.
+    #[test]
+    fn record_bytes_match_reference_model() {
+        fn reference(r: &AuditRecord) -> Vec<u8> {
+            let mut out = Vec::new();
+            out.extend_from_slice(&r.seq.to_le_bytes());
+            out.extend_from_slice(&r.pid.to_le_bytes());
+            out.extend_from_slice(&r.uid.to_le_bytes());
+            out.extend_from_slice(&r.sysno.num().to_le_bytes());
+            out.extend_from_slice(&r.ret.to_le_bytes());
+            out.extend_from_slice(&r.tsc.to_le_bytes());
+            out.extend_from_slice(format!("{:?}", r.sysno).to_lowercase().as_bytes());
+            out
+        }
+        let fields = [
+            (0, 0, 0, 0, 0),
+            (u64::MAX, u32::MAX, u32::MAX, i64::MIN, u64::MAX),
+            (7, 42, 1000, i64::MAX, 999),
+        ];
+        for sysno in Sysno::ALL {
+            assert_eq!(format!("{sysno}"), sysno.name());
+            for (seq, pid, uid, ret, tsc) in fields {
+                let rec = AuditRecord { seq, pid, uid, sysno, ret, tsc };
+                let bytes = rec.to_bytes();
+                assert_eq!(bytes, reference(&rec), "{sysno:?}");
+                assert_eq!(AuditRecord::from_bytes(&bytes), Some(rec), "{sysno:?} round trip");
+            }
+        }
     }
 
     #[test]

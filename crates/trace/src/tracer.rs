@@ -92,7 +92,10 @@ pub struct EventCounters {
 }
 
 impl EventCounters {
-    /// Folds one event into the counters.
+    /// Folds one event into the counters. Always inlined, so at a call
+    /// site whose variant is a constant the fold is that variant's arm
+    /// alone.
+    #[inline(always)]
     pub fn observe(&mut self, event: &Event) {
         let was_psc = self.in_psc;
         let was_psc_batch = self.in_psc_batch;
@@ -160,10 +163,13 @@ impl EventCounters {
 ///
 /// Two halves with different gating:
 ///
-/// * the [`EventCounters`] fold is **always on** — it is cheap (one match,
-///   a few adds) and is what keeps derived statistics exact;
+/// * the [`EventCounters`] fold is **always on**, and is what keeps derived
+///   statistics exact. [`Tracer::record`] and the fold are inlined, so at
+///   a call site whose event variant is a constant the fold is that
+///   variant's counter update, compiled into the caller;
 /// * the ring buffer and the incremental SHA-256 digest are **runtime
-///   gated** ([`Tracer::set_enabled`]) and cost nothing when disabled.
+///   gated** ([`Tracer::set_enabled`]) and sit in one out-of-line
+///   function. When disabled they cost the one branch that skips its call.
 ///
 /// Enabling resets the stream (ring, sequence numbers, digest), so a test
 /// that calls `set_enabled(true)` observes only events from that point on —
@@ -248,12 +254,19 @@ impl Tracer {
         self.hasher = Sha256::new();
     }
 
-    /// Records one event at virtual-cycle time `cycles`.
+    /// Records one event at virtual-cycle time `cycles`: the counter fold
+    /// and one branch inline, the recording itself out of line.
+    #[inline]
     pub fn record(&mut self, cycles: u64, event: Event) {
         self.counters.observe(&event);
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.push(cycles, event);
         }
+    }
+
+    /// Appends one record to the ring and the digest.
+    #[inline(never)]
+    fn push(&mut self, cycles: u64, event: Event) {
         let record = Record { seq: self.seq, cycles, event };
         self.seq += 1;
         // The ring always keeps the newest record (capacity >= 1), so its

@@ -17,9 +17,11 @@ use veil::prelude::*;
 use veil::trace::{invariants, Event, EventCounters, Record, Tracer};
 use veil_crypto::sha256::Sha256;
 use veil_os::audit::{paper_ruleset, AuditMode};
+use veil_os::syscall::Sysno;
 use veil_sdk::{install_enclave, EnclaveBinary, EnclaveRuntime, EnclaveSys};
+use veil_snp::cost::CostCategory;
 use veil_testkit::{prop, prop_assert, prop_assert_eq, Strategy, TestRng};
-use veil_workloads::driver::VeilUnshieldedDriver;
+use veil_workloads::driver::{EnclaveDriver, VeilUnshieldedDriver};
 use veil_workloads::http::HttpWorkload;
 use veil_workloads::kvstore::UnqliteWorkload;
 use veil_workloads::minidb::SqliteWorkload;
@@ -202,6 +204,63 @@ fn disabled_tracing_records_nothing_and_changes_no_behavior() {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "disabled tracer digests the empty stream"
     );
+}
+
+/// The path perfbench's enclave-kv-audited times: UnQLite in an enclave,
+/// every `pwrite` audited to VeilS-LOG over the batched gate. With trace
+/// and metrics each off or on, the always-on fold must still see every
+/// event (including the audit, ring and redirect events `HvStats` has no
+/// field for), and the run must charge the same cycles and store the same
+/// log records.
+#[test]
+fn observability_off_still_folds_every_event() {
+    let run = |trace: bool, metrics: bool| {
+        let mut cvm = CvmBuilder::new()
+            .frames(4096)
+            .vcpus(1)
+            .log_frames(64)
+            .kci(true)
+            .trace(trace)
+            .metrics(metrics)
+            .batch(true)
+            .attest(false)
+            .build()
+            .unwrap();
+        cvm.kernel.audit.mode = AuditMode::VeilLog;
+        cvm.kernel.audit.rules = paper_ruleset();
+        cvm.kernel.audit.rules.insert(Sysno::Pwrite64);
+        cvm.kernel.audit.rules.insert(Sysno::Pread64);
+        let pid = cvm.spawn();
+        let binary = EnclaveBinary::build("twin", 16 * 1024, 8 * 1024).with_heap_pages(32);
+        let handle = install_enclave(&mut cvm, pid, &binary).unwrap();
+        let mut rt = EnclaveRuntime::new(handle);
+        UnqliteWorkload { entries: 40 }
+            .run(&mut EnclaveDriver { cvm: &mut cvm, rt: &mut rt })
+            .unwrap();
+        cvm.flush_gate().unwrap();
+        cvm
+    };
+    let twins = [(false, false), (true, false), (false, true), (true, true)]
+        .map(|(trace, metrics)| ((trace, metrics), run(trace, metrics)));
+    let cycles = |cvm: &Cvm| CostCategory::ALL.map(|c| cvm.hv.machine.cycles().of(c));
+    let (_, base) = &twins[0];
+    let counters = *base.hv.machine.tracer().counters();
+    assert!(counters.audit_appends >= 40, "one audit record per insert: {counters:?}");
+    assert!(counters.ring_enqueues >= 40 && counters.syscall_redirects >= 40, "{counters:?}");
+    let records = base.gate.services.log.parsed_records(&base.hv).unwrap();
+    assert_eq!(records.len() as u64, base.gate.services.log.record_count());
+    assert!(records.iter().any(|r| r.sysno == Sysno::Pwrite64));
+    for ((trace, metrics), cvm) in &twins {
+        let twin = format!("trace {trace}, metrics {metrics}");
+        assert_eq!(*cvm.hv.machine.tracer().counters(), counters, "{twin}: counters");
+        assert_eq!(cvm.hv.machine.cycles().total(), base.hv.machine.cycles().total(), "{twin}");
+        assert_eq!(cycles(cvm), cycles(base), "{twin}: cycles by category");
+        assert_eq!(cvm.domain_cycles(), base.domain_cycles(), "{twin}: domain cycles");
+        assert_eq!(cvm.gate.services.log.parsed_records(&cvm.hv).unwrap(), records, "{twin}");
+        if *metrics {
+            assert_eq!(cvm.metrics().event_counters(), &counters, "{twin}: registry fold");
+        }
+    }
 }
 
 // ---- satellite 3: property test over random workload schedules ----------
