@@ -48,8 +48,10 @@ pub struct FleetReport {
 /// of the pipeline the worst requests spent their cycles in.
 #[derive(Debug, Clone, Default)]
 pub struct TailAttribution {
-    /// The tail threshold: interpolated p99 of the merged latency
-    /// histogram, in cycles.
+    /// The tail threshold: p99 of the merged latency histogram
+    /// ([`Histogram::percentile`]), in cycles. It lies at most 1/16 below
+    /// the exact p99 request latency, so the tail can also hold requests
+    /// from the p99 request's own bucket.
     pub threshold_cycles: u64,
     /// Requests strictly above the threshold.
     pub requests: u64,
@@ -150,11 +152,11 @@ fn merge(reports: Vec<ShardReport>) -> FleetReport {
 }
 
 /// Attributes the latency tail: every request whose end-to-end latency
-/// exceeds the merged interpolated p99 is binned under its dominant
+/// exceeds the merged histogram's p99 is binned under its dominant
 /// critical-path component. Pure fold over per-shard paths, so the
 /// result is worker-count invariant like everything else in the merge.
 fn tail_attribution(reports: &[ShardReport], latency: &Histogram) -> TailAttribution {
-    let threshold = latency.percentile_interp(99.0);
+    let threshold = latency.percentile(99.0);
     let mut tail = TailAttribution { threshold_cycles: threshold, ..TailAttribution::default() };
     for r in reports {
         for p in &r.paths {

@@ -81,8 +81,8 @@ pub fn render(r: &FleetReport) -> String {
             s.doorbells,
             s.domain_switches,
             deferred,
-            s.latency.percentile_interp(50.0),
-            s.latency.percentile_interp(99.0),
+            s.latency.percentile(50.0),
+            s.latency.percentile(99.0),
         ));
     }
 

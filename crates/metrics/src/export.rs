@@ -38,17 +38,14 @@ pub fn prometheus(registry: &MetricsRegistry, spans: &SpanProfiler) -> String {
     }
     for (key, hist) in registry.histograms() {
         type_line(&mut out, key.metric, "histogram");
+        // The top bucket's bound is `+Inf`, which the total line carries.
         let mut cumulative = 0u64;
-        for (i, &count) in hist.buckets().iter().enumerate() {
+        for (i, &count) in hist.buckets()[..BUCKETS - 1].iter().enumerate() {
             if count == 0 {
                 continue;
             }
             cumulative += count;
-            let le = if i + 1 < BUCKETS {
-                (bucket_lower(i + 1) - 1).to_string()
-            } else {
-                "+Inf".to_string()
-            };
+            let le = (bucket_lower(i + 1) - 1).to_string();
             push_series(
                 &mut out,
                 key.metric,
@@ -66,7 +63,7 @@ pub fn prometheus(registry: &MetricsRegistry, spans: &SpanProfiler) -> String {
             key.domain,
             key.op,
             &[("le", "+Inf")],
-            cumulative.to_string(),
+            hist.count().to_string(),
         );
         push_series(&mut out, key.metric, "_sum", key.domain, key.op, &[], hist.sum().to_string());
         push_series(
@@ -325,6 +322,17 @@ mod tests {
             .map(|l| l.rsplit_once(' ').unwrap().1.parse().unwrap())
             .collect();
         assert_eq!(bucket_counts, vec![1, 2, 2], "two buckets plus +Inf, cumulative");
+
+        // A sample in the top bucket, whose upper bound is +Inf, must not
+        // emit a second `le="+Inf"` sample for the series.
+        reg.record_hist(key, u64::MAX);
+        let text = prometheus(&reg, &SpanProfiler::new());
+        let buckets: Vec<&str> = text.lines().filter(|l| l.starts_with("veil_h_bucket")).collect();
+        let counts: Vec<u64> =
+            buckets.iter().map(|l| l.rsplit_once(' ').unwrap().1.parse().unwrap()).collect();
+        assert_eq!(buckets.iter().filter(|l| l.contains("le=\"+Inf\"")).count(), 1, "{text}");
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "cumulative: {counts:?}");
+        assert_eq!(counts, vec![1, 2, 3], "{text}");
     }
 
     #[test]

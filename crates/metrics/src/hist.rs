@@ -1,67 +1,53 @@
-//! Log-bucketed (HDR-style, powers-of-√2) cycle histograms.
+//! Log-linear (HDR-style) cycle histograms.
 //!
-//! Bucket boundaries are powers of √2: each power-of-two decade is split
-//! in half, giving a worst-case relative quantization error of ~41% per
-//! bucket while keeping the whole `u64` range in 129 fixed buckets. All
-//! bucket math is integer-only (no floating point in the record path), so
-//! bucket assignment is bit-deterministic on every platform.
+//! Values below 16 get one bucket each. Above that, each power of two
+//! `[2^e, 2^(e+1))` splits into 16 equal linear sub-buckets of width
+//! `2^(e-4)`. A bucket is then at most 1/16 of its lower bound wide, so a
+//! value's bucket lower bound sits at most `value/16` below it, and the
+//! whole `u64` range fits in 976 fixed buckets. Bucket math is shifts and
+//! masks only (no floating point in the record path), so bucket
+//! assignment is bit-deterministic on every platform.
 //!
-//! Percentiles use the nearest-rank convention of [`nearest_rank`], which
-//! exact percentiles over raw samples call too (the adversary fuzzer's
-//! `--bench` mode), so a percentile over raw samples and a percentile
-//! over the histogram of those samples can only differ by bucket
-//! quantization, never by rank convention.
+//! [`Histogram::percentile`] is the one percentile: the nearest-rank
+//! convention of [`nearest_rank`], which exact percentiles over raw
+//! samples call too (the adversary fuzzer's `--bench` mode), quantized to
+//! the ranked sample's bucket lower bound and clamped to the exact
+//! `[min, max]`. It therefore lies within 1/16 below the exact
+//! nearest-rank sample and never outside the observed range.
 
-/// Number of buckets: one zero bucket plus two buckets per power of two
-/// across the full `u64` range (`2 * 64` halves, of which the first pair
-/// collapses into values 1 and 2..=2).
-pub const BUCKETS: usize = 129;
+/// Bits of linear sub-bucket index per power of two: 16 sub-buckets.
+const SUB_BITS: u32 = 4;
+
+/// Sub-buckets per power of two, and the count of exact small-value
+/// buckets below the first split power (`2^SUB_BITS`).
+const SUB: usize = 1 << SUB_BITS;
+
+/// Number of buckets: 16 exact buckets for `0..16`, then 16 per power of
+/// two for each of the 60 powers `2^4 ..= 2^63`.
+pub const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
 /// Returns the bucket index of `value`.
 ///
-/// Index 0 holds zeros; value `v > 0` with `e = floor(log2 v)` lands in
-/// bucket `1 + 2e` (lower half of the decade, `v < 2^e·√2`) or `2 + 2e`
-/// (upper half). The half test `v ≥ 2^e·√2` is evaluated exactly as
-/// `v² ≥ 2^(2e+1)` in 128-bit arithmetic.
+/// Values `v < 16` land in bucket `v`. Otherwise, with `e = floor(log2 v)`,
+/// `v` lands in sub-bucket `(v >> (e - 4)) & 15` of power `e`, i.e. bucket
+/// `16 + 16·(e - 4) + ((v >> (e - 4)) & 15)`.
 pub fn bucket_of(value: u64) -> usize {
-    if value == 0 {
-        return 0;
+    if value < SUB as u64 {
+        return value as usize;
     }
-    let e = 63 - value.leading_zeros() as usize;
-    let upper_half = (value as u128) * (value as u128) >= 1u128 << (2 * e + 1);
-    1 + 2 * e + usize::from(upper_half)
+    let shift = value.ilog2() - SUB_BITS;
+    SUB + shift as usize * SUB + ((value >> shift) as usize & (SUB - 1))
 }
 
 /// The smallest value mapping to bucket `index` (the bucket's lower
 /// bound; exporters report it as the bucket's representative value).
 pub fn bucket_lower(index: usize) -> u64 {
     assert!(index < BUCKETS, "bucket index out of range");
-    if index == 0 {
-        return 0;
+    if index < SUB {
+        return index as u64;
     }
-    let b = index - 1;
-    let e = b / 2;
-    if b.is_multiple_of(2) {
-        1u64 << e
-    } else {
-        // First v with v² ≥ 2^(2e+1): ⌈√(2^(2e+1))⌉ = isqrt(2^(2e+1)-1)+1.
-        isqrt((1u128 << (2 * e + 1)) - 1) as u64 + 1
-    }
-}
-
-/// Integer square root (floor) over `u128`, Newton's method.
-fn isqrt(n: u128) -> u128 {
-    if n < 2 {
-        return n;
-    }
-    let mut x = 1u128 << (n.ilog2() / 2 + 1);
-    loop {
-        let next = (x + n / x) / 2;
-        if next >= x {
-            return x;
-        }
-        x = next;
-    }
+    let i = index - SUB;
+    ((SUB + i % SUB) as u64) << (i / SUB)
 }
 
 /// Nearest-rank position (1-based) of percentile `p` among `n` samples:
@@ -132,72 +118,24 @@ impl Histogram {
         self.max
     }
 
-    /// Mean sample value (0.0 for an empty histogram).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Nearest-rank percentile, quantized to the lower bound of the
-    /// bucket holding the ranked sample. Returns 0 for an empty
-    /// histogram.
+    /// Nearest-rank percentile: the exact `max` at rank `n`, otherwise
+    /// the lower bound of the bucket holding the ranked sample, clamped
+    /// to the exact `[min, max]`. The result is never above the exact
+    /// nearest-rank sample, and at most 1/16 of it below. Returns 0 for
+    /// an empty histogram.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let rank = nearest_rank(self.count as usize, p) as u64;
+        if rank == self.count {
+            return self.max;
+        }
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return bucket_lower(i);
-            }
-        }
-        bucket_lower(BUCKETS - 1)
-    }
-
-    /// Nearest-rank percentile with linear interpolation inside the
-    /// bucket holding the ranked sample.
-    ///
-    /// [`Histogram::percentile`] quantizes every rank in a bucket to the
-    /// bucket's lower bound, so with sparse high-end counts p99 and p999
-    /// collapse onto the same value (one √2-wide bucket holds the whole
-    /// tail). This variant spreads the bucket's `c` samples evenly over
-    /// its clamped `[lo, hi]` span and returns the value at the rank's
-    /// position, so distinct ranks in the same bucket yield distinct,
-    /// strictly rank-monotone values whenever the span allows. Exact
-    /// `min`/`max` clamp the first and last occupied buckets, so the
-    /// result never leaves the observed sample range.
-    ///
-    /// Kept separate from [`Histogram::percentile`] on purpose: that
-    /// convention feeds digest-pinned exports and golden snapshots.
-    pub fn percentile_interp(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = nearest_rank(self.count as usize, p) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let before = seen;
-            seen += c;
-            if seen >= rank {
-                let lo = bucket_lower(i).max(self.min);
-                let hi =
-                    if i + 1 < BUCKETS { bucket_lower(i + 1) - 1 } else { u64::MAX }.min(self.max);
-                if hi <= lo {
-                    return lo;
-                }
-                // Rank positions 1..=c map linearly onto (lo, hi]:
-                // position c lands exactly on hi, earlier positions step
-                // down by the even per-sample spacing.
-                let pos = rank - before;
-                return lo + ((hi - lo) as u128 * pos as u128 / c as u128) as u64;
+                return bucket_lower(i).clamp(self.min, self.max);
             }
         }
         self.max
@@ -231,44 +169,50 @@ impl Histogram {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bucket_bounds_are_consistent_with_assignment() {
-        // Bucket 2 ([√2, 2)) contains no integers and is permanently
-        // empty; every other bucket's lower bound maps into it.
-        for i in (0..BUCKETS).filter(|&i| i != 2) {
-            let lo = bucket_lower(i);
-            assert_eq!(bucket_of(lo), i, "lower bound of bucket {i} maps into it");
-        }
-        for i in 0..BUCKETS - 1 {
-            let (lo, next) = (bucket_lower(i), bucket_lower(i + 1));
-            assert!(next >= lo, "bounds are monotone at {i}");
-            if i != 1 && i != 2 {
-                assert!(next > lo, "bounds strictly increase at {i}");
-                assert_eq!(bucket_of(next - 1), i, "last value below bucket {} boundary", i + 1);
-            }
+    /// The largest value mapping to bucket `i`.
+    fn bucket_upper(i: usize) -> u64 {
+        if i + 1 < BUCKETS {
+            bucket_lower(i + 1) - 1
+        } else {
+            u64::MAX
         }
     }
 
     #[test]
-    fn bucket_of_known_values() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        // 2^e lands in the even "lower half" slot 1 + 2e.
-        assert_eq!(bucket_of(2), 3);
-        assert_eq!(bucket_of(4), 5);
-        // √2·4096 ≈ 5793: 5792 is below, 5793 at/above.
-        assert_eq!(bucket_of(5792), 1 + 2 * 12);
-        assert_eq!(bucket_of(5793), 2 + 2 * 12);
+    fn bucket_bounds_are_consistent_with_assignment() {
+        for i in 0..BUCKETS {
+            assert_eq!(bucket_of(bucket_lower(i)), i, "lower bound of bucket {i} maps into it");
+            assert_eq!(bucket_of(bucket_upper(i)), i, "last value of bucket {i} maps into it");
+        }
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]
-    fn relative_error_is_bounded_by_sqrt2() {
-        for v in [1u64, 3, 7, 100, 7135, 55_000, 1 << 40, u64::MAX / 3] {
+    fn bucket_of_known_values() {
+        assert_eq!(BUCKETS, 976);
+        // Below 32 every value has its own bucket.
+        for v in 0..32u64 {
+            assert_eq!(bucket_of(v), v as usize);
+        }
+        // [32, 64) splits into 16 buckets of width 2.
+        assert_eq!(bucket_of(33), 32);
+        assert_eq!(bucket_of(34), 33);
+        // 7135 = 27·256 + 223: sub-bucket 11 of 2^12, lower bound 6912.
+        assert_eq!(bucket_of(7135), 16 + 8 * 16 + 11);
+        assert_eq!(bucket_lower(bucket_of(7135)), 6912);
+    }
+
+    #[test]
+    fn relative_error_is_bounded_by_a_sixteenth() {
+        // Every bucket spans at most 1/16 of its lower bound, so any value
+        // is at most 1/16 above its bucket's lower bound.
+        for i in 0..BUCKETS {
+            let (lo, hi) = (bucket_lower(i), bucket_upper(i));
+            assert!(u128::from(hi - lo) * 16 <= u128::from(lo), "bucket {i}: [{lo}, {hi}]");
+        }
+        for v in [1u64, 3, 7, 100, 7135, 55_000, 1 << 40, u64::MAX / 3, u64::MAX] {
             let lo = bucket_lower(bucket_of(v));
-            assert!(lo <= v);
-            // Bucket width < √2·lower, so v/lo < √2.
-            assert!((v as f64) / (lo as f64) < std::f64::consts::SQRT_2 + 1e-9, "{v} vs {lo}");
+            assert!(lo <= v && u128::from(v - lo) * 16 <= u128::from(v), "{v} vs {lo}");
         }
     }
 
@@ -285,16 +229,24 @@ mod tests {
     #[test]
     fn percentile_quantizes_to_bucket_lower_bound() {
         let mut h = Histogram::new();
-        for _ in 0..100 {
+        h.record(10);
+        for _ in 0..98 {
             h.record(7135);
         }
-        let lo = bucket_lower(bucket_of(7135));
-        assert_eq!(h.percentile(50.0), lo);
-        assert_eq!(h.percentile(99.9), lo);
-        assert_eq!(h.min(), 7135);
-        assert_eq!(h.max(), 7135);
+        h.record(90_000);
+        assert_eq!(h.percentile(50.0), bucket_lower(bucket_of(7135)));
+        assert_eq!(h.percentile(99.0), bucket_lower(bucket_of(7135)));
+        assert_eq!(h.min(), 10);
+        assert_eq!(h.max(), 90_000);
         assert_eq!(h.count(), 100);
-        assert_eq!(h.sum(), 713_500);
+        assert_eq!(h.sum(), 10 + 98 * 7135 + 90_000);
+        // When every sample is equal, the clamp reports it exactly.
+        let mut same = Histogram::new();
+        for _ in 0..100 {
+            same.record(7135);
+        }
+        assert_eq!(same.percentile(50.0), 7135);
+        assert_eq!(same.percentile(99.9), 7135);
     }
 
     #[test]
@@ -305,54 +257,47 @@ mod tests {
         }
         assert!(h.percentile(50.0) <= h.percentile(99.0));
         assert!(h.percentile(99.0) <= h.percentile(100.0));
-        assert_eq!(h.percentile(100.0), bucket_lower(bucket_of(1000)));
-        // The true p50 sample is 500; quantization stays within √2 below.
+        assert_eq!(h.percentile(100.0), 1000);
+        // The true p50 sample is 500; quantization stays within 1/16 below.
         let p50 = h.percentile(50.0);
-        assert!(p50 <= 500 && 500 < (p50 as f64 * std::f64::consts::SQRT_2) as u64 + 2);
+        assert!(p50 <= 500 && (500 - p50) * 16 <= 500, "{p50}");
     }
 
     #[test]
-    fn interp_separates_tail_percentiles_on_skewed_distribution() {
-        // 1960 fast requests plus a 40-sample tail that all lands in one
-        // √2-wide bucket — the overloaded-fleet degenerate case:
-        // nearest-rank quantization collapses p99 and p999 onto the
-        // bucket lower bound, while interpolation keeps them distinct
-        // and ordered.
+    fn percentile_separates_tail_percentiles_on_skewed_distribution() {
+        // 1960 fast requests plus a 40-sample tail spread over 17.0M..22.85M
+        // (the overloaded-fleet case): p99 and p999 rank different tail
+        // samples, which sit in different 1/16-wide buckets.
         let mut h = Histogram::new();
         for _ in 0..1960 {
             h.record(1000);
         }
         for i in 0..40u64 {
-            h.record(17_000_000 + i * 150_000); // 17.0M..22.85M, one bucket
+            h.record(17_000_000 + i * 150_000);
         }
-        assert_eq!(
-            h.percentile(99.0),
-            h.percentile(99.9),
-            "plain nearest-rank collapses the tail (the bug under test)"
-        );
-        let p99 = h.percentile_interp(99.0);
-        let p999 = h.percentile_interp(99.9);
-        assert!(p999 > p99, "interpolated p999 {p999} must exceed p99 {p99}");
+        let p99 = h.percentile(99.0);
+        let p999 = h.percentile(99.9);
+        assert!(p999 > p99, "p999 {p999} must exceed p99 {p99}");
         assert!(p99 >= 17_000_000 && p999 <= h.max(), "stay inside the observed range");
     }
 
     #[test]
-    fn interp_is_rank_monotone_and_range_clamped() {
+    fn percentile_is_rank_monotone_and_range_clamped() {
         let mut h = Histogram::new();
         for v in [10u64, 500, 7135, 7200, 7300, 90_000, 90_001] {
             h.record(v);
         }
         let ps = [1.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0];
-        let vals: Vec<u64> = ps.iter().map(|&p| h.percentile_interp(p)).collect();
+        let vals: Vec<u64> = ps.iter().map(|&p| h.percentile(p)).collect();
         assert!(vals.windows(2).all(|w| w[0] <= w[1]), "monotone in rank: {vals:?}");
         assert!(vals.iter().all(|&v| v >= h.min() && v <= h.max()), "{vals:?}");
-        assert_eq!(h.percentile_interp(100.0), h.max(), "top rank hits the exact max");
+        assert_eq!(h.percentile(100.0), h.max(), "top rank hits the exact max");
         // Empty and single-sample degenerate cases.
-        assert_eq!(Histogram::new().percentile_interp(50.0), 0);
+        assert_eq!(Histogram::new().percentile(50.0), 0);
         let mut one = Histogram::new();
         one.record(7135);
-        assert_eq!(one.percentile_interp(50.0), 7135);
-        assert_eq!(one.percentile_interp(99.9), 7135);
+        assert_eq!(one.percentile(50.0), 7135);
+        assert_eq!(one.percentile(99.9), 7135);
     }
 
     #[test]
@@ -384,7 +329,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
         assert!(h.is_empty());
         assert_eq!(h.nonzero_buckets().count(), 0);
     }

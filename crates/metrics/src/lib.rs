@@ -5,10 +5,12 @@
 //! redirects, RMP operations — not just counts. This crate turns the
 //! deterministic event stream of [`veil_trace`] into that evidence:
 //!
-//! * [`Histogram`] — log-bucketed (HDR-style, powers-of-√2) cycle
-//!   histograms with integer-only bucket math and a [`nearest_rank`]
-//!   percentile convention shared with exact percentiles over raw
-//!   samples (the adversary fuzzer's `--bench` mode).
+//! * [`Histogram`] — log-linear (HDR-style, 16 sub-buckets per power of
+//!   two) cycle histograms with shift-only bucket math and one
+//!   percentile, [`Histogram::percentile`]: the [`nearest_rank`]
+//!   convention shared with exact percentiles over raw samples (the
+//!   adversary fuzzer's `--bench` mode), at most 1/16 below the exact
+//!   value and never outside `[min, max]`.
 //! * [`MetricsRegistry`] — counters, gauges, and histograms keyed by
 //!   `(metric, domain, op)`, fed by the same `Tracer` fold as the trace
 //!   itself ([`MetricsRegistry::observe_event`]) so event-derived counters

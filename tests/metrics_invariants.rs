@@ -2,10 +2,14 @@
 //!
 //! * histogram bucket assignment depends only on the sample multiset
 //!   (permutation-invariant), and merge is commutative and associative;
+//! * every histogram percentile lies in `[min, max]` and at most 1/16
+//!   below the exact nearest-rank sample, over random samples and over
+//!   the `relay_cycles` series rebuilt from a run's trace;
 //! * the JSON snapshot digest is bit-stable across same-seed replays of
 //!   the same workload (fresh CVM each time);
 //! * the http workload produces golden-pinned snapshot digests, plain and
-//!   audited over the batched gate, and well-formed folded-stack lines;
+//!   audited over the batched gate (`tests/goldens/metrics_*.digest`), and
+//!   well-formed folded-stack lines;
 //! * metrics collection is observationally inert: the trace digest,
 //!   cycle account, and hypervisor stats of a metrics-on run are
 //!   bit-identical to its metrics-off twin, both for plain http and for
@@ -15,13 +19,15 @@
 //!   random event, custom-series, re-enable and span streams.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use veil::metrics::export::{hist_json, json_snapshot, label_escape, prometheus};
 use veil::metrics::{
-    bucket_lower, domain_label, exit_code_label, Histogram, Key, MetricsRegistry, SpanProfiler,
-    SpanStat, BUCKETS, DOMAIN_NONE,
+    bucket_lower, domain_label, exit_code_label, nearest_rank, Histogram, Key, MetricsRegistry,
+    SpanProfiler, SpanStat, BUCKETS, DOMAIN_NONE,
 };
 use veil::prelude::*;
 use veil::trace::{exit_code, Event, EventCounters};
+use veil_testkit::golden;
 use veil_testkit::rng::TestRng;
 use veil_testkit::{prop, prop_assert, prop_assert_eq};
 use veil_workloads::driver::VeilUnshieldedDriver;
@@ -65,6 +71,42 @@ fn bucket_counts_are_permutation_invariant() {
         );
         Ok(())
     });
+}
+
+/// Checks one reported percentile against the exact nearest-rank sample
+/// `exact` of the same data: inside `[min, max]`, never above `exact`, and
+/// at most `exact / 16` below it.
+fn within_a_sixteenth(got: u64, exact: u64, min: u64, max: u64) -> Result<(), String> {
+    if min <= got && got <= exact && exact <= max && u128::from(exact - got) * 16 <= exact.into() {
+        Ok(())
+    } else {
+        Err(format!("percentile {got} vs exact {exact} in [{min}, {max}]"))
+    }
+}
+
+#[test]
+fn histogram_percentiles_are_within_a_sixteenth_of_exact() {
+    let cases = prop::tuple2(samples(), prop::u64s(0..100_001));
+    prop::check(
+        "histogram_percentiles_are_within_a_sixteenth_of_exact",
+        1000,
+        &cases,
+        |(xs, p)| {
+            let h = hist_of(&xs);
+            let mut sorted = xs.clone();
+            sorted.sort_unstable();
+            for p in [0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0, p as f64 / 1000.0] {
+                if sorted.is_empty() {
+                    prop_assert_eq!(h.percentile(p), 0);
+                    continue;
+                }
+                let exact = sorted[nearest_rank(sorted.len(), p) - 1];
+                within_a_sixteenth(h.percentile(p), exact, h.min(), h.max())
+                    .map_err(|e| format!("p{p} of {} samples: {e}", sorted.len()))?;
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -147,21 +189,21 @@ fn http_workload_folded_stacks_are_well_formed() {
     }
 }
 
+/// Checks a metrics snapshot digest against `tests/goldens/<name>.digest`
+/// (regenerate with `VEIL_REGEN_GOLDEN=1`).
+fn assert_digest_golden(name: &str, digest: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(name);
+    golden::assert_matches(name, &path, &format!("{digest}\n"));
+}
+
 #[test]
 fn http_workload_snapshot_digest_matches_golden() {
     // Golden pin: the deterministic snapshot of `HttpWorkload::nginx(25)`
     // on a 2048-frame single-VCPU CVM. This digest changes whenever the
     // event stream, cost model, bucket layout, span set, or JSON shape
-    // changes — all of which are intentional, reviewable events. Update
-    // it by running `cargo test http_workload_snapshot_digest` and
-    // copying the printed digest.
+    // changes — all of which are intentional, reviewable events.
     let cvm = http_metrics_cvm(25);
-    let digest = cvm.metrics_digest_hex();
-    println!("http snapshot digest: {digest}");
-    assert_eq!(
-        digest, "beeb7be62441124f1ba2f5f20a68347050625b652b84737c9e4cde1643ed5773",
-        "metrics snapshot drifted from the pinned golden"
-    );
+    assert_digest_golden("metrics_http.digest", &cvm.metrics_digest_hex());
 }
 
 /// Runs `HttpWorkload::nginx(25)` on a traced 2048-frame single-VCPU
@@ -186,18 +228,77 @@ fn http_traced_cvm(metrics: bool, audited: bool) -> Cvm {
 fn audited_batched_snapshot_digest_matches_golden() {
     // Second golden pin, covering the series the plain run never fills:
     // `ring_depth`, doorbell `relay_cycles` and `domain_switch_total`.
-    // Same update procedure as the plain golden above.
     let cvm = http_traced_cvm(true, true);
-    let digest = cvm.metrics_digest_hex();
-    println!("audited batched http snapshot digest: {digest}");
     let snapshot = cvm.metrics_snapshot();
     for series in ["\"ring_depth\"", "\"relay_cycles\"", "\"domain_switch_total\""] {
         assert!(snapshot.contains(series), "golden run lost the {series} series");
     }
+    assert_digest_golden("metrics_audited_batched_http.digest", &cvm.metrics_digest_hex());
+}
+
+/// The value of `"field": <value>` in one flat JSON object of the
+/// snapshot: a string's contents, or a number's digits.
+fn json_field<'a>(row: &'a str, field: &str) -> &'a str {
+    let key = format!("\"{field}\": ");
+    let at = row.find(&key).unwrap_or_else(|| panic!("no {field} in {row}")) + key.len();
+    let rest = &row[at..];
+    match rest.strip_prefix('"') {
+        Some(s) => &s[..s.find('"').unwrap()],
+        None => &rest[..rest.find([',', '}']).unwrap()],
+    }
+}
+
+#[test]
+fn exported_percentiles_agree_with_the_trace() {
+    // What an operator reads off the JSON snapshot must summarize the raw
+    // event stream: rebuild every `relay_cycles{vmpl, exit}` sample from
+    // the trace ring, bracketing each non-automatic `VmgExit` with the next
+    // `VmEnter` on the same VCPU, and compare.
+    let cvm = http_traced_cvm(true, true);
+    assert_eq!(cvm.hv.machine.tracer().dropped(), 0, "the ring must hold the whole run");
+    let mut pending = BTreeMap::new();
+    let mut samples: BTreeMap<(&str, &str), Vec<u64>> = BTreeMap::new();
+    for r in cvm.trace_records() {
+        match r.event {
+            Event::VmgExit { vcpu, vmpl, code, automatic: false, .. } => {
+                pending.insert(vcpu, (r.cycles, vmpl, code));
+            }
+            Event::VmEnter { vcpu, .. } => {
+                if let Some((start, vmpl, code)) = pending.remove(&vcpu) {
+                    let key = (domain_label(vmpl), exit_code_label(code));
+                    samples.entry(key).or_default().push(r.cycles - start);
+                }
+            }
+            _ => {}
+        }
+    }
+    let snapshot = cvm.metrics_snapshot();
+    let mut exported = BTreeMap::new();
+    for row in snapshot.split("{\"metric\": \"relay_cycles\"").skip(1) {
+        let key = (json_field(row, "domain"), json_field(row, "op"));
+        let field = |name| json_field(row, name).parse::<u64>().unwrap();
+        let summary = [field("count"), field("sum"), field("min"), field("max")];
+        let percentiles = [(50.0, field("p50")), (99.0, field("p99")), (99.9, field("p999"))];
+        exported.insert(key, (summary, percentiles));
+    }
+    assert!(exported.len() > 1, "the audited batched run relays several exit kinds");
     assert_eq!(
-        digest, "febb83163a53cc6b283a3085a066ce2e6f355e34351044202703e070cdf1a97e",
-        "audited batched metrics snapshot drifted from the pinned golden"
+        exported.keys().collect::<Vec<_>>(),
+        samples.keys().collect::<Vec<_>>(),
+        "one relay_cycles series per (vmpl, exit) bracket in the trace"
     );
+    for (key, (summary, percentiles)) in &exported {
+        let xs = samples.get_mut(key).unwrap();
+        xs.sort_unstable();
+        let (min, max) = (xs[0], xs[xs.len() - 1]);
+        let sum: u64 = xs.iter().sum();
+        assert_eq!(summary, &[xs.len() as u64, sum, min, max], "{key:?} count/sum/min/max");
+        for (p, got) in percentiles {
+            let exact = xs[nearest_rank(xs.len(), *p) - 1];
+            within_a_sixteenth(*got, exact, min, max)
+                .unwrap_or_else(|e| panic!("{key:?} p{p}: {e}"));
+        }
+    }
 }
 
 #[test]
@@ -397,16 +498,13 @@ impl Model {
             type_line(&mut out, k.metric, "histogram");
             let bucket = format!("{}_bucket", k.metric);
             let mut cumulative = 0u64;
-            for (i, &count) in h.buckets().iter().enumerate().filter(|(_, &c)| c > 0) {
+            let below_top = &h.buckets()[..BUCKETS - 1];
+            for (i, &count) in below_top.iter().enumerate().filter(|(_, &c)| c > 0) {
                 cumulative += count;
-                let le = if i + 1 < BUCKETS {
-                    (bucket_lower(i + 1) - 1).to_string()
-                } else {
-                    "+Inf".to_string()
-                };
+                let le = (bucket_lower(i + 1) - 1).to_string();
                 series(&mut out, &bucket, k.domain, k.op, Some(&le), cumulative.to_string());
             }
-            series(&mut out, &bucket, k.domain, k.op, Some("+Inf"), cumulative.to_string());
+            series(&mut out, &bucket, k.domain, k.op, Some("+Inf"), h.count().to_string());
             series(
                 &mut out,
                 &format!("{}_sum", k.metric),

@@ -2,6 +2,7 @@
 //! the Fig. 3 inter-domain communication flow and the §6.2 enclave
 //! entry/exit flow, observed step by step.
 
+use std::path::Path;
 use veil::prelude::*;
 use veil_hv::SwitchEvent;
 use veil_os::monitor::MonRequest;
@@ -239,19 +240,7 @@ fn golden_batched_http_trace() {
     assert!(cvm.hv.stats().doorbells > 0, "the batched run must actually batch");
     assert_eq!(cvm.gate.deferred_errors(), 0);
     let digest = cvm.trace_digest_hex();
-    if std::env::var_os("VEIL_REGEN_GOLDEN").is_some() {
-        std::fs::write(path, format!("{digest}\n")).unwrap();
-        println!("regenerated {path}: {digest}");
-        return;
-    }
-    let pinned = std::fs::read_to_string(path)
-        .expect("missing tests/goldens/batched_http.digest — regenerate with VEIL_REGEN_GOLDEN=1");
-    assert_eq!(
-        digest,
-        pinned.trim(),
-        "batched http trace drifted. If the protocol change is intentional, regenerate with \
-         `VEIL_REGEN_GOLDEN=1 cargo test -q --test protocol_trace -- --nocapture golden`."
-    );
+    veil_testkit::golden::assert_matches("batched_http", Path::new(path), &format!("{digest}\n"));
 }
 
 #[test]
