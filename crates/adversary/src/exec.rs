@@ -23,10 +23,6 @@ use crate::oracle::{PageKind, RmpOracle};
 
 /// Frame layout of the fuzzing world (see [`World::new`]).
 pub const GHCB_GFN: u64 = 4;
-/// The shared page the hostile ring ops fill, corrupt, and consume. It
-/// starts in the architectural reset state (shared), so both the guest
-/// and the host can reach it — until an attack sequence converts it.
-pub const RING_GFN: u64 = 0;
 const BOOT_VMSA_GFN: u64 = 3;
 const DOMAIN_VMSA_GFNS: [(Vmpl, u64); 3] = [(Vmpl::Vmpl1, 5), (Vmpl::Vmpl2, 6), (Vmpl::Vmpl3, 7)];
 const POOL_FIRST: u64 = 8;
@@ -448,29 +444,6 @@ impl World {
                 compare(op, &r, &expected)?;
                 Ok(format!("write-virt {r:?}"))
             }
-            AdversaryOp::RingFill { vmpl, first_gfn, count, to_private } => {
-                // Clamp into one page (same idiom as Map's frame index);
-                // oversized *batches* are PscBatchReq's job, not the fill.
-                let count = count % (PAGE / 8) + 1;
-                let mut bytes = Vec::with_capacity(count as usize * 8);
-                for i in 0..count {
-                    let entry =
-                        (first_gfn.wrapping_add(i) & !(1u64 << 63)) | u64::from(to_private) << 63;
-                    bytes.extend_from_slice(&entry.to_le_bytes());
-                }
-                let expected = self.oracle.guest_access(vmpl, RING_GFN, Access::Write);
-                let actual = self.hv.machine.write(vmpl, RING_GFN * PAGE, &bytes);
-                self.note(&actual);
-                compare(op, &actual, &expected)?;
-                Ok(format!("ring-fill {actual:?}"))
-            }
-            AdversaryOp::RingCorrupt { offset, value } => {
-                let expected = self.oracle.hv_access(RING_GFN);
-                let actual = self.hv.machine.hv_write(RING_GFN * PAGE + offset % PAGE, &[value]);
-                self.note(&actual);
-                compare(op, &actual, &expected)?;
-                Ok(format!("ring-corrupt {actual:?}"))
-            }
             AdversaryOp::DoorbellRing { vmpl, target, depth } => {
                 let expected_wr = self.oracle.guest_access(vmpl, GHCB_GFN, Access::Write);
                 let wr = self.ghcb.write_request(
@@ -503,75 +476,6 @@ impl World {
                     }
                 }
                 Ok(format!("doorbell {actual:?}"))
-            }
-            AdversaryOp::PscBatchReq { vmpl, list_gfn, count } => {
-                let expected_wr = self.oracle.guest_access(vmpl, GHCB_GFN, Access::Write);
-                let wr = self.ghcb.write_request(
-                    &mut self.hv.machine,
-                    vmpl,
-                    GhcbExit::PscBatch,
-                    list_gfn,
-                    count,
-                );
-                self.note(&wr);
-                compare(op, &wr, &expected_wr)?;
-                if wr.is_err() {
-                    return Ok(format!("psc-batch-req {wr:?}"));
-                }
-                let gate = self.oracle.exit_gate(GHCB_GFN);
-                // Pre-read the list exactly as the hypervisor will at
-                // exit time (`hv_read` is pure): a self-referential list
-                // may flip its own page private mid-batch.
-                let raw = if count <= veil_hv::PSC_BATCH_MAX {
-                    self.hv.machine.hv_read(list_gfn * PAGE, count as usize * 8).ok()
-                } else {
-                    None
-                };
-                let actual = self.hv.vmgexit(0, false);
-                self.note(&actual);
-                match (&actual, &gate) {
-                    (Err(SnpError::Halted(got)), Err(want)) if got == want => {}
-                    (Ok(resp), Ok(())) => {
-                        // Replay the batch against the oracle with the
-                        // hypervisor's stop-at-first-failure semantics.
-                        let mut all_applied = false;
-                        if let Some(bytes) = &raw {
-                            all_applied = true;
-                            for chunk in bytes.chunks_exact(8) {
-                                let entry =
-                                    u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                                let gfn = entry & !(1u64 << 63);
-                                let applied = if entry >> 63 == 1 {
-                                    self.oracle.assign(gfn)
-                                } else {
-                                    self.oracle.reclaim(gfn)
-                                };
-                                if applied.is_err() {
-                                    all_applied = false;
-                                    break;
-                                }
-                            }
-                        }
-                        let agreed = matches!(
-                            (resp, all_applied),
-                            (veil_hv::HvResponse::PageStateChanged, true)
-                                | (veil_hv::HvResponse::Refused { .. }, false)
-                        );
-                        if !agreed {
-                            return Err(format!(
-                                "psc-batch divergence on {op:?}: hypervisor {resp:?}, \
-                                 oracle all_applied={all_applied}"
-                            ));
-                        }
-                    }
-                    _ => {
-                        return Err(format!(
-                            "psc-batch gate divergence on {op:?}: machine {actual:?}, \
-                             oracle {gate:?}"
-                        ))
-                    }
-                }
-                Ok(format!("psc-batch {actual:?}"))
             }
             AdversaryOp::ForgeReport { tamper } => {
                 // Attestation differential: the hostile issuer and the

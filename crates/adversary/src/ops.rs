@@ -193,29 +193,6 @@ pub enum AdversaryOp {
         /// Byte pattern to store.
         byte: u8,
     },
-    /// Fills the shared ring page with a packed PSC list (batched gate
-    /// path): `count` entries `(first_gfn + i) | to_private << 63`,
-    /// written from `vmpl`. Malformed indices come free — `first_gfn`
-    /// ranges past the end of guest memory.
-    RingFill {
-        /// VMPL writing the list.
-        vmpl: Vmpl,
-        /// First gfn packed into the list.
-        first_gfn: u64,
-        /// Entry count (executor clamps into one page).
-        count: u64,
-        /// Pack assign (`true`) or reclaim entries.
-        to_private: bool,
-    },
-    /// Host-side byte poke into the ring page — the "mutate the ring
-    /// between fill and drain" TOCTOU attack, sequenced freely between
-    /// [`AdversaryOp::RingFill`] and [`AdversaryOp::PscBatchReq`].
-    RingCorrupt {
-        /// Byte offset inside the ring page.
-        offset: u64,
-        /// Byte value to plant.
-        value: u8,
-    },
     /// Doorbell exit: request a relayed switch advertising `depth`
     /// queued ring entries. Replay is the sequence repeating the op;
     /// `target` ranges past the last valid VMPL index.
@@ -226,17 +203,6 @@ pub enum AdversaryOp {
         target: u64,
         /// Advisory ring depth advertised to the host.
         depth: u64,
-    },
-    /// Batched page-state change consuming `count` entries at
-    /// `list_gfn` — hostile counts (past `PSC_BATCH_MAX`) and hostile
-    /// list locations (private or out-of-range pages) included.
-    PscBatchReq {
-        /// VMPL writing the GHCB request.
-        vmpl: Vmpl,
-        /// Page holding the packed entry list.
-        list_gfn: u64,
-        /// Entry count (unclamped: oversized batches must be refused).
-        count: u64,
     },
     /// Forge an attestation chain report with one hostile derivation
     /// (tamper point selected by `tamper` modulo the tamper table) and
@@ -264,7 +230,7 @@ pub enum AdversaryOp {
 impl AdversaryOp {
     /// Every variant name, in declaration order — for coverage audits
     /// that must break at compile time when a variant is added.
-    pub const VARIANT_NAMES: [&'static str; 27] = [
+    pub const VARIANT_NAMES: [&'static str; 24] = [
         "GuestRead",
         "GuestWrite",
         "GuestExec",
@@ -285,10 +251,7 @@ impl AdversaryOp {
         "Protect",
         "ReadVirt",
         "WriteVirt",
-        "RingFill",
-        "RingCorrupt",
         "DoorbellRing",
-        "PscBatchReq",
         "ForgeReport",
         "ReplayStaleReport",
         "BootTamperedImage",
@@ -317,10 +280,7 @@ impl AdversaryOp {
             AdversaryOp::Protect { .. } => "Protect",
             AdversaryOp::ReadVirt { .. } => "ReadVirt",
             AdversaryOp::WriteVirt { .. } => "WriteVirt",
-            AdversaryOp::RingFill { .. } => "RingFill",
-            AdversaryOp::RingCorrupt { .. } => "RingCorrupt",
             AdversaryOp::DoorbellRing { .. } => "DoorbellRing",
-            AdversaryOp::PscBatchReq { .. } => "PscBatchReq",
             AdversaryOp::ForgeReport { .. } => "ForgeReport",
             AdversaryOp::ReplayStaleReport { .. } => "ReplayStaleReport",
             AdversaryOp::BootTamperedImage { .. } => "BootTamperedImage",
@@ -439,39 +399,8 @@ pub fn op_strategy() -> Strategy<AdversaryOp> {
         ),
         (
             4,
-            prop::tuple4(vmpls(), gfns(), prop::u64s(1..20), prop::bools()).map(
-                |(vmpl, first_gfn, count, to_private)| AdversaryOp::RingFill {
-                    vmpl,
-                    first_gfn,
-                    count,
-                    to_private,
-                },
-            ),
-        ),
-        (
-            3,
-            prop::tuple2(prop::u64s(0..4096), prop::any_u8())
-                .map(|(offset, value)| AdversaryOp::RingCorrupt { offset, value }),
-        ),
-        (
-            4,
             prop::tuple3(vmpls(), prop::u64s(0..6), prop::u64s(0..40))
                 .map(|(vmpl, target, depth)| AdversaryOp::DoorbellRing { vmpl, target, depth }),
-        ),
-        (
-            4,
-            prop::tuple3(
-                vmpls(),
-                gfns(),
-                // Mostly in-page counts, with a band straddling
-                // PSC_BATCH_MAX so the oversized-batch refusal is hot.
-                prop::one_of(vec![prop::u64s(0..24), prop::u64s(500..520)]),
-            )
-            .map(|(vmpl, list_gfn, count)| AdversaryOp::PscBatchReq {
-                vmpl,
-                list_gfn,
-                count,
-            }),
         ),
         (3, prop::any_u8().map(|tamper| AdversaryOp::ForgeReport { tamper })),
         (2, prop::any_u8().map(|nonce_byte| AdversaryOp::ReplayStaleReport { nonce_byte })),

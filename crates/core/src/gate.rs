@@ -135,9 +135,7 @@ impl<S: ServiceDispatch> VeilGate<S> {
     /// Which trusted domain terminates a request.
     fn target_vmpl(req: &MonRequest) -> Vmpl {
         match req {
-            MonRequest::Pvalidate { .. }
-            | MonRequest::PvalidateBatch { .. }
-            | MonRequest::CreateVcpu { .. } => Vmpl::Vmpl0,
+            MonRequest::Pvalidate { .. } | MonRequest::CreateVcpu { .. } => Vmpl::Vmpl0,
             _ => Vmpl::Vmpl1,
         }
     }
@@ -206,15 +204,6 @@ impl<S: ServiceDispatch> VeilGate<S> {
         match req {
             MonRequest::Pvalidate { gfn, validate } => {
                 self.monitor.pvalidate_delegate(hv, *gfn, *validate)?;
-                Ok(MonResponse::Ok)
-            }
-            MonRequest::PvalidateBatch { gfns, validate } => {
-                // In order, stop at the first refused frame — matching the
-                // hypervisor's PSC-batch semantics so both halves of an
-                // accept-pages batch fail at the same boundary.
-                for gfn in gfns {
-                    self.monitor.pvalidate_delegate(hv, *gfn, *validate)?;
-                }
                 Ok(MonResponse::Ok)
             }
             MonRequest::CreateVcpu { vcpu_id, rip, rsp, cr3 } => {
@@ -746,24 +735,6 @@ mod tests {
         assert_eq!(hv.stats().domain_switches, before + 2);
         assert_eq!(hv.stats().doorbells, 0);
         assert!(hv.machine.write(Vmpl::Vmpl3, gpa_of(fresh), b"ok").is_ok());
-    }
-
-    #[test]
-    fn pvalidate_batch_request_validates_all_frames() {
-        let (mut hv, mut gate) = booted_gate();
-        let base = gate.monitor.layout.shared.start + 4;
-        for i in 0..4 {
-            hv.machine.rmp_assign(base + i).unwrap();
-        }
-        let before = hv.stats().domain_switches;
-        let gfns: Vec<u64> = (0..4).map(|i| base + i).collect();
-        let resp =
-            gate.request(&mut hv, 0, MonRequest::PvalidateBatch { gfns, validate: true }).unwrap();
-        assert_eq!(resp, MonResponse::Ok);
-        assert_eq!(hv.stats().domain_switches, before + 2);
-        for i in 0..4 {
-            assert!(hv.machine.write(Vmpl::Vmpl3, gpa_of(base + i), b"ok").is_ok());
-        }
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub struct Monitor {
     /// Number of VCPUs replicated across domains.
     pub vcpus: u32,
     mon_free: Vec<u64>,
-    ser_free: Vec<u64>,
     /// Frames the untrusted OS must never name in a request (§8.1:
     /// "VeilMon keeps track of all protected memory regions at runtime").
     protected: BTreeSet<u64>,
@@ -129,7 +128,6 @@ impl Monitor {
 
         let mut monitor = Monitor {
             mon_free: layout.mon_pool.clone().rev().collect(),
-            ser_free: layout.ser_pool.clone().rev().collect(),
             protected: BTreeSet::new(),
             layout,
             vcpus,
@@ -185,11 +183,6 @@ impl Monitor {
     /// Allocates one frame from VeilMon's private pool.
     pub fn alloc_mon(&mut self) -> Result<u64, OsError> {
         self.mon_free.pop().ok_or(OsError::OutOfFrames)
-    }
-
-    /// Allocates one frame from the services pool.
-    pub fn alloc_ser(&mut self) -> Result<u64, OsError> {
-        self.ser_free.pop().ok_or(OsError::OutOfFrames)
     }
 
     /// Returns a frame to the monitor pool.

@@ -27,13 +27,8 @@ use veil_snp::cost::CostCategory;
 use veil_snp::fault::{HaltReason, SnpError};
 use veil_snp::ghcb::{Ghcb, GhcbExit};
 use veil_snp::machine::Machine;
-use veil_snp::mem::PAGE_SIZE;
 use veil_snp::perms::Vmpl;
 use veil_trace::{exit_code, Event, VMPL_UNKNOWN};
-
-/// Maximum entries one PSC-batch list page can carry (packed `u64`s:
-/// bit 63 = to-private, low bits = gfn).
-pub const PSC_BATCH_MAX: u64 = (PAGE_SIZE / 8) as u64;
 
 /// Per-VCPU hypervisor state: the per-domain VMSA registry.
 #[derive(Debug, Clone)]
@@ -202,12 +197,6 @@ impl Hypervisor {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Clears the recorded event stream (ring + digest) without toggling
-    /// the enable flag.
-    pub fn clear_trace(&mut self) {
-        self.machine.tracer_mut().clear();
     }
 
     /// Enables/disables metrics collection (registry + span profiler) on
@@ -433,11 +422,6 @@ impl Hypervisor {
                 };
                 self.vmenter(vcpu_id, resp)
             }
-            GhcbExit::PscBatch => {
-                self.charge_exit_roundtrip(CostCategory::Other);
-                let resp = self.apply_psc_batch(&ghcb, info1, info2);
-                self.vmenter(vcpu_id, resp)
-            }
             GhcbExit::Io | GhcbExit::Msr => {
                 self.charge_exit_roundtrip(CostCategory::KernelService);
                 ghcb.write_response(&mut self.machine, 0);
@@ -526,51 +510,6 @@ impl Hypervisor {
     fn charge_exit_roundtrip(&mut self, category: CostCategory) {
         let cost = self.machine.cost().domain_switch();
         self.machine.charge(category, cost);
-    }
-
-    /// Applies a batched page-state change: `count` packed entries read
-    /// from the shared list page at `list_gfn`, applied in order, stopping
-    /// at the first failure. The GHCB scratch receives the number of
-    /// entries applied.
-    fn apply_psc_batch(&mut self, ghcb: &Ghcb, list_gfn: u64, count: u64) -> HvResponse {
-        if count > PSC_BATCH_MAX {
-            ghcb.write_response(&mut self.machine, 0);
-            return HvResponse::Refused { reason: "psc batch exceeds one list page" };
-        }
-        let raw = match self.machine.hv_read(Machine::gpa(list_gfn), count as usize * 8) {
-            Ok(r) => r,
-            Err(_) => {
-                ghcb.write_response(&mut self.machine, 0);
-                return HvResponse::Refused { reason: "psc list page not hypervisor-readable" };
-            }
-        };
-        let mut processed = 0u64;
-        let mut failed = false;
-        for chunk in raw.chunks_exact(8) {
-            let entry = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            let gfn = entry & !(1u64 << 63);
-            let to_private = entry >> 63 == 1;
-            let outcome = if to_private {
-                self.machine.rmp_assign(gfn)
-            } else {
-                self.machine.rmp_reclaim(gfn)
-            };
-            if outcome.is_err() {
-                failed = true;
-                break;
-            }
-            processed += 1;
-        }
-        // Each applied entry costs one list read + RMP update on top of
-        // the fixed round trip, so longer batches take longer relays.
-        let per_entry = self.machine.cost().psc_batch_entry;
-        self.machine.charge(CostCategory::Other, per_entry * processed);
-        ghcb.write_response(&mut self.machine, processed);
-        if failed {
-            HvResponse::Refused { reason: "page state change rejected" }
-        } else {
-            HvResponse::PageStateChanged
-        }
     }
 
     /// Injects a hardware interrupt while `vcpu_id` runs — an *automatic
@@ -898,68 +837,31 @@ mod tests {
     }
 
     #[test]
-    fn psc_batch_applies_entries_in_order() {
+    fn retired_and_unknown_exit_codes_are_refused_not_serviced() {
         let mut hv = booted();
         hv.machine.set_ghcb_msr(0, 20);
-        hv.set_trace(true);
         let ghcb = Ghcb::at(&hv.machine, 20).unwrap();
-        // List page at shared frame 40: make 30, 31, 32 private.
-        let mut list = Vec::new();
-        for gfn in [30u64, 31, 32] {
-            list.extend_from_slice(&(gfn | 1 << 63).to_le_bytes());
+        let rmp = |hv: &Hypervisor| -> Vec<_> {
+            (0..hv.machine.rmp().frames()).map(|g| *hv.machine.rmp().entry(g).unwrap()).collect()
+        };
+        // 0x8000_f004 was the batched page-state change; 0xdead never
+        // meant anything. Neither may be serviced, whatever info1 names.
+        for code in [0x8000_f004u64, 0xdead] {
+            let mut fields = [0u8; 24];
+            fields[..8].copy_from_slice(&code.to_le_bytes());
+            fields[8..16].copy_from_slice(&30u64.to_le_bytes());
+            hv.machine.write(Vmpl::Vmpl0, ghcb.base() + 0x390, &fields).unwrap();
+            let rmp_before = rmp(&hv);
+            let stats_before = hv.stats();
+            let resp = hv.vmgexit(0, false).unwrap();
+            assert_eq!(resp, HvResponse::Refused { reason: "undecodable exit code" }, "{code:#x}");
+            assert_eq!(hv.vcpu(0).unwrap().current_vmpl, Vmpl::Vmpl0);
+            assert_eq!(hv.machine.current_domain(), Vmpl::Vmpl0);
+            assert_eq!(rmp(&hv), rmp_before, "{code:#x} changed the RMP");
+            let stats = hv.stats();
+            assert_eq!(stats.vmgexits, stats_before.vmgexits + 1);
+            assert_eq!(stats.page_state_changes, stats_before.page_state_changes);
         }
-        hv.machine.hv_write(Machine::gpa(40), &list).unwrap();
-        ghcb.write_request(&mut hv.machine, Vmpl::Vmpl0, GhcbExit::PscBatch, 40, 3).unwrap();
-        let snap = hv.machine.cycles().snapshot();
-        assert_eq!(hv.vmgexit(0, false).unwrap(), HvResponse::PageStateChanged);
-        assert_eq!(ghcb.read_response(&hv.machine, Vmpl::Vmpl0).unwrap(), 3);
-        // Relay cost = the fixed exit round trip plus one per-entry
-        // increment per applied page, so batch length shows up in the
-        // relay-latency histogram.
-        let delta = hv.machine.cycles().since(&snap);
-        let cost = hv.machine.cost();
-        assert_eq!(delta.of(CostCategory::Other), cost.domain_switch() + 3 * cost.psc_batch_entry);
-        for gfn in [30, 31, 32] {
-            assert!(!hv.machine.rmp().hypervisor_accessible(gfn), "gfn {gfn} now private");
-        }
-        // The fold counts one page-state change per entry — equivalent to
-        // three serial PSCs — but only one vmgexit.
-        let stats = hv.stats();
-        assert_eq!(stats.page_state_changes, 3);
-        assert_eq!(stats.vmgexits, 1);
-    }
-
-    #[test]
-    fn psc_batch_stops_at_first_failure() {
-        let mut hv = booted();
-        hv.machine.set_ghcb_msr(0, 20);
-        let ghcb = Ghcb::at(&hv.machine, 20).unwrap();
-        // Second entry is out of range: only the first applies.
-        let mut list = Vec::new();
-        list.extend_from_slice(&(30u64 | 1 << 63).to_le_bytes());
-        list.extend_from_slice(&(0x7fff_ffffu64 | 1 << 63).to_le_bytes());
-        list.extend_from_slice(&(31u64 | 1 << 63).to_le_bytes());
-        hv.machine.hv_write(Machine::gpa(40), &list).unwrap();
-        ghcb.write_request(&mut hv.machine, Vmpl::Vmpl0, GhcbExit::PscBatch, 40, 3).unwrap();
-        assert!(matches!(hv.vmgexit(0, false).unwrap(), HvResponse::Refused { .. }));
-        assert_eq!(ghcb.read_response(&hv.machine, Vmpl::Vmpl0).unwrap(), 1);
-        assert!(!hv.machine.rmp().hypervisor_accessible(30));
-        assert!(hv.machine.rmp().hypervisor_accessible(31), "entry after failure untouched");
-    }
-
-    #[test]
-    fn psc_batch_rejects_oversized_and_unreadable_lists() {
-        let mut hv = booted();
-        hv.machine.set_ghcb_msr(0, 20);
-        let ghcb = Ghcb::at(&hv.machine, 20).unwrap();
-        ghcb.write_request(&mut hv.machine, Vmpl::Vmpl0, GhcbExit::PscBatch, 40, PSC_BATCH_MAX + 1)
-            .unwrap();
-        assert!(matches!(hv.vmgexit(0, false).unwrap(), HvResponse::Refused { .. }));
-        assert_eq!(ghcb.read_response(&hv.machine, Vmpl::Vmpl0).unwrap(), 0);
-        // A private list page is invisible to the hypervisor.
-        validated(&mut hv, 41);
-        ghcb.write_request(&mut hv.machine, Vmpl::Vmpl0, GhcbExit::PscBatch, 41, 1).unwrap();
-        assert!(matches!(hv.vmgexit(0, false).unwrap(), HvResponse::Refused { .. }));
     }
 
     #[test]

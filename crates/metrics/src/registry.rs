@@ -33,14 +33,13 @@ pub fn exit_code_label(code: u64) -> &'static str {
 
 /// The labels [`exit_code_label`] can return, indexed by
 /// [`exit_code_index`].
-const EXIT_CODE_LABELS: [&str; 11] = [
+const EXIT_CODE_LABELS: [&str; 10] = [
     "io",
     "msr",
     "page_state_change",
     "domain_switch",
     "create_vcpu",
     "doorbell",
-    "psc_batch",
     "shutdown",
     "automatic",
     "unknown",
@@ -55,11 +54,10 @@ fn exit_code_index(code: u64) -> usize {
         exit_code::DOMAIN_SWITCH => 3,
         exit_code::CREATE_VCPU => 4,
         exit_code::DOORBELL => 5,
-        exit_code::PSC_BATCH => 6,
-        exit_code::SHUTDOWN => 7,
-        exit_code::AUTOMATIC => 8,
-        exit_code::UNKNOWN => 9,
-        _ => 10,
+        exit_code::SHUTDOWN => 6,
+        exit_code::AUTOMATIC => 7,
+        exit_code::UNKNOWN => 8,
+        _ => 9,
     }
 }
 

@@ -174,23 +174,6 @@ impl Kernel {
         self.procs.get_mut(&pid).ok_or(Errno::ESRCH)
     }
 
-    /// Tears down a process: releases fds, mmaps, page tables.
-    pub fn reap(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid) -> Result<(), Errno> {
-        let proc = self.procs.remove(&pid).ok_or(Errno::ESRCH)?;
-        for (_, entry) in proc.fds {
-            if let FdEntry::Socket(sid) = entry {
-                let _ = self.sockets.close(sid);
-            }
-        }
-        for (_, region) in proc.mmaps {
-            for gfn in region.frames {
-                self.frames.free(gfn);
-            }
-        }
-        let _ = ctx;
-        Ok(())
-    }
-
     fn ensure_aspace(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid) -> Result<AddressSpace, Errno> {
         if let Some(a) = self.process(pid)?.aspace {
             return Ok(a);
@@ -1060,58 +1043,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Batched [`Kernel::accept_page`]: one PSC-batch exit transitions
-    /// every frame (list staged in the GHCB shared buffer, as the real
-    /// GHCB PSC protocol does), then one gated `PvalidateBatch` request
-    /// validates them — two exits total instead of two per page.
-    ///
-    /// # Errors
-    ///
-    /// Rejects batches beyond the GHCB payload; the hypervisor refusing
-    /// the PSC or the monitor refusing a frame aborts (frames before the
-    /// failure stay transitioned, matching both halves' stop-at-first-
-    /// failure semantics).
-    pub fn accept_pages(&mut self, ctx: &mut KernelCtx<'_>, gfns: &[u64]) -> Result<(), OsError> {
-        if gfns.is_empty() {
-            return Ok(());
-        }
-        let ghcb_gfn = self
-            .ghcbs
-            .get(&ctx.vcpu)
-            .copied()
-            .ok_or_else(|| OsError::Config("no GHCB for vcpu".into()))?;
-        let ghcb = Ghcb::at(&ctx.hv.machine, ghcb_gfn)?;
-        if gfns.len() * 8 > Ghcb::payload_capacity() {
-            return Err(OsError::Config(format!(
-                "psc batch of {} entries exceeds GHCB payload",
-                gfns.len()
-            )));
-        }
-        let mut list = Vec::with_capacity(gfns.len() * 8);
-        for gfn in gfns {
-            // Bit 63 = to-private.
-            list.extend_from_slice(&(gfn | 1 << 63).to_le_bytes());
-        }
-        ghcb.write_payload(&mut ctx.hv.machine, self.vmpl, &list)?;
-        ghcb.write_request(
-            &mut ctx.hv.machine,
-            self.vmpl,
-            GhcbExit::PscBatch,
-            ghcb_gfn,
-            gfns.len() as u64,
-        )?;
-        match ctx.hv.vmgexit(ctx.vcpu, false)? {
-            veil_hv::HvResponse::PageStateChanged => {}
-            other => return Err(OsError::MonitorRefused(format!("hv: {other:?}"))),
-        }
-        let req = MonRequest::PvalidateBatch { gfns: gfns.to_vec(), validate: true };
-        ctx.gate.request(ctx.hv, ctx.vcpu, req)?;
-        for gfn in gfns {
-            self.frames.donate(*gfn);
-        }
-        Ok(())
-    }
-
     // ---- misc syscalls ---------------------------------------------------------
 
     /// `dup`.
@@ -1161,21 +1092,6 @@ impl Kernel {
         self.procs.insert(child_pid, child);
         self.audit_syscall(ctx, pid, Sysno::Fork, child_pid as i64);
         Ok(child_pid)
-    }
-
-    /// Simulated `execve` (audit workloads): charges image-load work.
-    pub fn sys_execve(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        path: &str,
-    ) -> Result<(), Errno> {
-        self.charge_base(ctx);
-        let ino = self.vfs.resolve(path)?;
-        let size = self.vfs.inode(ino)?.size();
-        self.charge_copy(ctx, size);
-        self.audit_syscall(ctx, pid, Sysno::Execve, 0);
-        Ok(())
     }
 }
 
@@ -1711,22 +1627,6 @@ mod tests {
         assert_eq!(kernel.frames.available(), before + 1);
         // The page is private + validated now:
         assert!(hv.machine.write(Vmpl::Vmpl0, gpa_of(505), b"mine").is_ok());
-    }
-
-    #[test]
-    fn accept_pages_batch_grows_pool_with_one_exit() {
-        let (mut hv, mut gate, mut kernel) = native();
-        let before = kernel.frames.available();
-        let exits_before = hv.stats().vmgexits;
-        let mut ctx = KernelCtx { hv: &mut hv, gate: &mut gate, vcpu: 0 };
-        kernel.accept_pages(&mut ctx, &[506, 507, 508]).unwrap();
-        assert_eq!(kernel.frames.available(), before + 3);
-        // One PSC-batch exit for all three frames (the native gate adds
-        // no switches of its own).
-        assert_eq!(hv.stats().vmgexits, exits_before + 1);
-        for gfn in [506u64, 507, 508] {
-            assert!(hv.machine.write(Vmpl::Vmpl0, gpa_of(gfn), b"mine").is_ok());
-        }
     }
 
     #[test]

@@ -141,17 +141,6 @@ pub enum MonRequest {
     /// service-call path — the framework observing itself over its own
     /// protected channel.
     StatSnapshot,
-    /// §5.3 page-state-change delegation, batched: (in)validate a whole
-    /// list of frames under a single domain switch. The monitor processes
-    /// entries in order and refuses the batch at the first bad frame
-    /// (frames before it stay transitioned, matching the hypervisor's
-    /// PSC-batch stop-at-first-failure semantics).
-    PvalidateBatch {
-        /// Frames to (in)validate, processed in order.
-        gfns: Vec<u64>,
-        /// `true` to validate (accept), `false` to invalidate (release).
-        validate: bool,
-    },
     /// VeilS-ATT: produce a signed VCEK-chain attestation report
     /// (§5.1 + DESIGN.md §15). The kernel relays a remote verifier's
     /// challenge; the trusted side answers with the serialized
@@ -195,7 +184,6 @@ impl MonRequest {
             MonRequest::EncAddThread { .. } => 11,
             MonRequest::EncDestroy { .. } => 12,
             MonRequest::StatSnapshot => 13,
-            MonRequest::PvalidateBatch { .. } => 14,
             MonRequest::AttestReport { .. } => 15,
         }
     }
@@ -219,7 +207,6 @@ impl MonRequest {
             MonRequest::EncAddThread { .. } => 32,
             MonRequest::EncDestroy { .. } => 16,
             MonRequest::StatSnapshot => 16,
-            MonRequest::PvalidateBatch { gfns, .. } => 24 + 8 * gfns.len(),
             MonRequest::AttestReport { .. } => 16 + 32 + 64,
         }
     }
@@ -301,12 +288,6 @@ impl MonitorChannel for NativeMonitor {
         match req {
             MonRequest::Pvalidate { gfn, validate } => {
                 hv.machine.pvalidate(Vmpl::Vmpl0, gfn, validate)?;
-                Ok(MonResponse::Ok)
-            }
-            MonRequest::PvalidateBatch { gfns, validate } => {
-                for gfn in gfns {
-                    hv.machine.pvalidate(Vmpl::Vmpl0, gfn, validate)?;
-                }
                 Ok(MonResponse::Ok)
             }
             MonRequest::CreateVcpu { vcpu_id: new_id, rip, rsp, cr3 } => {

@@ -48,11 +48,6 @@ impl Inode {
     pub fn is_dir(&self) -> bool {
         matches!(self.kind, InodeKind::Dir { .. })
     }
-
-    /// Whether this is a regular file.
-    pub fn is_file(&self) -> bool {
-        matches!(self.kind, InodeKind::File { .. })
-    }
 }
 
 /// The filesystem.

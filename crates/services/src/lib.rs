@@ -145,11 +145,9 @@ impl ServiceDispatch for VeilServices {
             MonRequest::AttestReport { nonce, report_data } => {
                 Ok(MonResponse::Bytes(self.attest.report(hv, *nonce, *report_data)?))
             }
-            MonRequest::Pvalidate { .. }
-            | MonRequest::PvalidateBatch { .. }
-            | MonRequest::CreateVcpu { .. } => Err(OsError::MonitorRefused(
-                "architectural delegation terminates in VeilMon".into(),
-            )),
+            MonRequest::Pvalidate { .. } | MonRequest::CreateVcpu { .. } => Err(
+                OsError::MonitorRefused("architectural delegation terminates in VeilMon".into()),
+            ),
         }
     }
 }

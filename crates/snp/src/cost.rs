@@ -108,10 +108,6 @@ pub struct CostModel {
     /// deeper ring costs a longer relay. Keeps the relay-latency
     /// histogram occupancy-sensitive instead of a constant.
     pub doorbell_drain_slot: u64,
-    /// Per-entry cost of a `PscBatch` relay: one packed-list read, RMP
-    /// update, and response-bookkeeping step per page-state entry, on top
-    /// of the fixed exit round trip.
-    pub psc_batch_entry: u64,
 }
 
 impl Default for CostModel {
@@ -133,7 +129,6 @@ impl Default for CostModel {
             sha256_block: 90,
             crypt_page: 4200,
             doorbell_drain_slot: 260,
-            psc_batch_entry: 110,
         }
     }
 }

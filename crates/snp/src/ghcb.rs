@@ -39,9 +39,6 @@ pub enum GhcbExit {
     /// Veil: doorbell — switch to the domain in `exit_info1` to drain a
     /// gate request ring of depth `exit_info2` (batched gate path).
     Doorbell,
-    /// Batched page-state change: `exit_info1` holds the gfn of a shared
-    /// list page of packed entries, `exit_info2` the entry count.
-    PscBatch,
     /// Plain guest shutdown request.
     Shutdown,
 }
@@ -56,7 +53,6 @@ impl GhcbExit {
             GhcbExit::DomainSwitch => 0x8000_f001,
             GhcbExit::CreateVcpu => 0x8000_f002,
             GhcbExit::Doorbell => 0x8000_f003,
-            GhcbExit::PscBatch => 0x8000_f004,
             GhcbExit::Shutdown => 0x8000_f0ff,
         }
     }
@@ -70,7 +66,6 @@ impl GhcbExit {
             0x8000_f001 => GhcbExit::DomainSwitch,
             0x8000_f002 => GhcbExit::CreateVcpu,
             0x8000_f003 => GhcbExit::Doorbell,
-            0x8000_f004 => GhcbExit::PscBatch,
             0x8000_f0ff => GhcbExit::Shutdown,
             _ => return None,
         })
@@ -155,34 +150,6 @@ impl Ghcb {
         machine.read_u64(vmpl, self.base() + offsets::SCRATCH)
     }
 
-    /// Copies a byte payload into the GHCB shared buffer region (first
-    /// 0x390 bytes), used for bounce-buffered I/O.
-    pub fn write_payload(
-        &self,
-        machine: &mut Machine,
-        vmpl: Vmpl,
-        data: &[u8],
-    ) -> Result<(), SnpError> {
-        assert!(data.len() <= offsets::EXIT_CODE as usize, "payload too large for GHCB");
-        machine.write(vmpl, self.base(), data)
-    }
-
-    /// Reads a byte payload from the shared buffer region.
-    pub fn read_payload(
-        &self,
-        machine: &Machine,
-        vmpl: Vmpl,
-        len: usize,
-    ) -> Result<Vec<u8>, SnpError> {
-        assert!(len <= offsets::EXIT_CODE as usize, "payload too large for GHCB");
-        machine.read(vmpl, self.base(), len)
-    }
-
-    /// Size of the usable payload area.
-    pub const fn payload_capacity() -> usize {
-        offsets::EXIT_CODE as usize
-    }
-
     /// Total GHCB size (one page).
     pub const fn size() -> usize {
         PAGE_SIZE
@@ -207,12 +174,13 @@ mod tests {
             GhcbExit::DomainSwitch,
             GhcbExit::CreateVcpu,
             GhcbExit::Doorbell,
-            GhcbExit::PscBatch,
             GhcbExit::Shutdown,
         ] {
             assert_eq!(GhcbExit::from_code(exit.code()), Some(exit));
         }
         assert_eq!(GhcbExit::from_code(0xdead), None);
+        // The retired batched page-state-change code decodes to nothing.
+        assert_eq!(GhcbExit::from_code(0x8000_f004), None);
     }
 
     #[test]
@@ -232,13 +200,5 @@ mod tests {
         m.pvalidate(Vmpl::Vmpl0, 3, true).unwrap();
         assert!(Ghcb::at(&m, 3).is_err(), "private page cannot be a GHCB");
         assert!(Ghcb::at(&m, 9999).is_err(), "out of range");
-    }
-
-    #[test]
-    fn payload_roundtrip() {
-        let mut m = machine();
-        let ghcb = Ghcb::at(&m, 2).unwrap();
-        ghcb.write_payload(&mut m, Vmpl::Vmpl2, b"syscall args").unwrap();
-        assert_eq!(ghcb.read_payload(&m, Vmpl::Vmpl3, 12).unwrap(), b"syscall args");
     }
 }

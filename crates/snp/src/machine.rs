@@ -98,8 +98,6 @@ pub struct Machine {
     metrics: MetricsRegistry,
     /// Hierarchical span profiler clocked by the virtual cycle account.
     spans: SpanProfiler,
-    /// Fleet shard id (see [`MachineConfig::shard`]).
-    shard: u32,
 }
 
 impl Machine {
@@ -129,14 +127,7 @@ impl Machine {
             domain_cycles: [0; 4],
             metrics,
             spans,
-            shard: config.shard,
         }
-    }
-
-    /// The fleet shard id this machine was built with (0 outside fleet
-    /// runs). Label-only; see [`MachineConfig::shard`].
-    pub fn shard_id(&self) -> u32 {
-        self.shard
     }
 
     // ---- introspection ------------------------------------------------

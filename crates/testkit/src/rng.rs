@@ -8,7 +8,7 @@
 use std::ops::Range;
 use veil_crypto::drbg::Drbg;
 
-/// A deterministic test RNG seeded from a `u64` or a label.
+/// A deterministic test RNG seeded from a `u64`.
 #[derive(Debug, Clone)]
 pub struct TestRng {
     drbg: Drbg,
@@ -20,19 +20,9 @@ impl TestRng {
         TestRng { drbg: Drbg::from_seed(&seed.to_le_bytes()) }
     }
 
-    /// RNG seeded from a human-readable label (test name, fixture id).
-    pub fn from_label(label: &str) -> Self {
-        TestRng { drbg: Drbg::from_seed(label.as_bytes()) }
-    }
-
     /// Next pseudo-random `u64`.
     pub fn next_u64(&mut self) -> u64 {
         self.drbg.next_u64()
-    }
-
-    /// Next pseudo-random `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        self.drbg.next_u64() as u32
     }
 
     /// Fills `out` with pseudo-random bytes.

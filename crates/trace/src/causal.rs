@@ -303,11 +303,6 @@ impl CausalFold {
         &self.paths
     }
 
-    /// Whether a dispatch window is currently open.
-    pub fn has_open_window(&self) -> bool {
-        self.open.is_some()
-    }
-
     /// Per-component totals over every completed path.
     pub fn attribution(&self) -> Attribution {
         let mut a = Attribution::default();

@@ -16,8 +16,6 @@ pub mod exit_code {
     pub const CREATE_VCPU: u64 = 0x8000_f002;
     /// Veil doorbell hypercall (batched gate-ring drain).
     pub const DOORBELL: u64 = 0x8000_f003;
-    /// Batched page-state change (shared list page).
-    pub const PSC_BATCH: u64 = 0x8000_f004;
     /// Guest shutdown request.
     pub const SHUTDOWN: u64 = 0x8000_f0ff;
     /// Automatic exit (hardware interrupt; SVM `VMEXIT_INTR`).

@@ -86,9 +86,6 @@ pub struct EventCounters {
     /// Fold state: a page-state-change `VMGEXIT` is open and its RMP
     /// transition has not been observed yet.
     in_psc: bool,
-    /// Fold state: a batched page-state-change `VMGEXIT` is open; every
-    /// RMP transition until the next non-transition event belongs to it.
-    in_psc_batch: bool,
 }
 
 impl EventCounters {
@@ -98,11 +95,7 @@ impl EventCounters {
     #[inline(always)]
     pub fn observe(&mut self, event: &Event) {
         let was_psc = self.in_psc;
-        let was_psc_batch = self.in_psc_batch;
         self.in_psc = false;
-        if !matches!(event, Event::RmpTransition { .. }) {
-            self.in_psc_batch = false;
-        }
         match *event {
             Event::VmgExit { code, automatic, .. } => {
                 if automatic {
@@ -115,9 +108,6 @@ impl EventCounters {
                     if code == exit_code::PAGE_STATE_CHANGE {
                         self.in_psc = true;
                     }
-                    if code == exit_code::PSC_BATCH {
-                        self.in_psc_batch = true;
-                    }
                 }
             }
             Event::VmEnter { .. } => self.vmenters += 1,
@@ -129,7 +119,7 @@ impl EventCounters {
             }
             Event::RmpTransition { .. } => {
                 self.rmp_transitions += 1;
-                if was_psc || was_psc_batch {
+                if was_psc {
                     self.page_state_changes += 1;
                 }
             }
@@ -442,27 +432,6 @@ mod tests {
         assert_eq!(c.page_state_changes, 1);
         assert_eq!(c.rmp_transitions, 2);
         assert_eq!(c.vmgexits, 2);
-    }
-
-    #[test]
-    fn psc_batch_fold_counts_every_bracketed_transition() {
-        let mut c = EventCounters::default();
-        c.observe(&Event::VmgExit {
-            vcpu: 0,
-            vmpl: 3,
-            code: exit_code::PSC_BATCH,
-            user_ghcb: false,
-            automatic: false,
-        });
-        for gfn in 0..3 {
-            c.observe(&Event::RmpTransition { gfn, to_private: true });
-        }
-        c.observe(&Event::VmEnter { vcpu: 0, vmpl: 3 });
-        // A later direct assign is outside the bracket.
-        c.observe(&Event::RmpTransition { gfn: 9, to_private: true });
-        assert_eq!(c.page_state_changes, 3, "one per batched entry");
-        assert_eq!(c.rmp_transitions, 4);
-        assert_eq!(c.vmgexits, 1);
     }
 
     #[test]

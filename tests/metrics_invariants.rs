@@ -609,14 +609,13 @@ enum MetricsOp {
 /// row for (4, 0x7f) and `DOMAIN_NONE`.
 const DOMAINS: [u8; 7] = [0, 1, 2, 3, 4, 0x7f, DOMAIN_NONE];
 
-const EXIT_CODES: [u64; 11] = [
+const EXIT_CODES: [u64; 10] = [
     exit_code::IO,
     exit_code::MSR,
     exit_code::PAGE_STATE_CHANGE,
     exit_code::DOMAIN_SWITCH,
     exit_code::CREATE_VCPU,
     exit_code::DOORBELL,
-    exit_code::PSC_BATCH,
     exit_code::SHUTDOWN,
     exit_code::AUTOMATIC,
     exit_code::UNKNOWN,

@@ -90,12 +90,12 @@ fn deepest_state_path_replays_cleanly() {
 
 /// Satellite: the coverage audit. The fuzzer's default tier-1 slice,
 /// the tiny and mutation-config explorations, and one pinned protocol
-/// sequence must *together* exercise all 27 [`AdversaryOp`] variants
-/// — including the four hostile ring ops of the batched gate path and
-/// the three hostile attestation ops (forged reports, replayed reports,
-/// tampered boot images) —
-/// and all 7 [`SnpError`] verdict variants. A differential harness that
-/// never reaches a verdict proves nothing about it.
+/// sequence must *together* exercise all 24 [`AdversaryOp`] variants
+/// — including the doorbell exit of the batched gate path and the three
+/// hostile attestation ops (forged reports, replayed reports, tampered
+/// boot images) — and all 7 [`SnpError`] verdict variants. A
+/// differential harness that never reaches a verdict proves nothing
+/// about it.
 #[test]
 fn fuzzer_and_checker_cover_all_ops_and_verdicts() {
     let mut total = Coverage::default();
