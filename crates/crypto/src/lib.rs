@@ -5,7 +5,12 @@
 //! enclave paging, and kernel-module signatures. This crate implements every
 //! primitive those code paths need, from scratch and dependency-free:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 (launch digests, enclave measurements).
+//! * [`sha256`] — FIPS 180-4 SHA-256 (launch digests, enclave measurements,
+//!   trace and metrics digests, and inside [`hmac`] module signatures). It
+//!   is tuned for host speed in safe Rust, with no SHA-NI path since the
+//!   crate forbids `unsafe`, and every digest equals that of the plain
+//!   implementation the workspace's `sha256_matches_reference` property
+//!   keeps as its reference.
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256 (report signatures, page integrity).
 //! * [`hkdf`] — RFC 5869 HKDF-SHA-256 (VCEK-style attestation key chain).
 //! * [`chacha20`] — RFC 8439 ChaCha20 (sealed enclave page encryption).

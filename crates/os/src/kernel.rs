@@ -895,82 +895,101 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`OsError::MonitorRefused`] when KCI rejects the signature.
+    /// * [`OsError::Config`] when a module of the same name is loaded;
+    /// * [`OsError::MonitorRefused`] when KCI rejects the signature.
+    ///
+    /// Every frame the load allocated is free again when it fails.
     pub fn load_module(
         &mut self,
         ctx: &mut KernelCtx<'_>,
         image: &ModuleImage,
     ) -> Result<(), OsError> {
-        let bytes = image.serialize();
-        let staging_pages = bytes.len().div_ceil(PAGE_SIZE);
-        let text_pages = image.text.len().div_ceil(PAGE_SIZE).max(1);
-        let staging = self.frames.alloc_n(staging_pages)?;
-        // Stage the raw image for the monitor to fetch.
-        for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
-            ctx.hv.machine.write(self.vmpl, gpa_of(staging[i]), chunk)?;
+        if self.modules.contains_key(&image.name) {
+            return Err(OsError::Config(format!("module {} already loaded", image.name)));
         }
-        let copy_cost = ctx.hv.machine.cost().copy(bytes.len());
-        ctx.hv.machine.charge(CostCategory::KernelService, copy_cost);
-        let dest = self.frames.alloc_n(text_pages)?;
-        // Kernel-side page prep cost (allocation, zeroing, mapping).
-        let prep = ctx.hv.machine.cost().module_page_load * text_pages as u64;
-        ctx.hv.machine.charge(CostCategory::KernelService, prep);
-
-        let result: Result<(), OsError> = if self.kci {
-            let req = MonRequest::KciModuleLoad {
-                staging_gfns: staging.clone(),
-                image_len: bytes.len(),
-                dest_gfns: dest.clone(),
-            };
-            ctx.gate.request(ctx.hv, ctx.vcpu, req).map(|_| ())
-        } else {
-            // Native path: the kernel verifies and installs itself.
-            let sha_cost = ctx.hv.machine.cost().sha256(bytes.len());
-            ctx.hv.machine.charge(CostCategory::KernelService, sha_cost);
-            if !image.verify(&self.vendor_key) {
-                Err(OsError::MonitorRefused("bad module signature".into()))
-            } else {
-                let mut text = image.text.clone();
-                let symbols = self.symbols.clone();
-                ModuleImage::relocate(&mut text, &image.relocs, &|s| symbols.get(s).copied())?;
-                for (i, chunk) in text.chunks(PAGE_SIZE).enumerate() {
-                    ctx.hv.machine.write(self.vmpl, gpa_of(dest[i]), chunk)?;
+        let bytes = image.serialize();
+        let text_pages = image.text.len().div_ceil(PAGE_SIZE).max(1);
+        let staging = self.frames.alloc_n(bytes.len().div_ceil(PAGE_SIZE))?;
+        let dest = match self.frames.alloc_n(text_pages) {
+            Ok(dest) => dest,
+            Err(e) => {
+                for gfn in staging {
+                    self.frames.free(gfn);
                 }
-                let c = ctx.hv.machine.cost().copy(text.len());
-                ctx.hv.machine.charge(CostCategory::KernelService, c);
-                Ok(())
+                return Err(e);
             }
         };
-
+        let result = self.install_module(ctx, image, &bytes, &staging, &dest);
         // Staging frames are scratch either way.
         for gfn in staging {
             self.frames.free(gfn);
         }
-        match result {
-            Ok(()) => {
-                ctx.hv.machine.trace_event(Event::ModuleLoad {
-                    pages: text_pages as u32,
-                    protected: self.kci,
-                    load: true,
-                });
-                self.modules.insert(
-                    image.name.clone(),
-                    LoadedModule {
-                        name: image.name.clone(),
-                        text_gfns: dest,
-                        size: text_pages * PAGE_SIZE,
-                        kci_protected: self.kci,
-                    },
-                );
-                Ok(())
+        if let Err(e) = result {
+            for gfn in dest {
+                self.frames.free(gfn);
             }
-            Err(e) => {
-                for gfn in dest {
-                    self.frames.free(gfn);
-                }
-                Err(e)
-            }
+            return Err(e);
         }
+        ctx.hv.machine.trace_event(Event::ModuleLoad {
+            pages: text_pages as u32,
+            protected: self.kci,
+            load: true,
+        });
+        self.modules.insert(
+            image.name.clone(),
+            LoadedModule {
+                name: image.name.clone(),
+                text_gfns: dest,
+                size: text_pages * PAGE_SIZE,
+                kci_protected: self.kci,
+            },
+        );
+        Ok(())
+    }
+
+    /// The part of [`Self::load_module`] that can fail once its frames are
+    /// allocated: stages `bytes` in `staging`, then installs the text into
+    /// `dest`, natively or through VeilS-KCI. The caller frees both.
+    fn install_module(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        image: &ModuleImage,
+        bytes: &[u8],
+        staging: &[u64],
+        dest: &[u64],
+    ) -> Result<(), OsError> {
+        // Stage the raw image for the monitor to fetch.
+        for (gfn, chunk) in staging.iter().zip(bytes.chunks(PAGE_SIZE)) {
+            ctx.hv.machine.write(self.vmpl, gpa_of(*gfn), chunk)?;
+        }
+        let copy_cost = ctx.hv.machine.cost().copy(bytes.len());
+        ctx.hv.machine.charge(CostCategory::KernelService, copy_cost);
+        // Kernel-side page prep cost (allocation, zeroing, mapping).
+        let prep = ctx.hv.machine.cost().module_page_load * dest.len() as u64;
+        ctx.hv.machine.charge(CostCategory::KernelService, prep);
+
+        if self.kci {
+            let req = MonRequest::KciModuleLoad {
+                staging_gfns: staging.to_vec(),
+                image_len: bytes.len(),
+                dest_gfns: dest.to_vec(),
+            };
+            return ctx.gate.request(ctx.hv, ctx.vcpu, req).map(|_| ());
+        }
+        // Native path: the kernel verifies and installs itself.
+        let sha_cost = ctx.hv.machine.cost().sha256(bytes.len());
+        ctx.hv.machine.charge(CostCategory::KernelService, sha_cost);
+        if !image.verify(&self.vendor_key) {
+            return Err(OsError::MonitorRefused("bad module signature".into()));
+        }
+        let mut text = image.text.clone();
+        ModuleImage::relocate(&mut text, &image.relocs, &|s| self.symbols.get(s).copied())?;
+        for (gfn, chunk) in dest.iter().zip(text.chunks(PAGE_SIZE)) {
+            ctx.hv.machine.write(self.vmpl, gpa_of(*gfn), chunk)?;
+        }
+        let c = ctx.hv.machine.cost().copy(text.len());
+        ctx.hv.machine.charge(CostCategory::KernelService, c);
+        Ok(())
     }
 
     /// `delete_module`: under KCI, the monitor must lift the write
@@ -1605,6 +1624,20 @@ mod tests {
         let mut ctx = KernelCtx { hv: &mut hv, gate: &mut gate, vcpu: 0 };
         assert!(kernel.load_module(&mut ctx, &image).is_err());
         assert_eq!(kernel.frames.available(), avail, "frames released on failure");
+    }
+
+    #[test]
+    fn native_module_unknown_symbol_releases_frames() {
+        let (mut hv, mut gate, mut kernel) = native();
+        let mut image = ModuleImage::build_signed("bad_reloc", 4096, &[0x11; 32]);
+        image.relocs[1].symbol = "no_such_symbol".into();
+        image.signature = image.compute_signature(&[0x11; 32]);
+        let avail = kernel.frames.available();
+        let mut ctx = KernelCtx { hv: &mut hv, gate: &mut gate, vcpu: 0 };
+        let err = kernel.load_module(&mut ctx, &image).unwrap_err();
+        assert!(matches!(&err, OsError::Config(m) if m.contains("unknown symbol")), "{err}");
+        assert_eq!(kernel.frames.available(), avail, "frames released on failure");
+        assert!(kernel.modules.is_empty());
     }
 
     #[test]

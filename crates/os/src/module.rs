@@ -55,27 +55,30 @@ impl ModuleImage {
         m
     }
 
-    fn signed_payload(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
-        payload.extend_from_slice(self.name.as_bytes());
-        payload.extend_from_slice(&(self.text.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&self.text);
-        payload.extend_from_slice(&(self.relocs.len() as u32).to_le_bytes());
+    /// Hands the signed layout to `put` part by part: the name, the text
+    /// and the relocation table, each prefixed by its little-endian `u32`
+    /// length or count. [`Self::compute_signature`] hashes the parts where
+    /// they lie and [`Self::serialize`] concatenates them, so this is the
+    /// one definition of the layout both share.
+    fn signed_parts(&self, mut put: impl FnMut(&[u8])) {
+        put(&(self.name.len() as u32).to_le_bytes());
+        put(self.name.as_bytes());
+        put(&(self.text.len() as u32).to_le_bytes());
+        put(&self.text);
+        put(&(self.relocs.len() as u32).to_le_bytes());
         for r in &self.relocs {
-            payload.extend_from_slice(&r.offset.to_le_bytes());
-            payload.extend_from_slice(&(r.symbol.len() as u32).to_le_bytes());
-            payload.extend_from_slice(r.symbol.as_bytes());
-            payload.extend_from_slice(&r.addend.to_le_bytes());
+            put(&r.offset.to_le_bytes());
+            put(&(r.symbol.len() as u32).to_le_bytes());
+            put(r.symbol.as_bytes());
+            put(&r.addend.to_le_bytes());
         }
-        payload
     }
 
     /// Computes the vendor signature (HMAC model of module signing).
     pub fn compute_signature(&self, vendor_key: &[u8; 32]) -> [u8; 32] {
         let mut mac = HmacSha256::new(vendor_key);
         mac.update(b"veil-module-v1");
-        mac.update(&self.signed_payload());
+        self.signed_parts(|part| mac.update(part));
         mac.finalize()
     }
 
@@ -88,7 +91,10 @@ impl ModuleImage {
     /// Serializes to the staging byte image (what the kernel copies into
     /// guest frames for the monitor to fetch).
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = self.signed_payload();
+        let mut len = self.signature.len();
+        self.signed_parts(|part| len += part.len());
+        let mut out = Vec::with_capacity(len);
+        self.signed_parts(|part| out.extend_from_slice(part));
         out.extend_from_slice(&self.signature);
         out
     }
@@ -186,6 +192,7 @@ pub struct LoadedModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use veil_crypto::sha256::{hex, Sha256};
 
     const KEY: [u8; 32] = [0x11; 32];
 
@@ -196,11 +203,48 @@ mod tests {
         assert!(!m.verify(&[0x22; 32]));
     }
 
+    /// Every signed field is covered: the name, the text, and each
+    /// relocation's offset, symbol and addend (a kernel that could change
+    /// one of those undetected could retarget the module's relocations).
     #[test]
     fn tampered_text_fails_verification() {
-        let mut m = ModuleImage::build_signed("rootkit", 2048, &KEY);
-        m.text[100] ^= 0xff;
-        assert!(!m.verify(&KEY));
+        let m = ModuleImage::build_signed("rootkit", 2048, &KEY);
+        assert!(m.relocs.len() > 1);
+        let mut tampered = vec![m.clone(), m.clone()];
+        tampered[0].text[100] ^= 0xff;
+        tampered[1].name.push('x');
+        for i in 0..m.relocs.len() {
+            let mut t = m.clone();
+            t.relocs[i].offset ^= 8;
+            tampered.push(t);
+            let mut t = m.clone();
+            t.relocs[i].symbol = "commit_creds".into();
+            tampered.push(t);
+            let mut t = m.clone();
+            t.relocs[i].addend ^= 1;
+            tampered.push(t);
+        }
+        for (i, t) in tampered.iter().enumerate() {
+            assert!(!t.verify(&KEY), "tampered copy {i} still verifies");
+        }
+    }
+
+    /// The signature and staged bytes of the paper's 4,728-byte CS1 module
+    /// are pinned: a change to the signed layout, the serialization or
+    /// SHA-256 moves one of them.
+    #[test]
+    fn signed_layout_is_pinned() {
+        let m = ModuleImage::build_signed("fs_helper", 4728, &KEY);
+        assert_eq!(
+            hex(&m.signature),
+            "51ff970bb13d578a29637e65104b1bba2b062ca357601a39351b390985ff4957"
+        );
+        let bytes = m.serialize();
+        assert_eq!(bytes.len(), 4983);
+        assert_eq!(
+            hex(&Sha256::digest(&bytes)),
+            "e59b53ddc6c472d11e7c71b5af371d19baf9e2a7f8b93356b61ee37d15aefd2d"
+        );
     }
 
     #[test]

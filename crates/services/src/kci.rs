@@ -121,14 +121,15 @@ impl VeilSKci {
                 image.name
             )));
         }
-        if image.text.len().div_ceil(PAGE_SIZE).max(1) > dest_gfns.len() {
+        let ModuleImage { mut text, relocs, .. } = image;
+        if text.len().div_ceil(PAGE_SIZE).max(1) > dest_gfns.len() {
             return Err(OsError::MonitorRefused("destination too small".into()));
         }
 
-        // 3. Relocate against the *protected* symbol table.
-        let mut text = image.text.clone();
+        // 3. Relocate the verified private copy in place against the
+        //    *protected* symbol table.
         let symbols = &self.symbols;
-        ModuleImage::relocate(&mut text, &image.relocs, &|s| symbols.get(s).copied())
+        ModuleImage::relocate(&mut text, &relocs, &|s| symbols.get(s).copied())
             .map_err(|e| OsError::MonitorRefused(format!("relocation failed: {e}")))?;
 
         // 4. Install into kernel memory and write-protect each page.
@@ -245,6 +246,35 @@ mod tests {
         }
         assert!(cvm.hv.machine.write(Vmpl::Vmpl3, gpa, b"mine again").is_ok());
         assert_eq!(cvm.gate.services.kci.installed_count(), 0);
+    }
+
+    /// Loading a name that is already loaded is refused before anything
+    /// is staged: no frame is taken and VeilS-KCI installs no second,
+    /// never-unloadable copy.
+    #[test]
+    fn duplicate_load_refused_without_leaking() {
+        let mut cvm = cvm();
+        let image = ModuleImage::build_signed("driver", 4096, &VENDOR_KEY);
+        let initial = cvm.kernel.frames.available();
+        {
+            let (kernel, mut ctx) = cvm.kctx();
+            kernel.load_module(&mut ctx, &image).unwrap();
+        }
+        let loaded = cvm.kernel.frames.available();
+        {
+            let (kernel, mut ctx) = cvm.kctx();
+            let err = kernel.load_module(&mut ctx, &image).unwrap_err();
+            assert!(matches!(&err, OsError::Config(m) if m.contains("already loaded")), "{err}");
+        }
+        assert_eq!(cvm.kernel.frames.available(), loaded);
+        assert_eq!(cvm.gate.services.kci.installed_count(), 1);
+        assert_eq!(cvm.gate.services.kci.loads, 1);
+        {
+            let (kernel, mut ctx) = cvm.kctx();
+            kernel.unload_module(&mut ctx, "driver").unwrap();
+        }
+        assert_eq!(cvm.gate.services.kci.installed_count(), 0);
+        assert_eq!(cvm.kernel.frames.available(), initial);
     }
 
     #[test]

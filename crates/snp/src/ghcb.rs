@@ -9,7 +9,7 @@
 
 use crate::fault::SnpError;
 use crate::machine::Machine;
-use crate::mem::{gpa_of, PAGE_SIZE};
+use crate::mem::gpa_of;
 use crate::perms::Vmpl;
 
 /// Byte offsets of the GHCB fields within the shared page.
@@ -102,11 +102,6 @@ impl Ghcb {
         Ok(Ghcb { gfn })
     }
 
-    /// The frame this GHCB occupies.
-    pub fn gfn(&self) -> u64 {
-        self.gfn
-    }
-
     /// Base guest-physical address.
     pub fn base(&self) -> u64 {
         gpa_of(self.gfn)
@@ -148,11 +143,6 @@ impl Ghcb {
     /// Guest-side read of the hypervisor response.
     pub fn read_response(&self, machine: &Machine, vmpl: Vmpl) -> Result<u64, SnpError> {
         machine.read_u64(vmpl, self.base() + offsets::SCRATCH)
-    }
-
-    /// Total GHCB size (one page).
-    pub const fn size() -> usize {
-        PAGE_SIZE
     }
 }
 

@@ -459,6 +459,194 @@ fn lz77_roundtrip() {
     });
 }
 
+/// The straightforward SHA-256 that `veil_crypto::sha256` is optimized
+/// from, kept as the reference its digests must equal: a 64-byte copy of
+/// each block, a 64-word schedule, rounds that shift all eight working
+/// variables, and padding one byte at a time.
+mod reference_sha256 {
+    const DIGEST_LEN: usize = 32;
+    const BLOCK_LEN: usize = 64;
+
+    const K: [u32; 64] = [
+        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+        0xc67178f2,
+    ];
+
+    const H0: [u32; 8] = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+
+    pub struct Sha256 {
+        state: [u32; 8],
+        buf: [u8; BLOCK_LEN],
+        buf_len: usize,
+        total_len: u64,
+    }
+
+    impl Sha256 {
+        pub fn new() -> Self {
+            Sha256 { state: H0, buf: [0u8; BLOCK_LEN], buf_len: 0, total_len: 0 }
+        }
+
+        pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
+            let mut h = Self::new();
+            h.update(data);
+            h.finalize()
+        }
+
+        pub fn update(&mut self, data: &[u8]) {
+            self.total_len = self.total_len.wrapping_add(data.len() as u64);
+            let mut data = data;
+            if self.buf_len > 0 {
+                let take = (BLOCK_LEN - self.buf_len).min(data.len());
+                self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+                self.buf_len += take;
+                data = &data[take..];
+                if self.buf_len == BLOCK_LEN {
+                    let block = self.buf;
+                    self.compress(&block);
+                    self.buf_len = 0;
+                }
+            }
+            while data.len() >= BLOCK_LEN {
+                let mut block = [0u8; BLOCK_LEN];
+                block.copy_from_slice(&data[..BLOCK_LEN]);
+                self.compress(&block);
+                data = &data[BLOCK_LEN..];
+            }
+            if !data.is_empty() {
+                self.buf[..data.len()].copy_from_slice(data);
+                self.buf_len = data.len();
+            }
+        }
+
+        pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+            let bit_len = self.total_len.wrapping_mul(8);
+            // Padding: 0x80, zeros, 64-bit big-endian length.
+            self.update(&[0x80]);
+            // `update` mutated total_len; the length we encode was latched above.
+            while self.buf_len != 56 {
+                self.update(&[0]);
+            }
+            self.total_len = 0; // no longer meaningful
+            let block_tail = bit_len.to_be_bytes();
+            let mut last = [0u8; BLOCK_LEN];
+            last[..56].copy_from_slice(&self.buf[..56]);
+            last[56..].copy_from_slice(&block_tail);
+            self.compress(&last.clone());
+            let mut out = [0u8; DIGEST_LEN];
+            for (i, word) in self.state.iter().enumerate() {
+                out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            out
+        }
+
+        fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+            let mut w = [0u32; 64];
+            for (i, chunk) in block.chunks_exact(4).enumerate() {
+                w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+            for i in 0..64 {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ ((!e) & g);
+                let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                let t2 = s0.wrapping_add(maj);
+                h = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(t1);
+                d = c;
+                c = b;
+                b = a;
+                a = t1.wrapping_add(t2);
+            }
+            self.state[0] = self.state[0].wrapping_add(a);
+            self.state[1] = self.state[1].wrapping_add(b);
+            self.state[2] = self.state[2].wrapping_add(c);
+            self.state[3] = self.state[3].wrapping_add(d);
+            self.state[4] = self.state[4].wrapping_add(e);
+            self.state[5] = self.state[5].wrapping_add(f);
+            self.state[6] = self.state[6].wrapping_add(g);
+            self.state[7] = self.state[7].wrapping_add(h);
+        }
+    }
+
+    /// RFC 2104 HMAC over the reference hash.
+    pub fn hmac(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            block[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&block.map(|b| b ^ 0x36));
+        inner.update(data);
+        let mut outer = Sha256::new();
+        outer.update(&block.map(|b| b ^ 0x5c));
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+/// `Sha256` and `HmacSha256` return the reference's digests, hashed in one
+/// call or fed in up to 9 pieces. Half the lengths sit on the padding
+/// edges `64k + {0, 1, 55, 56, 57, 63}` (k ≤ 4), where the length field
+/// fits the last block or needs one more; the rest are 0..=300 bytes or
+/// up to 70 KiB. HMAC keys are empty, 32 bytes, one block, and longer than
+/// a block (hashed first). The input is a seed, not the bytes, so a
+/// failure prints in a few lines.
+#[test]
+fn sha256_matches_reference() {
+    use veil_crypto::{HmacSha256, Sha256};
+    use veil_testkit::TestRng;
+    let edge = tuple2(usizes(0..5), usizes(0..6)).map(|(k, i)| 64 * k + [0, 1, 55, 56, 57, 63][i]);
+    let lens = one_of(vec![edge.clone(), edge, usizes(0..301), usizes(0..70 * 1024 + 1)])
+        .with_shrink(|&n| [0, n / 2, n.saturating_sub(1)].into_iter().filter(|&m| m < n).collect());
+    let key_lens = usizes(0..5).map(|i| [0, 32, 64, 65, 131][i]);
+    let cases = tuple4(lens, vecs(u64s(0..u64::MAX), 0..9), key_lens, u64s(0..u64::MAX));
+    check("sha256_matches_reference", 256, &cases, |(len, cuts, key_len, seed)| {
+        let mut rng = TestRng::from_seed(seed);
+        let (mut data, mut key) = (vec![0u8; len], vec![0u8; key_len]);
+        rng.fill_bytes(&mut data);
+        rng.fill_bytes(&mut key);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| (c % (len as u64 + 1)) as usize).collect();
+        cuts.sort_unstable();
+        cuts.push(len);
+
+        let want = reference_sha256::Sha256::digest(&data);
+        prop_assert_eq!(Sha256::digest(&data), want);
+        let want_mac = reference_sha256::hmac(&key, &data);
+        prop_assert_eq!(HmacSha256::mac(&key, &data), want_mac);
+        let (mut h, mut mac, mut at) = (Sha256::new(), HmacSha256::new(&key), 0);
+        for cut in cuts {
+            h.update(&data[at..cut]);
+            mac.update(&data[at..cut]);
+            at = cut;
+        }
+        prop_assert_eq!(h.finalize(), want);
+        prop_assert_eq!(mac.finalize(), want_mac);
+        Ok(())
+    });
+}
+
 /// A batched, VeilLog-audited CVM with `k` audited syscalls (file
 /// creations) queued in VCPU 0's gate ring, plus the gate-request,
 /// deferred-error and log-record counts from before they were issued.
