@@ -39,7 +39,7 @@ use crate::ring::{GateRing, RING_SLOTS};
 use crate::service::ServiceDispatch;
 use std::collections::BTreeMap;
 use veil_hv::{HvResponse, Hypervisor};
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_os::monitor::{MonRequest, MonResponse, MonitorChannel};
 use veil_snp::cost::CostCategory;
 use veil_snp::ghcb::{Ghcb, GhcbExit};
@@ -149,36 +149,29 @@ impl<S: ServiceDispatch> VeilGate<S> {
         target: Vmpl,
     ) -> Result<(), OsError> {
         hv.machine.span_enter("gate.switch");
-        let res = self.switch_inner(hv, vcpu, from, target);
+        let res = Self::relay(hv, vcpu, from, GhcbExit::DomainSwitch, target, 0);
         hv.machine.span_exit("gate.switch");
         res
     }
 
-    fn switch_inner(
-        &mut self,
+    /// Writes `exit` (info1 = `target`, then `info2`) to `vcpu`'s GHCB and
+    /// exits to the hypervisor, which must resume `target`: a domain switch
+    /// (info2 0) or a doorbell (info2 = ring depth, advisory — the trusted
+    /// side re-reads and validates the ring itself).
+    fn relay(
         hv: &mut Hypervisor,
         vcpu: u32,
         from: Vmpl,
+        exit: GhcbExit,
         target: Vmpl,
+        info2: u64,
     ) -> Result<(), OsError> {
-        let ghcb_gfn = hv
-            .machine
-            .ghcb_msr(vcpu)
-            .ok_or_else(|| OsError::Config("no GHCB registered for vcpu".into()))?;
-        let ghcb = Ghcb::at(&hv.machine, ghcb_gfn)?;
-        ghcb.write_request(
-            &mut hv.machine,
-            from,
-            GhcbExit::DomainSwitch,
-            target.index() as u64,
-            0,
-        )?;
+        let ghcb_gfn = hv.machine.ghcb_msr(vcpu).ok_or(Refusal::NoGhcb)?;
+        let ghcb = Ghcb::at(&hv.machine, ghcb_gfn).ok_or(Refusal::GhcbNotShared)?;
+        ghcb.write_request(&mut hv.machine, from, exit, target.index() as u64, info2)?;
         match hv.vmgexit(vcpu, false)? {
             HvResponse::Switched { vmpl, .. } if vmpl == target => Ok(()),
-            HvResponse::Refused { reason } => Err(OsError::MonitorRefused(format!(
-                "hypervisor refused switch to {target}: {reason}"
-            ))),
-            other => Err(OsError::MonitorRefused(format!("unexpected hv response {other:?}"))),
+            other => Err(Refusal::of_response(&other).into()),
         }
     }
 
@@ -258,11 +251,7 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
         if self.pending.get(&vcpu).is_some_and(|b| !b.reqs.is_empty() && b.target != target) {
             self.flush(hv, vcpu)?;
         }
-        let ring_gfn = self
-            .monitor
-            .layout
-            .gate_ring_gfn(vcpu)
-            .ok_or_else(|| OsError::Config(format!("no gate ring for vcpu {vcpu}")))?;
+        let ring_gfn = self.monitor.layout.gate_ring_gfn(vcpu).ok_or(Refusal::NoGateRing)?;
         let ring = GateRing::at(ring_gfn);
         if self.pending.get(&vcpu).is_none_or(|b| b.reqs.is_empty()) {
             ring.reset(&mut hv.machine, Vmpl::Vmpl3)?;
@@ -300,7 +289,8 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
         }
         let target = batch.target;
         hv.machine.span_enter("gate.batch");
-        let res = match self.doorbell(hv, vcpu, target, batch.reqs.len() as u32) {
+        let depth = batch.reqs.len() as u64;
+        let res = match Self::relay(hv, vcpu, Vmpl::Vmpl3, GhcbExit::Doorbell, target, depth) {
             Ok(()) => {
                 let drained = self.drain_entries(hv, vcpu, &batch);
                 // The switch back must happen even when the drain tripped.
@@ -323,37 +313,6 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
 }
 
 impl<S: ServiceDispatch> VeilGate<S> {
-    /// Rings the doorbell: one hypervisor-relayed switch that also
-    /// announces `depth` queued ring entries (advisory — the trusted side
-    /// re-reads and validates the ring itself).
-    fn doorbell(
-        &mut self,
-        hv: &mut Hypervisor,
-        vcpu: u32,
-        target: Vmpl,
-        depth: u32,
-    ) -> Result<(), OsError> {
-        let ghcb_gfn = hv
-            .machine
-            .ghcb_msr(vcpu)
-            .ok_or_else(|| OsError::Config("no GHCB registered for vcpu".into()))?;
-        let ghcb = Ghcb::at(&hv.machine, ghcb_gfn)?;
-        ghcb.write_request(
-            &mut hv.machine,
-            Vmpl::Vmpl3,
-            GhcbExit::Doorbell,
-            target.index() as u64,
-            depth as u64,
-        )?;
-        match hv.vmgexit(vcpu, false)? {
-            HvResponse::Switched { vmpl, .. } if vmpl == target => Ok(()),
-            HvResponse::Refused { reason } => Err(OsError::MonitorRefused(format!(
-                "hypervisor refused doorbell to {target}: {reason}"
-            ))),
-            other => Err(OsError::MonitorRefused(format!("unexpected hv response {other:?}"))),
-        }
-    }
-
     /// Trusted-side drain loop, after the doorbell switch landed. The
     /// ring is untrusted input: count and slot headers are re-validated,
     /// and anything inconsistent voids the affected entries into
@@ -365,11 +324,7 @@ impl<S: ServiceDispatch> VeilGate<S> {
         batch: &PendingBatch,
     ) -> Result<(), OsError> {
         let target = batch.target;
-        let ring_gfn = self
-            .monitor
-            .layout
-            .gate_ring_gfn(vcpu)
-            .ok_or_else(|| OsError::Config(format!("no gate ring for vcpu {vcpu}")))?;
+        let ring_gfn = self.monitor.layout.gate_ring_gfn(vcpu).ok_or(Refusal::NoGateRing)?;
         let ring = GateRing::at(ring_gfn);
         match ring.depth(&hv.machine, target) {
             Ok(depth) if depth as usize == batch.reqs.len() => {
@@ -428,11 +383,7 @@ impl<S: ServiceDispatch> VeilGate<S> {
         // ① Transcribe the request into the per-VCPU IDCB. The typed
         // `MonRequest` travels alongside; the bytes exercise the real
         // memory path and the copy cost is charged from the wire length.
-        let idcb_gfn = self
-            .monitor
-            .layout
-            .idcb_gfn(vcpu)
-            .ok_or_else(|| OsError::Config(format!("no IDCB for vcpu {vcpu}")))?;
+        let idcb_gfn = self.monitor.layout.idcb_gfn(vcpu).ok_or(Refusal::NoIdcb)?;
         let idcb = Idcb::at(idcb_gfn);
         // Compact fixed header instead of a formatted dump of the request:
         // the typed value carries the payload, the IDCB bytes exercise the
@@ -451,7 +402,8 @@ impl<S: ServiceDispatch> VeilGate<S> {
         if piggyback {
             let batch = self.pending.remove(&vcpu).expect("pending batch checked above");
             hv.machine.span_enter("gate.batch");
-            let res = match self.doorbell(hv, vcpu, target, batch.reqs.len() as u32) {
+            let depth = batch.reqs.len() as u64;
+            let res = match Self::relay(hv, vcpu, Vmpl::Vmpl3, GhcbExit::Doorbell, target, depth) {
                 Ok(()) => self.drain_entries(hv, vcpu, &batch),
                 Err(e) => {
                     self.void_deferred(hv, vcpu, batch.reqs.len() as u64);
@@ -544,7 +496,7 @@ mod tests {
     fn service_requests_rejected_without_services() {
         let (mut hv, mut gate) = booted_gate();
         let err = gate.request(&mut hv, 0, MonRequest::LogAppend { record: vec![1, 2, 3] });
-        assert!(matches!(err, Err(OsError::MonitorRefused(_))));
+        assert_eq!(err, Err(OsError::Refused(Refusal::NoService)));
     }
 
     #[test]
@@ -561,7 +513,7 @@ mod tests {
                 dest_gfns: vec![gate.monitor.layout.kernel_pool.start],
             },
         );
-        assert!(matches!(err, Err(OsError::MonitorRefused(_))), "{err:?}");
+        assert_eq!(err, Err(OsError::Refused(Refusal::UnsafePointer)));
     }
 
     #[test]
@@ -570,10 +522,7 @@ mod tests {
         let fresh = gate.monitor.layout.shared.start + 4;
         hv.machine.rmp_assign(fresh).unwrap();
         let err = gate.request(&mut hv, 0, MonRequest::Pvalidate { gfn: fresh, validate: true });
-        match err {
-            Err(OsError::Config(msg)) => assert!(msg.contains("no GHCB"), "{msg}"),
-            other => panic!("expected Config error, got {other:?}"),
-        }
+        assert_eq!(err, Err(OsError::Refused(Refusal::NoGhcb)));
         // The switch never reached the hypervisor, so nothing halted.
         assert!(hv.machine.halted().is_none());
         assert_eq!(hv.stats().domain_switches, 0);
@@ -587,13 +536,7 @@ mod tests {
         hv.machine.rmp_assign(fresh).unwrap();
         let domain_before = hv.vcpu(0).unwrap().current_vmpl;
         let err = gate.request(&mut hv, 0, MonRequest::Pvalidate { gfn: fresh, validate: true });
-        match err {
-            Err(OsError::MonitorRefused(msg)) => {
-                assert!(msg.contains("refused switch"), "{msg}");
-                assert!(msg.contains("host policy"), "{msg}");
-            }
-            other => panic!("expected MonitorRefused, got {other:?}"),
-        }
+        assert_eq!(err, Err(OsError::Refused(Refusal::HostRefused)));
         // Denial of service, not a crash: the VCPU never left its domain.
         assert!(hv.machine.halted().is_none());
         assert_eq!(hv.vcpu(0).unwrap().current_vmpl, domain_before);
@@ -608,12 +551,7 @@ mod tests {
         let fresh = gate.monitor.layout.shared.start + 4;
         hv.machine.rmp_assign(fresh).unwrap();
         let err = gate.request(&mut hv, 0, MonRequest::Pvalidate { gfn: fresh, validate: true });
-        match err {
-            Err(OsError::MonitorRefused(msg)) => {
-                assert!(msg.contains("unexpected hv response"), "{msg}")
-            }
-            other => panic!("expected MonitorRefused, got {other:?}"),
-        }
+        assert_eq!(err, Err(OsError::Refused(Refusal::UnexpectedResponse)));
         // The misrouted request never dispatched: the page stays unvalidated.
         assert!(hv.machine.write(Vmpl::Vmpl3, gpa_of(fresh), b"x").is_err());
     }

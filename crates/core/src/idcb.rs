@@ -5,7 +5,7 @@
 //! memory so both parties can access it; OS↔VeilMon IDCBs sit in a
 //! reserved slice of kernel memory, one per VCPU to avoid contention.
 
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_snp::machine::Machine;
 use veil_snp::mem::{gpa_of, PAGE_SIZE};
 use veil_snp::perms::Vmpl;
@@ -51,11 +51,7 @@ impl Idcb {
         payload: &[u8],
     ) -> Result<(), OsError> {
         if payload.len() > Self::capacity() {
-            return Err(OsError::Config(format!(
-                "IDCB message of {} bytes exceeds capacity {}",
-                payload.len(),
-                Self::capacity()
-            )));
+            return Err(Refusal::MessageTooLong.into());
         }
         let base = gpa_of(self.gfn);
         let mut header = [0u8; HEADER_LEN];
@@ -77,13 +73,10 @@ impl Idcb {
         let mut header = [0u8; HEADER_LEN];
         machine.read_into(vmpl, base, &mut header)?;
         let magic = u32::from_le_bytes(header[0..4].try_into().expect("4"));
-        if magic != MAGIC {
-            return Err(OsError::Config("IDCB header corrupt".into()));
-        }
         let seq = u32::from_le_bytes(header[4..8].try_into().expect("4"));
         let len = u64::from_le_bytes(header[8..16].try_into().expect("8")) as usize;
-        if len > Self::capacity() {
-            return Err(OsError::Config("IDCB length corrupt".into()));
+        if magic != MAGIC || len > Self::capacity() {
+            return Err(Refusal::IdcbCorrupt.into());
         }
         let payload = machine.read(vmpl, base + HEADER_LEN as u64, len)?;
         Ok((seq, payload))
@@ -124,14 +117,17 @@ mod tests {
     fn oversized_message_rejected() {
         let (mut m, idcb) = machine_with_idcb();
         let big = vec![0u8; Idcb::capacity() + 1];
-        assert!(idcb.write_message(&mut m, Vmpl::Vmpl3, 0, &big).is_err());
+        assert_eq!(
+            idcb.write_message(&mut m, Vmpl::Vmpl3, 0, &big),
+            Err(Refusal::MessageTooLong.into())
+        );
     }
 
     #[test]
     fn corrupt_header_detected() {
         let (mut m, idcb) = machine_with_idcb();
         m.write(Vmpl::Vmpl0, gpa_of(3), &[0xff; 16]).unwrap();
-        assert!(idcb.read_message(&m, Vmpl::Vmpl0).is_err());
+        assert_eq!(idcb.read_message(&m, Vmpl::Vmpl0), Err(Refusal::IdcbCorrupt.into()));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::layout::Layout;
 use std::collections::BTreeSet;
 use veil_crypto::{DhKeyPair, DhPublic, Drbg};
 use veil_hv::Hypervisor;
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_snp::cost::CostCategory;
 use veil_snp::machine::Machine;
 use veil_snp::perms::{Vmpl, VmplPerms};
@@ -218,15 +218,8 @@ impl Monitor {
     /// ("before referencing an untrusted memory address pointer, VeilMon
     /// checks that it does not point to a protected region", §8.1).
     pub fn sanitize_gfns(&self, machine: &Machine, gfns: &[u64]) -> Result<(), OsError> {
-        for &gfn in gfns {
-            if gfn >= machine.frames() {
-                return Err(OsError::MonitorRefused(format!("gfn {gfn:#x} out of range")));
-            }
-            if self.is_protected(gfn) {
-                return Err(OsError::MonitorRefused(format!(
-                    "gfn {gfn:#x} points into a protected region"
-                )));
-            }
+        if gfns.iter().any(|&gfn| gfn >= machine.frames() || self.is_protected(gfn)) {
+            return Err(Refusal::UnsafePointer.into());
         }
         Ok(())
     }
@@ -336,8 +329,7 @@ impl Monitor {
         hv: &mut Hypervisor,
         peer: &DhPublic,
     ) -> Result<(), OsError> {
-        let dh =
-            self.dh.as_ref().ok_or_else(|| OsError::Config("begin_channel not called".into()))?;
+        let dh = self.dh.as_ref().ok_or(Refusal::ChannelNotBegun)?;
         self.channel_key = Some(dh.agree(peer).0);
         hv.machine.trace_event(Event::ChannelHandshake { step: 1 });
         Ok(())

@@ -25,7 +25,7 @@
 //! slot length before parsing (§8.1 — the kernel, or a hostile
 //! hypervisor-colluding kernel, can scribble anything here).
 
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_snp::machine::Machine;
 use veil_snp::mem::{gpa_of, PAGE_SIZE};
 use veil_snp::perms::Vmpl;
@@ -86,14 +86,9 @@ impl GateRing {
         let mut header = [0u8; HEADER_LEN];
         machine.read_into(vmpl, gpa_of(self.gfn), &mut header)?;
         let magic = u32::from_le_bytes(header[0..4].try_into().expect("4"));
-        if magic != MAGIC {
-            return Err(OsError::Config("gate ring header corrupt".into()));
-        }
         let count = u32::from_le_bytes(header[4..8].try_into().expect("4"));
-        if count > RING_SLOTS {
-            return Err(OsError::Config(format!(
-                "gate ring count {count} exceeds {RING_SLOTS} slots"
-            )));
+        if magic != MAGIC || count > RING_SLOTS {
+            return Err(Refusal::GateRingCorrupt.into());
         }
         Ok(count)
     }
@@ -112,15 +107,11 @@ impl GateRing {
         payload: &[u8],
     ) -> Result<u32, OsError> {
         if payload.len() > SLOT_PAYLOAD {
-            return Err(OsError::Config(format!(
-                "gate ring entry of {} bytes exceeds slot payload {}",
-                payload.len(),
-                SLOT_PAYLOAD
-            )));
+            return Err(Refusal::MessageTooLong.into());
         }
         let count = self.depth(machine, vmpl)?;
         if count == RING_SLOTS {
-            return Err(OsError::Config("gate ring full".into()));
+            return Err(Refusal::GateRingFull.into());
         }
         let mut slot = [0u8; SLOT_HEADER_LEN];
         slot[0] = kind;
@@ -145,14 +136,14 @@ impl GateRing {
         idx: u32,
     ) -> Result<(u8, Vec<u8>), OsError> {
         if idx >= RING_SLOTS {
-            return Err(OsError::Config(format!("gate ring slot {idx} out of range")));
+            return Err(Refusal::GateRingCorrupt.into());
         }
         let mut header = [0u8; SLOT_HEADER_LEN];
         machine.read_into(vmpl, self.slot_gpa(idx), &mut header)?;
         let kind = header[0];
         let len = u64::from_le_bytes(header[8..16].try_into().expect("8")) as usize;
         if len > SLOT_PAYLOAD {
-            return Err(OsError::Config("gate ring slot length corrupt".into()));
+            return Err(Refusal::GateRingCorrupt.into());
         }
         let payload = machine.read(vmpl, self.slot_gpa(idx) + SLOT_HEADER_LEN as u64, len)?;
         Ok((kind, payload))
@@ -202,33 +193,34 @@ mod tests {
         for _ in 0..RING_SLOTS {
             ring.push(&mut m, Vmpl::Vmpl3, 1, b"x").unwrap();
         }
-        assert!(ring.push(&mut m, Vmpl::Vmpl3, 1, b"x").is_err());
+        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 1, b"x"), Err(Refusal::GateRingFull.into()));
     }
 
     #[test]
     fn oversized_entry_rejected() {
         let (mut m, ring) = machine_with_ring();
         let big = vec![0u8; SLOT_PAYLOAD + 1];
-        assert!(ring.push(&mut m, Vmpl::Vmpl3, 1, &big).is_err());
+        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 1, &big), Err(Refusal::MessageTooLong.into()));
     }
 
     #[test]
     fn hostile_count_and_lengths_detected() {
+        let corrupt = OsError::Refused(Refusal::GateRingCorrupt);
         let (mut m, ring) = machine_with_ring();
         ring.push(&mut m, Vmpl::Vmpl3, 1, b"x").unwrap();
         // Kernel lies about occupancy.
         m.write(Vmpl::Vmpl3, gpa_of(3) + 4, &(RING_SLOTS + 1).to_le_bytes()).unwrap();
-        assert!(ring.depth(&m, Vmpl::Vmpl0).is_err());
+        assert_eq!(ring.depth(&m, Vmpl::Vmpl0).unwrap_err(), corrupt);
         ring.reset(&mut m, Vmpl::Vmpl3).unwrap();
         // Kernel lies about a slot length.
         let mut slot = [0u8; 16];
         slot[8..16].copy_from_slice(&(PAGE_SIZE as u64).to_le_bytes());
         m.write(Vmpl::Vmpl3, gpa_of(3) + HEADER_LEN as u64, &slot).unwrap();
-        assert!(ring.read_slot(&m, Vmpl::Vmpl0, 0).is_err());
+        assert_eq!(ring.read_slot(&m, Vmpl::Vmpl0, 0).unwrap_err(), corrupt);
         // Out-of-range index.
-        assert!(ring.read_slot(&m, Vmpl::Vmpl0, RING_SLOTS).is_err());
+        assert_eq!(ring.read_slot(&m, Vmpl::Vmpl0, RING_SLOTS).unwrap_err(), corrupt);
         // Corrupt magic.
         m.write(Vmpl::Vmpl3, gpa_of(3), &[0xff; 4]).unwrap();
-        assert!(ring.depth(&m, Vmpl::Vmpl0).is_err());
+        assert_eq!(ring.depth(&m, Vmpl::Vmpl0).unwrap_err(), corrupt);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::monitor::Monitor;
 use veil_hv::Hypervisor;
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_os::monitor::{MonRequest, MonResponse};
 
 /// Information VeilMon hands services at kernel boot (text/data layout
@@ -43,7 +43,7 @@ pub trait ServiceDispatch {
     ///
     /// # Errors
     ///
-    /// [`OsError::MonitorRefused`] for requests that fail verification.
+    /// [`OsError::Refused`] for requests that fail verification.
     fn dispatch(
         &mut self,
         monitor: &mut Monitor,
@@ -73,8 +73,8 @@ impl ServiceDispatch for NoServices {
         _monitor: &mut Monitor,
         _hv: &mut Hypervisor,
         _vcpu: u32,
-        req: &MonRequest,
+        _req: &MonRequest,
     ) -> Result<MonResponse, OsError> {
-        Err(OsError::MonitorRefused(format!("no service registered for {req:?}")))
+        Err(Refusal::NoService.into())
     }
 }

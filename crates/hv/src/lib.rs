@@ -327,8 +327,8 @@ impl Hypervisor {
             }
         };
         let ghcb = match Ghcb::at(&self.machine, ghcb_gfn) {
-            Ok(g) => g,
-            Err(_) => {
+            Some(g) => g,
+            None => {
                 // GHCB not actually shared -> hypervisor cannot read it;
                 // §6.2: "the CVM crashes on an attempted domain switch".
                 self.machine.trace_event(exit_event(exit_code::UNKNOWN));

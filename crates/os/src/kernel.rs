@@ -6,7 +6,7 @@
 //! restricted operations (§5.3) through the channel.
 
 use crate::audit::{AuditMode, AuditState};
-use crate::error::{Errno, OsError};
+use crate::error::{Errno, OsError, Refusal};
 use crate::frames::FrameAllocator;
 use crate::module::{LoadedModule, ModuleImage};
 use crate::monitor::{MonRequest, MonitorChannel};
@@ -101,7 +101,7 @@ impl Kernel {
     /// Fails when no GHCB frame was reserved.
     pub fn boot(ctx: &mut KernelCtx<'_>, config: KernelConfig) -> Result<Kernel, OsError> {
         if (config.ghcb_gfns.len() as u32) < config.vcpus.max(1) {
-            return Err(OsError::Config("not enough GHCB frames for the VCPUs".into()));
+            return Err(Refusal::NoGhcb.into());
         }
         let (per_vcpu, spares) = config.ghcb_gfns.split_at(config.vcpus.max(1) as usize);
         let per_vcpu = per_vcpu.to_vec();
@@ -133,7 +133,7 @@ impl Kernel {
         }
         // Standard tree.
         for dir in ["/tmp", "/var", "/var/log", "/etc", "/www", "/data", "/dev"] {
-            kernel.vfs.mkdir(dir, 0o755).map_err(|e| OsError::Config(format!("mkfs: {e}")))?;
+            kernel.vfs.mkdir(dir, 0o755)?;
         }
         // Exported symbols modules relocate against.
         for (i, sym) in
@@ -895,8 +895,9 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// * [`OsError::Config`] when a module of the same name is loaded;
-    /// * [`OsError::MonitorRefused`] when KCI rejects the signature.
+    /// * [`Refusal::ModuleAlreadyLoaded`] when a module of the same name is
+    ///   loaded;
+    /// * [`Refusal::BadModuleSignature`] when the signature does not verify.
     ///
     /// Every frame the load allocated is free again when it fails.
     pub fn load_module(
@@ -905,7 +906,7 @@ impl Kernel {
         image: &ModuleImage,
     ) -> Result<(), OsError> {
         if self.modules.contains_key(&image.name) {
-            return Err(OsError::Config(format!("module {} already loaded", image.name)));
+            return Err(Refusal::ModuleAlreadyLoaded.into());
         }
         let bytes = image.serialize();
         let text_pages = image.text.len().div_ceil(PAGE_SIZE).max(1);
@@ -980,7 +981,7 @@ impl Kernel {
         let sha_cost = ctx.hv.machine.cost().sha256(bytes.len());
         ctx.hv.machine.charge(CostCategory::KernelService, sha_cost);
         if !image.verify(&self.vendor_key) {
-            return Err(OsError::MonitorRefused("bad module signature".into()));
+            return Err(Refusal::BadModuleSignature.into());
         }
         let mut text = image.text.clone();
         ModuleImage::relocate(&mut text, &image.relocs, &|s| self.symbols.get(s).copied())?;
@@ -993,16 +994,15 @@ impl Kernel {
     }
 
     /// `delete_module`: under KCI, the monitor must lift the write
-    /// protection before the kernel can reuse the frames.
+    /// protection before the kernel can reuse the frames. The module stays
+    /// loaded until it has, so a refused unload can be retried.
     pub fn unload_module(&mut self, ctx: &mut KernelCtx<'_>, name: &str) -> Result<(), OsError> {
-        let module = self
-            .modules
-            .remove(name)
-            .ok_or_else(|| OsError::Config(format!("module {name} not loaded")))?;
+        let module = self.modules.get(name).ok_or(Refusal::ModuleNotLoaded)?;
         if module.kci_protected {
             let req = MonRequest::KciModuleUnload { text_gfns: module.text_gfns.clone() };
             ctx.gate.request(ctx.hv, ctx.vcpu, req)?;
         }
+        let module = self.modules.remove(name).ok_or(Refusal::ModuleNotLoaded)?;
         let prep = ctx.hv.machine.cost().module_page_load * module.text_gfns.len() as u64;
         ctx.hv.machine.charge(CostCategory::KernelService, prep);
         ctx.hv.machine.trace_event(Event::ModuleLoad {
@@ -1046,16 +1046,12 @@ impl Kernel {
     /// hypervisor for the page-state change, then delegates the
     /// `PVALIDATE` to the monitor (§5.3).
     pub fn accept_page(&mut self, ctx: &mut KernelCtx<'_>, gfn: u64) -> Result<(), OsError> {
-        let ghcb_gfn = self
-            .ghcbs
-            .get(&ctx.vcpu)
-            .copied()
-            .ok_or_else(|| OsError::Config("no GHCB for vcpu".into()))?;
-        let ghcb = Ghcb::at(&ctx.hv.machine, ghcb_gfn)?;
+        let ghcb_gfn = *self.ghcbs.get(&ctx.vcpu).ok_or(Refusal::NoGhcb)?;
+        let ghcb = Ghcb::at(&ctx.hv.machine, ghcb_gfn).ok_or(Refusal::GhcbNotShared)?;
         ghcb.write_request(&mut ctx.hv.machine, self.vmpl, GhcbExit::PageStateChange, gfn, 1)?;
         match ctx.hv.vmgexit(ctx.vcpu, false)? {
             veil_hv::HvResponse::PageStateChanged => {}
-            other => return Err(OsError::MonitorRefused(format!("hv: {other:?}"))),
+            other => return Err(Refusal::of_response(&other).into()),
         }
         ctx.gate.request(ctx.hv, ctx.vcpu, MonRequest::Pvalidate { gfn, validate: true })?;
         self.frames.donate(gfn);
@@ -1635,7 +1631,7 @@ mod tests {
         let avail = kernel.frames.available();
         let mut ctx = KernelCtx { hv: &mut hv, gate: &mut gate, vcpu: 0 };
         let err = kernel.load_module(&mut ctx, &image).unwrap_err();
-        assert!(matches!(&err, OsError::Config(m) if m.contains("unknown symbol")), "{err}");
+        assert_eq!(err, OsError::Refused(Refusal::UnknownSymbol));
         assert_eq!(kernel.frames.available(), avail, "frames released on failure");
         assert!(kernel.modules.is_empty());
     }
@@ -1660,6 +1656,19 @@ mod tests {
         assert_eq!(kernel.frames.available(), before + 1);
         // The page is private + validated now:
         assert!(hv.machine.write(Vmpl::Vmpl0, gpa_of(505), b"mine").is_ok());
+    }
+
+    #[test]
+    fn accept_page_through_private_ghcb_is_refused() {
+        let (mut hv, mut gate, mut kernel) = native();
+        // The kernel's GHCB frame turns private: the hypervisor could not
+        // read the request, so the kernel must not exit through it.
+        hv.machine.rmp_assign(500).unwrap();
+        hv.machine.pvalidate(Vmpl::Vmpl0, 500, true).unwrap();
+        let mut ctx = KernelCtx { hv: &mut hv, gate: &mut gate, vcpu: 0 };
+        let err = kernel.accept_page(&mut ctx, 505);
+        assert_eq!(err, Err(OsError::Refused(Refusal::GhcbNotShared)));
+        assert!(hv.machine.halted().is_none());
     }
 
     #[test]

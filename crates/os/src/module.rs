@@ -8,7 +8,7 @@
 //! it from untrusted memory (TOCTOU-safely: the monitor copies first, then
 //! verifies, then installs; §6.1).
 
-use crate::error::OsError;
+use crate::error::{OsError, Refusal};
 use veil_crypto::HmacSha256;
 
 /// One relocation: patch the 8 bytes at `offset` with the address of
@@ -103,14 +103,14 @@ impl ModuleImage {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive [`OsError::Config`] on malformed input (the
-    /// monitor treats any parse failure as a rejected module).
+    /// [`Refusal::MalformedModule`] on malformed input (the monitor treats
+    /// any parse failure as a rejected module).
     pub fn deserialize(bytes: &[u8]) -> Result<ModuleImage, OsError> {
-        let bad = |what: &str| OsError::Config(format!("malformed module image: {what}"));
+        let bad = Refusal::MalformedModule;
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], OsError> {
             if *pos + n > bytes.len() {
-                return Err(bad("truncated"));
+                return Err(bad.into());
             }
             let s = &bytes[*pos..*pos + n];
             *pos += n;
@@ -121,34 +121,32 @@ impl ModuleImage {
         };
         let name_len = read_u32(&mut pos)? as usize;
         if name_len > 256 {
-            return Err(bad("name too long"));
+            return Err(bad.into());
         }
-        let name = String::from_utf8(take(&mut pos, name_len)?.to_vec())
-            .map_err(|_| bad("name not utf-8"))?;
+        let name = String::from_utf8(take(&mut pos, name_len)?.to_vec()).map_err(|_| bad)?;
         let text_len = read_u32(&mut pos)? as usize;
         if text_len > 1 << 24 {
-            return Err(bad("text too large"));
+            return Err(bad.into());
         }
         let text = take(&mut pos, text_len)?.to_vec();
         let n_relocs = read_u32(&mut pos)? as usize;
         if n_relocs > 1 << 16 {
-            return Err(bad("too many relocations"));
+            return Err(bad.into());
         }
         let mut relocs = Vec::with_capacity(n_relocs);
         for _ in 0..n_relocs {
             let offset = read_u32(&mut pos)?;
             let sym_len = read_u32(&mut pos)? as usize;
             if sym_len > 256 {
-                return Err(bad("symbol too long"));
+                return Err(bad.into());
             }
-            let symbol = String::from_utf8(take(&mut pos, sym_len)?.to_vec())
-                .map_err(|_| bad("symbol not utf-8"))?;
+            let symbol = String::from_utf8(take(&mut pos, sym_len)?.to_vec()).map_err(|_| bad)?;
             let addend = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
             relocs.push(Reloc { offset, symbol, addend });
         }
-        let signature: [u8; 32] = take(&mut pos, 32)?.try_into().map_err(|_| bad("signature"))?;
+        let signature: [u8; 32] = take(&mut pos, 32)?.try_into().map_err(|_| bad)?;
         if pos != bytes.len() {
-            return Err(bad("trailing bytes"));
+            return Err(bad.into());
         }
         Ok(ModuleImage { name, text, relocs, signature })
     }
@@ -157,18 +155,18 @@ impl ModuleImage {
     ///
     /// # Errors
     ///
-    /// Fails on unknown symbols or out-of-bounds patch sites.
+    /// [`Refusal::UnknownSymbol`] on an unknown symbol,
+    /// [`Refusal::MalformedModule`] on an out-of-bounds patch site.
     pub fn relocate(
         text: &mut [u8],
         relocs: &[Reloc],
         resolve: &dyn Fn(&str) -> Option<u64>,
     ) -> Result<(), OsError> {
         for r in relocs {
-            let addr = resolve(&r.symbol)
-                .ok_or_else(|| OsError::Config(format!("unknown symbol {}", r.symbol)))?;
+            let addr = resolve(&r.symbol).ok_or(Refusal::UnknownSymbol)?;
             let site = r.offset as usize;
             if site + 8 > text.len() {
-                return Err(OsError::Config(format!("relocation at {site} out of bounds")));
+                return Err(Refusal::MalformedModule.into());
             }
             text[site..site + 8].copy_from_slice(&(addr.wrapping_add(r.addend)).to_le_bytes());
         }

@@ -12,7 +12,7 @@
 //! [`NativeMonitor`] implements it for the *baseline* CVM (kernel at
 //! VMPL-0, no Veil), executing the privileged instructions directly.
 
-use crate::error::OsError;
+use crate::error::{OsError, Refusal};
 use veil_hv::Hypervisor;
 use veil_snp::perms::{Cpl, Vmpl};
 
@@ -218,9 +218,9 @@ pub trait MonitorChannel {
     ///
     /// # Errors
     ///
-    /// [`OsError::MonitorRefused`] when the monitor rejects the request
-    /// (bad pointer, bad signature, invariant violation...), or any
-    /// underlying machine error.
+    /// [`OsError::Refused`] when the monitor rejects the request (bad
+    /// pointer, bad signature, invariant violation...), or any underlying
+    /// machine error.
     fn request(
         &mut self,
         hv: &mut Hypervisor,
@@ -291,10 +291,7 @@ impl MonitorChannel for NativeMonitor {
                 Ok(MonResponse::Ok)
             }
             MonRequest::CreateVcpu { vcpu_id: new_id, rip, rsp, cr3 } => {
-                let gfn = self
-                    .vmsa_frames
-                    .pop()
-                    .ok_or_else(|| OsError::MonitorRefused("no VMSA frames".into()))?;
+                let gfn = self.vmsa_frames.pop().ok_or(OsError::OutOfFrames)?;
                 hv.machine.vmsa_create(Vmpl::Vmpl0, gfn, new_id, Vmpl::Vmpl0, Cpl::Cpl0)?;
                 {
                     let vmsa = hv.machine.vmsa_mut(gfn).expect("just created");
@@ -306,9 +303,8 @@ impl MonitorChannel for NativeMonitor {
                 let _ = vcpu_id;
                 Ok(MonResponse::Value(gfn))
             }
-            other => Err(OsError::MonitorRefused(format!(
-                "native CVM has no protected services (got {other:?})"
-            ))),
+            // A native CVM has no protected services.
+            _ => Err(Refusal::NoService.into()),
         }
     }
 
@@ -357,14 +353,14 @@ mod tests {
         let mut hv = hv();
         let mut gate = NativeMonitor::new(vec![]);
         let err = gate.request(&mut hv, 0, MonRequest::LogAppend { record: vec![1] });
-        assert!(matches!(err, Err(OsError::MonitorRefused(_))));
+        assert_eq!(err, Err(OsError::Refused(Refusal::NoService)));
         // Chain attestation is a protected service too: no Veil, no report.
         let err = gate.request(
             &mut hv,
             0,
             MonRequest::AttestReport { nonce: [0; 32], report_data: [0; 64] },
         );
-        assert!(matches!(err, Err(OsError::MonitorRefused(_))));
+        assert_eq!(err, Err(OsError::Refused(Refusal::NoService)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! system invokes VeilS-ENC to finalize the enclave."
 
 use crate::binary::EnclaveBinary;
-use veil_os::error::{Errno, OsError};
+use veil_os::error::{Errno, OsError, Refusal};
 use veil_os::monitor::{MonRequest, MonResponse};
 use veil_os::process::{Pid, ENCLAVE_BASE};
 use veil_os::sys::Sys;
@@ -70,10 +70,7 @@ pub fn install_enclave(
 ) -> Result<EnclaveHandle, OsError> {
     // 1. The shared staging buffer must exist before finalization so the
     //    clone includes it.
-    let shared_base = {
-        let mut sys = cvm.sys(pid);
-        sys.mmap(SHARED_BUF_LEN).map_err(|e| OsError::Config(format!("shared buf: {e}")))?
-    };
+    let shared_base = cvm.sys(pid).mmap(SHARED_BUF_LEN)?;
 
     // 2. Lay out the enclave region: allocate frames, copy contents,
     //    map with the binary's segment permissions.
@@ -86,9 +83,8 @@ pub fn install_enclave(
             ctx.hv.machine.write(kernel.vmpl, gpa_of(gfn), contents).map_err(OsError::Snp)?;
             let copy = ctx.hv.machine.cost().copy(PAGE_SIZE) + ctx.hv.machine.cost().page_touch;
             ctx.hv.machine.charge(CostCategory::KernelService, copy);
-            kernel
-                .map_user_page(&mut ctx, pid, *vaddr, gfn, PteFlags::from_bits_truncate(*flag_bits))
-                .map_err(|e| OsError::Config(format!("map enclave page: {e}")))?;
+            let flags = PteFlags::from_bits_truncate(*flag_bits);
+            kernel.map_user_page(&mut ctx, pid, *vaddr, gfn, flags)?;
             frames.push(gfn);
         }
     }
@@ -96,41 +92,27 @@ pub fn install_enclave(
     // 3. Allocate and map the per-thread user GHCB (§6.2).
     let used = cvm.kernel.enclave_ghcbs_used;
     let candidates = cvm.gate.monitor.layout.enclave_ghcb_gfns(cvm.gate.monitor.vcpus, used + 1);
-    let ghcb_gfn = *candidates
-        .get(used as usize)
-        .ok_or_else(|| OsError::Config("out of enclave GHCB frames".into()))?;
+    let ghcb_gfn = *candidates.get(used as usize).ok_or(Refusal::NoGhcb)?;
     {
         let (kernel, mut ctx) = cvm.kctx();
         kernel.enclave_ghcbs_used += 1;
-        kernel
-            .map_user_page(
-                &mut ctx,
-                pid,
-                GHCB_VADDR + used as u64 * PAGE_SIZE as u64,
-                ghcb_gfn,
-                PteFlags::user_data(),
-            )
-            .map_err(|e| OsError::Config(format!("map ghcb: {e}")))?;
+        let vaddr = GHCB_VADDR + used as u64 * PAGE_SIZE as u64;
+        kernel.map_user_page(&mut ctx, pid, vaddr, ghcb_gfn, PteFlags::user_data())?;
     }
 
     // 4. Finalize through VeilS-ENC.
     let len = pages.len() * PAGE_SIZE;
-    let cr3_gfn = cvm
-        .kernel
-        .process(pid)
-        .map_err(|e| OsError::Config(format!("no process: {e}")))?
-        .aspace
-        .expect("aspace created by shared-buffer mmap")
-        .root_gfn();
+    let cr3_gfn =
+        cvm.kernel.process(pid)?.aspace.expect("aspace created by shared-buffer mmap").root_gfn();
     let req = MonRequest::EncFinalize { pid, cr3_gfn, base_vaddr: ENCLAVE_BASE, len, ghcb_gfn };
     let id = {
         let (_, ctx) = cvm.kctx();
         match ctx.gate.request(ctx.hv, ctx.vcpu, req)? {
             MonResponse::Value(id) => id,
-            other => return Err(OsError::MonitorRefused(format!("finalize: {other:?}"))),
+            _ => return Err(Refusal::UnexpectedResponse.into()),
         }
     };
-    cvm.kernel.process_mut(pid).map_err(|e| OsError::Config(format!("{e}")))?.enclave_id = Some(id);
+    cvm.kernel.process_mut(pid)?.enclave_id = Some(id);
     cvm.kernel.process_mut(pid).expect("exists").user_ghcb_gfn = Some(ghcb_gfn);
 
     let heap_pages = binary.heap_pages;
@@ -174,21 +156,12 @@ pub fn add_enclave_thread(
     // Allocate + map another per-thread GHCB (kernel-module step).
     let used = cvm.kernel.enclave_ghcbs_used;
     let candidates = cvm.gate.monitor.layout.enclave_ghcb_gfns(cvm.gate.monitor.vcpus, used + 1);
-    let ghcb_gfn = *candidates
-        .get(used as usize)
-        .ok_or_else(|| OsError::Config("out of enclave GHCB frames".into()))?;
+    let ghcb_gfn = *candidates.get(used as usize).ok_or(Refusal::NoGhcb)?;
     {
         let (kernel, mut ctx) = cvm.kctx();
         kernel.enclave_ghcbs_used += 1;
-        kernel
-            .map_user_page(
-                &mut ctx,
-                handle.pid,
-                GHCB_VADDR + used as u64 * PAGE_SIZE as u64,
-                ghcb_gfn,
-                PteFlags::user_data(),
-            )
-            .map_err(|e| OsError::Config(format!("map thread ghcb: {e}")))?;
+        let vaddr = GHCB_VADDR + used as u64 * PAGE_SIZE as u64;
+        kernel.map_user_page(&mut ctx, handle.pid, vaddr, ghcb_gfn, PteFlags::user_data())?;
     }
     // The scheduler requests the thread context from VeilMon (§7).
     let (_, ctx) = cvm.kctx();
@@ -217,7 +190,7 @@ pub fn remove_enclave(cvm: &mut Cvm, handle: &EnclaveHandle) -> Result<(), OsErr
         let _ = kernel.unmap_user_page(&mut ctx, handle.pid, vaddr);
         kernel.frames.free(*gfn);
     }
-    kernel.process_mut(handle.pid).map_err(|e| OsError::Config(format!("{e}")))?.enclave_id = None;
+    kernel.process_mut(handle.pid)?.enclave_id = None;
     Ok(())
 }
 
@@ -245,10 +218,8 @@ pub fn swap_out_page(cvm: &mut Cvm, handle: &EnclaveHandle, vaddr: u64) -> Resul
     let path = format!("/var/swap-enc{}-{vaddr:#x}", handle.id);
     {
         let mut sys = cvm.sys(handle.pid);
-        let fd = sys
-            .open(&path, veil_os::sys::OpenFlags::wronly_create_trunc())
-            .map_err(|e| OsError::Config(format!("swap store: {e}")))?;
-        sys.write(fd, &sealed).map_err(|e| OsError::Config(format!("swap write: {e}")))?;
+        let fd = sys.open(&path, veil_os::sys::OpenFlags::wronly_create_trunc())?;
+        sys.write(fd, &sealed)?;
         sys.close(fd).ok();
     }
     let (kernel, mut ctx) = cvm.kctx();
@@ -269,10 +240,8 @@ pub fn swap_in_page(cvm: &mut Cvm, handle: &mut EnclaveHandle, vaddr: u64) -> Re
     let mut sealed = vec![0u8; PAGE_SIZE];
     {
         let mut sys = cvm.sys(handle.pid);
-        let fd = sys
-            .open(&path, veil_os::sys::OpenFlags::rdonly())
-            .map_err(|_| OsError::Config("sealed page missing from swap".into()))?;
-        sys.read(fd, &mut sealed).map_err(|e| OsError::Config(format!("swap read: {e}")))?;
+        let fd = sys.open(&path, veil_os::sys::OpenFlags::rdonly())?;
+        sys.read(fd, &mut sealed)?;
         sys.close(fd).ok();
     }
     let (staging, dest) = {

@@ -14,7 +14,7 @@
 //! (`Monitor::begin_channel`) asks the firmware for the same report.
 
 use veil_hv::Hypervisor;
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_snp::perms::Vmpl;
 
 /// The VeilS-ATT service state.
@@ -35,18 +35,16 @@ impl VeilAttest {
     ///
     /// # Errors
     ///
-    /// [`OsError::MonitorRefused`] before launch (no measurement exists
-    /// to attest).
+    /// [`Refusal::NotLaunched`] before launch (no measurement exists to
+    /// attest).
     pub fn report(
         &mut self,
         hv: &mut Hypervisor,
         nonce: [u8; 32],
         report_data: [u8; 64],
     ) -> Result<Vec<u8>, OsError> {
-        let report = hv
-            .machine
-            .attest_chain(Vmpl::Vmpl0, nonce, report_data)
-            .ok_or_else(|| OsError::MonitorRefused("machine not launched".into()))?;
+        let report =
+            hv.machine.attest_chain(Vmpl::Vmpl0, nonce, report_data).ok_or(Refusal::NotLaunched)?;
         self.reports += 1;
         Ok(report.to_bytes())
     }

@@ -22,7 +22,7 @@ use veil_core::monitor::Monitor;
 use veil_core::remote::SecureChannel;
 use veil_crypto::{ChaCha20, HmacSha256, Sha256};
 use veil_hv::{HvResponse, Hypervisor};
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_snp::cost::CostCategory;
 use veil_snp::ghcb::{Ghcb, GhcbExit};
 use veil_snp::mem::{gpa_of, PAGE_SIZE};
@@ -139,9 +139,7 @@ impl VeilSEnc {
     }
 
     fn enclave_mut(&mut self, id: u64) -> Result<&mut Enclave, OsError> {
-        self.enclaves
-            .get_mut(&id)
-            .ok_or_else(|| OsError::MonitorRefused(format!("no enclave {id}")))
+        self.enclaves.get_mut(&id).ok_or(Refusal::NoEnclave.into())
     }
 
     /// Finalizes an enclave the OS just installed (§6.2). Returns the
@@ -164,13 +162,13 @@ impl VeilSEnc {
         len: usize,
         ghcb_gfn: u64,
     ) -> Result<u64, OsError> {
-        let refuse = |this: &mut Self, why: String| {
+        let refuse = |this: &mut Self, why: Refusal| {
             this.rejected += 1;
-            Err(OsError::MonitorRefused(why))
+            Err(why.into())
         };
         // The user-mapped GHCB must really be hypervisor-shared.
-        if Ghcb::at(&hv.machine, ghcb_gfn).is_err() {
-            return refuse(self, format!("enclave GHCB {ghcb_gfn:#x} is not a shared page"));
+        if Ghcb::at(&hv.machine, ghcb_gfn).is_none() {
+            return refuse(self, Refusal::GhcbNotShared);
         }
         // Walk the OS tables and collect every mapping (whole address
         // space — the enclave runs on the cloned tables exclusively).
@@ -184,7 +182,7 @@ impl VeilSEnc {
             .filter(|(v, _, _)| *v >= base_vaddr && *v < base_vaddr + len as u64)
             .collect();
         if enclave_pages.is_empty() {
-            return refuse(self, "enclave range is unmapped".into());
+            return refuse(self, Refusal::EnclaveUnmapped);
         }
         // Invariant 1: one-to-one virtual -> physical inside the enclave.
         let mut pfns: Vec<u64> = enclave_pages.iter().map(|(_, p, _)| *p).collect();
@@ -192,12 +190,12 @@ impl VeilSEnc {
         let before = pfns.len();
         pfns.dedup();
         if pfns.len() != before {
-            return refuse(self, "enclave mapping is not one-to-one (aliased frames)".into());
+            return refuse(self, Refusal::EnclaveAliased);
         }
         // Invariant 2: physical disjointness — no frame may belong to a
         // protected region, which includes every other enclave's frames.
         if monitor.sanitize_gfns(&hv.machine, &pfns).is_err() {
-            return refuse(self, "enclave frames overlap protected memory".into());
+            return refuse(self, Refusal::UnsafePointer);
         }
 
         // Clone the page tables into monitor-protected frames.
@@ -301,12 +299,9 @@ impl VeilSEnc {
         let crypt = hv.machine.cost().crypt_page;
         let enclave = self.enclave_mut(id)?;
         if !enclave.contains(vaddr) {
-            return Err(OsError::MonitorRefused("page-out outside enclave range".into()));
+            return Err(Refusal::PageNotResident.into());
         }
-        let pfn = *enclave
-            .frames
-            .get(&vaddr)
-            .ok_or_else(|| OsError::MonitorRefused("page not resident".into()))?;
+        let pfn = *enclave.frames.get(&vaddr).ok_or(Refusal::PageNotResident)?;
         let (_, flags) = enclave.aspace.translate(&hv.machine, vaddr).map_err(OsError::Pt)?;
         let ctr = enclave.next_ctr;
         enclave.next_ctr += 1;
@@ -360,11 +355,7 @@ impl VeilSEnc {
     ) -> Result<(), OsError> {
         let crypt = hv.machine.cost().crypt_page;
         let enclave = self.enclave_mut(id)?;
-        let meta = enclave
-            .sealed
-            .get(&vaddr)
-            .ok_or_else(|| OsError::MonitorRefused("no sealed page at this address".into()))?
-            .clone();
+        let meta = enclave.sealed.get(&vaddr).ok_or(Refusal::PageNotSealed)?.clone();
         let mut page = [0u8; PAGE_SIZE];
         hv.machine.read_into(Vmpl::Vmpl1, gpa_of(staging_gfn), &mut page)?;
         ChaCha20::new(&enclave.seal_key).apply_keystream(
@@ -377,9 +368,7 @@ impl VeilSEnc {
         mac.update(&meta.ctr.to_le_bytes());
         mac.update(&page);
         if !veil_crypto::ct::eq(&mac.finalize(), &meta.tag) {
-            return Err(OsError::MonitorRefused(
-                "sealed page failed integrity/freshness verification".into(),
-            ));
+            return Err(Refusal::SealInvalid.into());
         }
         hv.machine.charge(CostCategory::Other, crypt);
 
@@ -440,20 +429,13 @@ impl VeilSEnc {
         vcpu: u32,
         ghcb_gfn: u64,
     ) -> Result<u64, OsError> {
-        if Ghcb::at(&hv.machine, ghcb_gfn).is_err() {
-            return Err(OsError::MonitorRefused(format!(
-                "thread GHCB {ghcb_gfn:#x} is not a shared page"
-            )));
+        if Ghcb::at(&hv.machine, ghcb_gfn).is_none() {
+            return Err(Refusal::GhcbNotShared.into());
         }
         let (base_vaddr, root_gfn) = {
-            let e = self
-                .enclaves
-                .get(&id)
-                .ok_or_else(|| OsError::MonitorRefused(format!("no enclave {id}")))?;
+            let e = self.enclaves.get(&id).ok_or(Refusal::NoEnclave)?;
             if e.threads.contains_key(&vcpu) {
-                return Err(OsError::MonitorRefused(format!(
-                    "enclave {id} already has a thread on vcpu {vcpu}"
-                )));
+                return Err(Refusal::ThreadExists.into());
             }
             (e.base_vaddr, e.aspace.root_gfn())
         };
@@ -485,9 +467,7 @@ impl VeilSEnc {
     ) -> Result<(), OsError> {
         let enclave = self.enclave_mut(id)?;
         if enclave.contains(vaddr) {
-            return Err(OsError::MonitorRefused(
-                "OS may not change enclave-region permissions".into(),
-            ));
+            return Err(Refusal::EnclaveRegionLocked.into());
         }
         let flags = PteFlags::from_bits_truncate(pte_flags);
         enclave.aspace.protect(&mut hv.machine, Vmpl::Vmpl0, vaddr, flags).map_err(OsError::Pt)?;
@@ -514,7 +494,7 @@ impl VeilSEnc {
         for i in 0..pages {
             let vaddr = base_vaddr + i * PAGE_SIZE as u64;
             if enclave.contains(vaddr) {
-                return Err(OsError::MonitorRefused("OS may not remap the enclave region".into()));
+                return Err(Refusal::EnclaveRegionLocked.into());
             }
             if map {
                 let os_aspace = AddressSpace::from_root(enclave.os_cr3_gfn);
@@ -566,9 +546,7 @@ impl VeilSEnc {
         for i in 0..pages {
             let va = vaddr + i * PAGE_SIZE as u64;
             if !enclave.contains(va) || !enclave.frames.contains_key(&va) {
-                return Err(OsError::MonitorRefused(
-                    "share offer must cover resident enclave pages".into(),
-                ));
+                return Err(Refusal::PageNotResident.into());
             }
         }
         self.share_offers.retain(|o| !(o.owner == id && o.peer == peer_id));
@@ -597,7 +575,7 @@ impl VeilSEnc {
             .share_offers
             .iter()
             .position(|o| o.owner == owner_id && o.peer == id)
-            .ok_or_else(|| OsError::MonitorRefused("no matching share offer".into()))?;
+            .ok_or(Refusal::NoShareOffer)?;
         let offer = self.share_offers.remove(offer_pos);
         let pairs: Vec<(u64, u64)> = {
             let owner = self.enclave_mut(owner_id)?;
@@ -610,9 +588,7 @@ impl VeilSEnc {
         };
         let peer = self.enclave_mut(id)?;
         if pairs.iter().any(|(va, _)| peer.contains(*va)) {
-            return Err(OsError::MonitorRefused(
-                "share window may not overlay the peer's enclave range".into(),
-            ));
+            return Err(Refusal::EnclaveRegionLocked.into());
         }
         for (va, pfn) in &pairs {
             let mut free: Vec<u64> = Vec::new();
@@ -661,10 +637,7 @@ impl VeilSEnc {
         hv: &mut Hypervisor,
         id: u64,
     ) -> Result<(), OsError> {
-        let enclave = self
-            .enclaves
-            .remove(&id)
-            .ok_or_else(|| OsError::MonitorRefused(format!("no enclave {id}")))?;
+        let enclave = self.enclaves.remove(&id).ok_or(Refusal::NoEnclave)?;
         for (_, pfn) in enclave.frames {
             // Confidentiality: scrub before the OS regains access.
             hv.machine.write(Vmpl::Vmpl1, gpa_of(pfn), &[0u8; PAGE_SIZE])?;
@@ -736,10 +709,7 @@ impl VeilSEnc {
     }
 
     fn primary_vcpu(&self, id: u64) -> Result<u32, OsError> {
-        self.enclaves
-            .get(&id)
-            .map(|e| e.vcpu)
-            .ok_or_else(|| OsError::MonitorRefused(format!("no enclave {id}")))
+        self.enclaves.get(&id).map(|e| e.vcpu).ok_or(Refusal::NoEnclave.into())
     }
 
     fn crossing(
@@ -751,24 +721,17 @@ impl VeilSEnc {
         to: Vmpl,
     ) -> Result<(), OsError> {
         let ghcb_gfn = {
-            let e = self
-                .enclaves
-                .get(&id)
-                .ok_or_else(|| OsError::MonitorRefused(format!("no enclave {id}")))?;
-            e.thread(vcpu)
-                .ok_or_else(|| {
-                    OsError::MonitorRefused(format!("enclave {id} has no thread on vcpu {vcpu}"))
-                })?
-                .1
+            let e = self.enclaves.get(&id).ok_or(Refusal::NoEnclave)?;
+            e.thread(vcpu).ok_or(Refusal::NoThread)?.1
         };
-        let ghcb = Ghcb::at(&hv.machine, ghcb_gfn)?;
+        let ghcb = Ghcb::at(&hv.machine, ghcb_gfn).ok_or(Refusal::GhcbNotShared)?;
         ghcb.write_request(&mut hv.machine, from, GhcbExit::DomainSwitch, to.index() as u64, 0)?;
         match hv.vmgexit(vcpu, true)? {
             HvResponse::Switched { vmpl, .. } if vmpl == to => {
                 self.crossings += 1;
                 Ok(())
             }
-            other => Err(OsError::MonitorRefused(format!("crossing refused: {other:?}"))),
+            other => Err(Refusal::of_response(&other).into()),
         }
     }
 

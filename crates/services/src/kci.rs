@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use veil_core::monitor::Monitor;
 use veil_core::service::KernelHandoff;
 use veil_hv::Hypervisor;
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_os::module::ModuleImage;
 use veil_snp::cost::CostCategory;
 use veil_snp::mem::{gpa_of, PAGE_SIZE};
@@ -79,9 +79,9 @@ impl VeilSKci {
     ///
     /// # Errors
     ///
-    /// * bad signature / malformed image → [`OsError::MonitorRefused`]
-    ///   (and counted in [`VeilSKci::rejected`]);
-    /// * unknown relocation symbols → refused;
+    /// * a malformed image or a bad signature → [`Refusal::MalformedModule`]
+    ///   or [`Refusal::BadModuleSignature`], counted in [`VeilSKci::rejected`];
+    /// * unknown relocation symbols → [`Refusal::UnknownSymbol`];
     /// * RMP errors propagate.
     pub fn module_load(
         &mut self,
@@ -92,7 +92,7 @@ impl VeilSKci {
         dest_gfns: &[u64],
     ) -> Result<(), OsError> {
         if image_len > staging_gfns.len() * PAGE_SIZE {
-            return Err(OsError::MonitorRefused("image length exceeds staging".into()));
+            return Err(Refusal::ModuleFramesShort.into());
         }
         // 1. Copy out of untrusted memory before any checks (TOCTOU).
         let mut bytes = vec![0u8; image_len];
@@ -110,27 +110,20 @@ impl VeilSKci {
         // 2. Parse + verify on the private copy.
         let sha_cost = hv.machine.cost().sha256(image_len);
         hv.machine.charge(CostCategory::Other, sha_cost);
-        let image = ModuleImage::deserialize(&bytes).map_err(|e| {
-            self.rejected += 1;
-            OsError::MonitorRefused(format!("module parse failed: {e}"))
-        })?;
+        let image = ModuleImage::deserialize(&bytes).inspect_err(|_| self.rejected += 1)?;
         if !image.verify(&self.vendor_key) {
             self.rejected += 1;
-            return Err(OsError::MonitorRefused(format!(
-                "module '{}' signature rejected",
-                image.name
-            )));
+            return Err(Refusal::BadModuleSignature.into());
         }
         let ModuleImage { mut text, relocs, .. } = image;
         if text.len().div_ceil(PAGE_SIZE).max(1) > dest_gfns.len() {
-            return Err(OsError::MonitorRefused("destination too small".into()));
+            return Err(Refusal::ModuleFramesShort.into());
         }
 
         // 3. Relocate the verified private copy in place against the
         //    *protected* symbol table.
         let symbols = &self.symbols;
-        ModuleImage::relocate(&mut text, &relocs, &|s| symbols.get(s).copied())
-            .map_err(|e| OsError::MonitorRefused(format!("relocation failed: {e}")))?;
+        ModuleImage::relocate(&mut text, &relocs, &|s| symbols.get(s).copied())?;
 
         // 4. Install into kernel memory and write-protect each page.
         for (i, chunk) in text.chunks(PAGE_SIZE).enumerate() {
@@ -160,16 +153,9 @@ impl VeilSKci {
         hv: &mut Hypervisor,
         text_gfns: &[u64],
     ) -> Result<(), OsError> {
-        let key = *text_gfns
-            .first()
-            .ok_or_else(|| OsError::MonitorRefused("empty unload request".into()))?;
-        match self.installed.get(&key) {
+        match text_gfns.first().and_then(|key| self.installed.get(key)) {
             Some(known) if known == text_gfns => {}
-            _ => {
-                return Err(OsError::MonitorRefused(
-                    "unload request does not match an installed module".into(),
-                ))
-            }
+            _ => return Err(Refusal::ModuleNotLoaded.into()),
         }
         for gfn in text_gfns {
             // Scrub module text before the kernel reuses the page, then
@@ -182,7 +168,7 @@ impl VeilSKci {
                 VmplPerms::rw().union(VmplPerms::USER_EXEC),
             )?;
         }
-        self.installed.remove(&key);
+        self.installed.remove(&text_gfns[0]);
         self.unloads += 1;
         Ok(())
     }
@@ -224,7 +210,8 @@ mod tests {
         let mut image = ModuleImage::build_signed("rootkit", 4096, &VENDOR_KEY);
         image.text[7] ^= 0x41;
         let (kernel, mut ctx) = cvm.kctx();
-        assert!(kernel.load_module(&mut ctx, &image).is_err());
+        let err = kernel.load_module(&mut ctx, &image);
+        assert_eq!(err, Err(OsError::Refused(Refusal::BadModuleSignature)));
         assert_eq!(cvm.gate.services.kci.rejected, 1);
         assert_eq!(cvm.gate.services.kci.loads, 0);
     }
@@ -264,11 +251,40 @@ mod tests {
         {
             let (kernel, mut ctx) = cvm.kctx();
             let err = kernel.load_module(&mut ctx, &image).unwrap_err();
-            assert!(matches!(&err, OsError::Config(m) if m.contains("already loaded")), "{err}");
+            assert_eq!(err, OsError::Refused(Refusal::ModuleAlreadyLoaded));
         }
         assert_eq!(cvm.kernel.frames.available(), loaded);
         assert_eq!(cvm.gate.services.kci.installed_count(), 1);
         assert_eq!(cvm.gate.services.kci.loads, 1);
+        {
+            let (kernel, mut ctx) = cvm.kctx();
+            kernel.unload_module(&mut ctx, "driver").unwrap();
+        }
+        assert_eq!(cvm.gate.services.kci.installed_count(), 0);
+        assert_eq!(cvm.kernel.frames.available(), initial);
+    }
+
+    /// A refused unload leaves the module loaded, so an honest retry can
+    /// finish it: the kernel never forgets a module VeilS-KCI still
+    /// write-protects, and its frames come back.
+    #[test]
+    fn refused_unload_keeps_module_for_retry() {
+        let mut cvm = cvm();
+        let initial = cvm.kernel.frames.available();
+        let image = ModuleImage::build_signed("driver", 4096, &VENDOR_KEY);
+        {
+            let (kernel, mut ctx) = cvm.kctx();
+            kernel.load_module(&mut ctx, &image).unwrap();
+        }
+        cvm.hv.policy.refuse_switches = true;
+        {
+            let (kernel, mut ctx) = cvm.kctx();
+            let err = kernel.unload_module(&mut ctx, "driver").unwrap_err();
+            assert_eq!(err, OsError::Refused(Refusal::HostRefused));
+        }
+        assert!(cvm.kernel.modules.contains_key("driver"));
+        assert_eq!(cvm.gate.services.kci.installed_count(), 1);
+        cvm.hv.policy.refuse_switches = false;
         {
             let (kernel, mut ctx) = cvm.kctx();
             kernel.unload_module(&mut ctx, "driver").unwrap();
@@ -285,7 +301,7 @@ mod tests {
         let req = veil_os::monitor::MonRequest::KciModuleUnload { text_gfns: vec![victim] };
         let (_, ctx) = cvm.kctx();
         let err = ctx.gate.request(ctx.hv, 0, req);
-        assert!(err.is_err());
+        assert_eq!(err, Err(OsError::Refused(Refusal::ModuleNotLoaded)));
     }
 
     #[test]

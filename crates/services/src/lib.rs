@@ -41,7 +41,7 @@ use veil_core::cvm::GenericCvm;
 use veil_core::monitor::Monitor;
 use veil_core::service::{KernelHandoff, ServiceDispatch};
 use veil_hv::Hypervisor;
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_os::monitor::{MonRequest, MonResponse};
 
 pub use attest::VeilAttest;
@@ -145,9 +145,10 @@ impl ServiceDispatch for VeilServices {
             MonRequest::AttestReport { nonce, report_data } => {
                 Ok(MonResponse::Bytes(self.attest.report(hv, *nonce, *report_data)?))
             }
-            MonRequest::Pvalidate { .. } | MonRequest::CreateVcpu { .. } => Err(
-                OsError::MonitorRefused("architectural delegation terminates in VeilMon".into()),
-            ),
+            // Architectural delegations terminate in VeilMon, not here.
+            MonRequest::Pvalidate { .. } | MonRequest::CreateVcpu { .. } => {
+                Err(Refusal::NoService.into())
+            }
         }
     }
 }

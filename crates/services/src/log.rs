@@ -12,7 +12,7 @@ use veil_core::monitor::Monitor;
 use veil_core::remote::SecureChannel;
 use veil_hv::Hypervisor;
 use veil_os::audit::AuditRecord;
-use veil_os::error::OsError;
+use veil_os::error::{OsError, Refusal};
 use veil_snp::cost::CostCategory;
 use veil_snp::mem::{gpa_of, PAGE_SIZE};
 use veil_snp::perms::Vmpl;
@@ -41,7 +41,7 @@ impl VeilSLog {
     pub fn on_boot(&mut self, monitor: &mut Monitor) -> Result<(), OsError> {
         let storage = monitor.layout.log_storage.clone();
         if storage.is_empty() {
-            return Err(OsError::Config("no log storage reserved".into()));
+            return Err(Refusal::NoLogStorage.into());
         }
         self.storage = storage;
         Ok(())
@@ -77,15 +77,15 @@ impl VeilSLog {
     ///
     /// # Errors
     ///
-    /// `MonitorRefused("log storage full")` when the region is exhausted —
-    /// the paper sizes the region so the user retrieves before overflow;
-    /// refusing (rather than overwriting) preserves the append-only
-    /// guarantee and the failure is visible to the operator.
+    /// [`Refusal::LogFull`] when the region is exhausted — the paper sizes
+    /// the region so the user retrieves before overflow; refusing (rather
+    /// than overwriting) preserves the append-only guarantee and the
+    /// failure is visible to the operator.
     pub fn append(&mut self, hv: &mut Hypervisor, record: &[u8]) -> Result<(), OsError> {
         let needed = (LEN_PREFIX + record.len()) as u64;
         if self.head + needed > self.capacity() {
             self.dropped += 1;
-            return Err(OsError::MonitorRefused("log storage full".into()));
+            return Err(Refusal::LogFull.into());
         }
         let work = hv.machine.cost().veil_log_record + hv.machine.cost().copy(record.len());
         hv.machine.charge(CostCategory::AuditLog, work);
@@ -110,7 +110,7 @@ impl VeilSLog {
             let len_bytes = self.read_at(hv, offset, LEN_PREFIX)?;
             let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
             if offset + (LEN_PREFIX + len) as u64 > self.head {
-                return Err(OsError::Config("log storage corrupt".into()));
+                return Err(Refusal::LogCorrupt.into());
             }
             out.push(self.read_at(hv, offset + LEN_PREFIX as u64, len)?);
             offset += (LEN_PREFIX + len) as u64;
@@ -137,11 +137,9 @@ impl VeilSLog {
         service_channel: &mut SecureChannel,
         sealed_command: &[u8],
     ) -> Result<Vec<Vec<u8>>, OsError> {
-        let command = service_channel
-            .open(sealed_command)
-            .map_err(|e| OsError::MonitorRefused(format!("bad retrieval command: {e}")))?;
-        if command != b"retrieve-and-prune" {
-            return Err(OsError::MonitorRefused("unknown log command".into()));
+        match service_channel.open(sealed_command) {
+            Ok(command) if command == b"retrieve-and-prune" => {}
+            _ => return Err(Refusal::BadLogCommand.into()),
         }
         let records = self.read_all(hv)?;
         let sealed: Vec<Vec<u8>> = records.iter().map(|r| service_channel.seal(r)).collect();

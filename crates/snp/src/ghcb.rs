@@ -83,23 +83,11 @@ pub struct Ghcb {
 }
 
 impl Ghcb {
-    /// Binds to the GHCB at frame `gfn`, checking it is shared.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnpError::Npf`]-free `OutOfRange`/`NotAVmsa`-style errors
-    /// via [`SnpError`] when the frame is outside memory or not shared.
-    pub fn at(machine: &Machine, gfn: u64) -> Result<Ghcb, SnpError> {
-        if gfn >= machine.rmp().frames() {
-            return Err(SnpError::OutOfRange { gfn });
-        }
-        if !machine.rmp().hypervisor_accessible(gfn) {
-            // Not a distinct architectural fault: the hypervisor simply
-            // cannot see the page, so the protocol wedges. We surface it
-            // as a halt-worthy error.
-            return Err(SnpError::NotAVmsa { gfn });
-        }
-        Ok(Ghcb { gfn })
+    /// Binds to the GHCB at frame `gfn`, or `None` when the frame is
+    /// outside memory or private: the hypervisor could not read either, so
+    /// neither is a usable GHCB (§6.2).
+    pub fn at(machine: &Machine, gfn: u64) -> Option<Ghcb> {
+        machine.rmp().hypervisor_accessible(gfn).then_some(Ghcb { gfn })
     }
 
     /// Base guest-physical address.
@@ -188,7 +176,7 @@ mod tests {
         let mut m = machine();
         m.rmp_assign(3).unwrap();
         m.pvalidate(Vmpl::Vmpl0, 3, true).unwrap();
-        assert!(Ghcb::at(&m, 3).is_err(), "private page cannot be a GHCB");
-        assert!(Ghcb::at(&m, 9999).is_err(), "out of range");
+        assert!(Ghcb::at(&m, 3).is_none(), "private page cannot be a GHCB");
+        assert!(Ghcb::at(&m, 9999).is_none(), "out of range");
     }
 }

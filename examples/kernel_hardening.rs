@@ -9,6 +9,7 @@
 
 use veil::prelude::*;
 use veil_core::cvm::VENDOR_KEY;
+use veil_os::error::{OsError, Refusal};
 use veil_os::module::ModuleImage;
 use veil_snp::mem::gpa_of;
 use veil_snp::perms::{Cpl, Vmpl};
@@ -51,7 +52,8 @@ fn main() {
         let (kernel, mut ctx) = cvm.kctx();
         kernel.load_module(&mut ctx, &rootkit)
     };
-    println!("load tampered 'rootkit'      -> {:?}", refused.err().map(|e| e.to_string()));
+    println!("load tampered 'rootkit'      -> {refused:?}");
+    assert_eq!(refused, Err(OsError::Refused(Refusal::BadModuleSignature)));
     assert_eq!(cvm.gate.services.kci.rejected, 1);
 
     // 5. The OS cannot abuse unload to strip protection from other pages.
@@ -64,7 +66,8 @@ fn main() {
             veil_os::monitor::MonRequest::KciModuleUnload { text_gfns: vec![victim] },
         )
     };
-    println!("forged unload request        -> {:?}", strip.err().map(|e| e.to_string()));
+    println!("forged unload request        -> {strip:?}");
+    assert_eq!(strip, Err(OsError::Refused(Refusal::ModuleNotLoaded)));
 
     // 6. Honest unload restores the memory for reuse, scrubbed.
     {
