@@ -30,9 +30,6 @@ pub struct CvmBuilder {
     frames: u64,
     vcpus: u32,
     log_frames: u64,
-    mon_pool_frames: u64,
-    ser_pool_frames: u64,
-    shared_frames: u64,
     kci: bool,
     trace: Option<bool>,
     metrics: Option<bool>,
@@ -57,9 +54,6 @@ impl CvmBuilder {
             frames: d.frames,
             vcpus: d.vcpus,
             log_frames: d.log_frames,
-            mon_pool_frames: d.mon_pool_frames,
-            ser_pool_frames: d.ser_pool_frames,
-            shared_frames: d.shared_frames,
             kci: true,
             trace: None,
             metrics: None,
@@ -184,9 +178,7 @@ impl CvmBuilder {
             frames: self.frames,
             vcpus: self.vcpus,
             log_frames: self.log_frames,
-            mon_pool_frames: self.mon_pool_frames,
-            ser_pool_frames: self.ser_pool_frames,
-            shared_frames: self.shared_frames,
+            ..LayoutConfig::default()
         }
     }
 

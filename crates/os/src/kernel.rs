@@ -34,6 +34,14 @@ pub struct KernelCtx<'a> {
     pub vcpu: u32,
 }
 
+impl KernelCtx<'_> {
+    /// Charges the kernel for copying `bytes` to or from user space.
+    fn charge_copy(&mut self, bytes: usize) {
+        let copy = self.hv.machine.cost().copy(bytes);
+        self.hv.machine.charge(CostCategory::KernelService, copy);
+    }
+}
+
 /// Kernel construction parameters (what the boot layer hands over).
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
@@ -154,6 +162,12 @@ impl Kernel {
         &self.console
     }
 
+    /// Frames set aside for page tables and not yet used. They are free
+    /// too, but not in [`Kernel::frames`].
+    pub fn pt_pool_len(&self) -> usize {
+        self.pt_free.len()
+    }
+
     // ---- processes -------------------------------------------------------
 
     /// Creates a process.
@@ -195,7 +209,9 @@ impl Kernel {
 
     // ---- audit -----------------------------------------------------------
 
-    /// The `audit_log_end` hook: called after every serviced syscall.
+    /// The `audit_log_end` hook. `KernelSys`'s syscall helper calls it at
+    /// every syscall exit, failed calls included; only ruled syscalls
+    /// leave a record.
     fn audit_syscall(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid, sysno: Sysno, ret: i64) {
         if !self.audit.matches(sysno) {
             return;
@@ -245,503 +261,7 @@ impl Kernel {
         }
     }
 
-    fn charge_base(&self, ctx: &mut KernelCtx<'_>) {
-        let base = ctx.hv.machine.cost().syscall_base;
-        ctx.hv.machine.charge(CostCategory::KernelService, base);
-    }
-
-    fn charge_copy(&self, ctx: &mut KernelCtx<'_>, bytes: usize) {
-        let c = ctx.hv.machine.cost().copy(bytes);
-        ctx.hv.machine.charge(CostCategory::KernelService, c);
-    }
-
-    // ---- memory ----------------------------------------------------------
-
-    /// `mmap`: anonymous, page-rounded, eagerly backed (the simulation has
-    /// no lazy faults for ordinary processes).
-    pub fn sys_mmap(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        len: usize,
-    ) -> Result<u64, Errno> {
-        self.charge_base(ctx);
-        if len == 0 {
-            return Err(Errno::EINVAL);
-        }
-        let pages = len.div_ceil(PAGE_SIZE);
-        let aspace = self.ensure_aspace(ctx, pid)?;
-        let frames = self.frames.alloc_n(pages).map_err(|_| Errno::ENOMEM)?;
-        self.refill_pt_pool(pages / 512 + 4).map_err(|_| Errno::ENOMEM)?;
-        let base = self.process(pid)?.mmap_cursor;
-        for (i, gfn) in frames.iter().enumerate() {
-            // Zero fresh pages before handing them to user space.
-            ctx.hv
-                .machine
-                .write(self.vmpl, gpa_of(*gfn), &[0u8; PAGE_SIZE])
-                .map_err(|_| Errno::EFAULT)?;
-            let touch =
-                ctx.hv.machine.cost().page_touch + ctx.hv.machine.cost().copy(PAGE_SIZE / 2);
-            ctx.hv.machine.charge(CostCategory::KernelService, touch);
-            aspace
-                .map(
-                    &mut ctx.hv.machine,
-                    self.vmpl,
-                    &mut self.pt_free,
-                    base + (i * PAGE_SIZE) as u64,
-                    *gfn,
-                    PteFlags::user_data(),
-                )
-                .map_err(|_| Errno::ENOMEM)?;
-        }
-        let proc = self.process_mut(pid)?;
-        proc.mmap_cursor += (pages * PAGE_SIZE) as u64 + PAGE_SIZE as u64; // guard gap
-        proc.mmaps.insert(base, MmapRegion { len: pages * PAGE_SIZE, frames });
-        // Enclave processes: mirror the new shared region into the
-        // protected tables so the enclave can reach it (§6.2).
-        if let Some(enclave_id) = self.process(pid)?.enclave_id {
-            let req = MonRequest::EncMapSync {
-                enclave_id,
-                base_vaddr: base,
-                pages: pages as u64,
-                map: true,
-            };
-            if ctx.gate.request(ctx.hv, ctx.vcpu, req).is_err() {
-                return Err(Errno::ENOMEM);
-            }
-        }
-        self.audit_syscall(ctx, pid, Sysno::Mmap, base as i64);
-        Ok(base)
-    }
-
-    /// `munmap` of a full region previously returned by [`Kernel::sys_mmap`].
-    pub fn sys_munmap(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        addr: u64,
-        len: usize,
-    ) -> Result<(), Errno> {
-        self.charge_base(ctx);
-        let aspace = self.process(pid)?.aspace.ok_or(Errno::EINVAL)?;
-        let region = self.process_mut(pid)?.mmaps.remove(&addr).ok_or(Errno::EINVAL)?;
-        // TLB shootdown per unmapped page.
-        let tlb = 2000 * (len.div_ceil(PAGE_SIZE) as u64);
-        ctx.hv.machine.charge(CostCategory::KernelService, tlb);
-        if len.div_ceil(PAGE_SIZE) * PAGE_SIZE != region.len {
-            // Partial unmap unsupported: restore and fail.
-            self.process_mut(pid)?.mmaps.insert(addr, region);
-            return Err(Errno::EINVAL);
-        }
-        // Enclave processes: remove the region from the protected tables
-        // first so the enclave cannot reach freed frames.
-        if let Some(enclave_id) = self.process(pid)?.enclave_id {
-            let req = MonRequest::EncMapSync {
-                enclave_id,
-                base_vaddr: addr,
-                pages: (region.len / PAGE_SIZE) as u64,
-                map: false,
-            };
-            // Revocations never ride the batched path: the clone mapping
-            // must be gone before the frames return to the pool, or the
-            // enclave could reach recycled memory through a stale entry.
-            let _ = ctx.gate.request(ctx.hv, ctx.vcpu, req);
-        }
-        for (i, gfn) in region.frames.iter().enumerate() {
-            aspace
-                .unmap(&mut ctx.hv.machine, self.vmpl, addr + (i * PAGE_SIZE) as u64)
-                .map_err(|_| Errno::EFAULT)?;
-            self.frames.free(*gfn);
-        }
-        self.audit_syscall(ctx, pid, Sysno::Munmap, 0);
-        Ok(())
-    }
-
-    /// `mprotect` over a whole mmap region. Enclave-region permission
-    /// changes are *not* the kernel's to make — the caller (SDK) routes
-    /// those to VeilS-ENC; the kernel path also synchronizes non-enclave
-    /// changes into the protected tables via `EncPermSync` when the
-    /// process has an enclave (§6.2).
-    pub fn sys_mprotect(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        addr: u64,
-        len: usize,
-        prot_write: bool,
-    ) -> Result<(), Errno> {
-        self.charge_base(ctx);
-        let aspace = self.process(pid)?.aspace.ok_or(Errno::EINVAL)?;
-        let region_exists = self.process(pid)?.mmaps.contains_key(&addr);
-        if !region_exists {
-            return Err(Errno::EINVAL);
-        }
-        let flags = if prot_write { PteFlags::user_data() } else { PteFlags::user_ro() };
-        let pages = len.div_ceil(PAGE_SIZE);
-        for i in 0..pages {
-            let va = addr + (i * PAGE_SIZE) as u64;
-            aspace.protect(&mut ctx.hv.machine, self.vmpl, va, flags).map_err(|_| Errno::EFAULT)?;
-            if let Some(enclave_id) = self.process(pid)?.enclave_id {
-                let req =
-                    MonRequest::EncPermSync { enclave_id, vaddr: va, pte_flags: flags.bits() };
-                if ctx.gate.request(ctx.hv, ctx.vcpu, req).is_err() {
-                    return Err(Errno::EACCES);
-                }
-            }
-        }
-        self.audit_syscall(ctx, pid, Sysno::Mprotect, 0);
-        Ok(())
-    }
-
-    /// Process-memory write through the process page tables (CPL-3 rules).
-    pub fn proc_mem_write(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        addr: u64,
-        data: &[u8],
-    ) -> Result<(), Errno> {
-        self.charge_copy(ctx, data.len());
-        let aspace = self.process(pid)?.aspace.ok_or(Errno::EFAULT)?;
-        aspace
-            .write_virt(&mut ctx.hv.machine, addr, data, self.vmpl, Cpl::Cpl3)
-            .map_err(|_| Errno::EFAULT)
-    }
-
-    /// Process-memory read through the process page tables.
-    pub fn proc_mem_read(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        addr: u64,
-        buf: &mut [u8],
-    ) -> Result<(), Errno> {
-        self.charge_copy(ctx, buf.len());
-        let aspace = self.process(pid)?.aspace.ok_or(Errno::EFAULT)?;
-        aspace
-            .read_virt_into(&ctx.hv.machine, addr, buf, self.vmpl, Cpl::Cpl3)
-            .map_err(|_| Errno::EFAULT)
-    }
-
-    // ---- files -----------------------------------------------------------
-
-    /// `open`/`creat`.
-    pub fn sys_open(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        path: &str,
-        flags: OpenFlags,
-    ) -> Result<Fd, Errno> {
-        self.charge_base(ctx);
-        // Path resolution walks the dcache: per-component hashing plus
-        // inode lookups (calibrated against Fig. 4's open ratio).
-        self.charge_copy(ctx, path.len());
-        ctx.hv.machine.charge(CostCategory::KernelService, 1200);
-        let result = (|| {
-            let ino = match self.vfs.resolve(path) {
-                Ok(ino) => {
-                    if flags.truncate {
-                        self.vfs.truncate(ino, 0)?;
-                    }
-                    ino
-                }
-                Err(Errno::ENOENT) if flags.create => self.vfs.create(path, 0o644)?,
-                Err(e) => return Err(e),
-            };
-            if self.vfs.inode(ino)?.is_dir() && flags.write {
-                return Err(Errno::EISDIR);
-            }
-            let entry =
-                FdEntry::File { ino, offset: 0, writable: flags.write, append: flags.append };
-            Ok(self.process_mut(pid)?.install_fd(entry))
-        })();
-        let ret = match &result {
-            Ok(fd) => *fd as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Open, ret);
-        result
-    }
-
-    /// `close`.
-    pub fn sys_close(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid, fd: Fd) -> Result<(), Errno> {
-        self.charge_base(ctx);
-        let entry = self.process_mut(pid)?.remove_fd(fd)?;
-        if let FdEntry::Socket(sid) = entry {
-            let _ = self.sockets.close(sid);
-        }
-        self.audit_syscall(ctx, pid, Sysno::Close, 0);
-        Ok(())
-    }
-
-    /// `read` (files, sockets, console).
-    pub fn sys_read(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        buf: &mut [u8],
-    ) -> Result<usize, Errno> {
-        self.charge_base(ctx);
-        self.charge_copy(ctx, buf.len());
-        let result = (|| {
-            let entry = self.process_mut(pid)?.fd_mut(fd)?.clone();
-            match entry {
-                FdEntry::File { ino, offset, .. } => {
-                    let n = self.vfs.read_at(ino, offset, buf)?;
-                    if let FdEntry::File { offset, .. } = self.process_mut(pid)?.fd_mut(fd)? {
-                        *offset += n;
-                    }
-                    Ok(n)
-                }
-                FdEntry::Socket(sid) => self.sockets.recv(sid, buf),
-                FdEntry::Console => Ok(0),
-            }
-        })();
-        let ret = match &result {
-            Ok(n) => *n as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Read, ret);
-        result
-    }
-
-    /// `write`.
-    pub fn sys_write(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        buf: &[u8],
-    ) -> Result<usize, Errno> {
-        self.charge_base(ctx);
-        self.charge_copy(ctx, buf.len());
-        let result = (|| {
-            let entry = self.process_mut(pid)?.fd_mut(fd)?.clone();
-            match entry {
-                FdEntry::File { ino, offset, writable, append } => {
-                    if !writable {
-                        return Err(Errno::EBADF);
-                    }
-                    let at = if append { self.vfs.inode(ino)?.size() } else { offset };
-                    let n = self.vfs.write_at(ino, at, buf)?;
-                    if let FdEntry::File { offset, .. } = self.process_mut(pid)?.fd_mut(fd)? {
-                        *offset = at + n;
-                    }
-                    Ok(n)
-                }
-                FdEntry::Socket(sid) => self.sockets.send(sid, buf),
-                FdEntry::Console => {
-                    self.console.extend_from_slice(buf);
-                    Ok(buf.len())
-                }
-            }
-        })();
-        let ret = match &result {
-            Ok(n) => *n as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Write, ret);
-        result
-    }
-
-    /// `pread64`.
-    pub fn sys_pread(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        buf: &mut [u8],
-        offset: u64,
-    ) -> Result<usize, Errno> {
-        self.charge_base(ctx);
-        self.charge_copy(ctx, buf.len());
-        let result = (|| {
-            let entry = self.process(pid)?.fd(fd)?.clone();
-            match entry {
-                FdEntry::File { ino, .. } => self.vfs.read_at(ino, offset as usize, buf),
-                _ => Err(Errno::ESPIPE),
-            }
-        })();
-        let ret = match &result {
-            Ok(n) => *n as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Pread64, ret);
-        result
-    }
-
-    /// `pwrite64`.
-    pub fn sys_pwrite(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        buf: &[u8],
-        offset: u64,
-    ) -> Result<usize, Errno> {
-        self.charge_base(ctx);
-        self.charge_copy(ctx, buf.len());
-        let result = (|| {
-            let entry = self.process(pid)?.fd(fd)?.clone();
-            match entry {
-                FdEntry::File { ino, writable, .. } => {
-                    if !writable {
-                        return Err(Errno::EBADF);
-                    }
-                    self.vfs.write_at(ino, offset as usize, buf)
-                }
-                _ => Err(Errno::ESPIPE),
-            }
-        })();
-        let ret = match &result {
-            Ok(n) => *n as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Pwrite64, ret);
-        result
-    }
-
-    /// `lseek`.
-    pub fn sys_lseek(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        offset: i64,
-        whence: Whence,
-    ) -> Result<u64, Errno> {
-        self.charge_base(ctx);
-        let size = {
-            let entry = self.process(pid)?.fd(fd)?;
-            match entry {
-                FdEntry::File { ino, .. } => self.vfs.inode(*ino)?.size() as i64,
-                _ => return Err(Errno::ESPIPE),
-            }
-        };
-        let entry = self.process_mut(pid)?.fd_mut(fd)?;
-        if let FdEntry::File { offset: cur, .. } = entry {
-            let base = match whence {
-                Whence::Set => 0,
-                Whence::Cur => *cur as i64,
-                Whence::End => size,
-            };
-            let new = base + offset;
-            if new < 0 {
-                return Err(Errno::EINVAL);
-            }
-            *cur = new as usize;
-            Ok(new as u64)
-        } else {
-            Err(Errno::ESPIPE)
-        }
-    }
-
-    /// `stat`.
-    pub fn sys_stat(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        path: &str,
-    ) -> Result<SysStat, Errno> {
-        self.charge_base(ctx);
-        let _ = pid;
-        let ino = self.vfs.resolve(path)?;
-        let node = self.vfs.inode(ino)?;
-        Ok(SysStat {
-            size: node.size() as u64,
-            mode: node.mode,
-            nlink: node.nlink,
-            is_dir: node.is_dir(),
-        })
-    }
-
-    /// `fstat`.
-    pub fn sys_fstat(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-    ) -> Result<SysStat, Errno> {
-        self.charge_base(ctx);
-        let entry = self.process(pid)?.fd(fd)?.clone();
-        match entry {
-            FdEntry::File { ino, .. } => {
-                let node = self.vfs.inode(ino)?;
-                Ok(SysStat {
-                    size: node.size() as u64,
-                    mode: node.mode,
-                    nlink: node.nlink,
-                    is_dir: node.is_dir(),
-                })
-            }
-            _ => Ok(SysStat { size: 0, mode: 0o666, nlink: 1, is_dir: false }),
-        }
-    }
-
-    /// `sendfile`: in-kernel copy between descriptors.
-    pub fn sys_sendfile(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        out_fd: Fd,
-        in_fd: Fd,
-        len: usize,
-    ) -> Result<usize, Errno> {
-        self.charge_base(ctx);
-        self.charge_copy(ctx, len);
-        let result = (|| {
-            let mut data = vec![0u8; len];
-            let n = match self.process_mut(pid)?.fd_mut(in_fd)?.clone() {
-                FdEntry::File { ino, offset, .. } => {
-                    let n = self.vfs.read_at(ino, offset, &mut data)?;
-                    if let FdEntry::File { offset, .. } = self.process_mut(pid)?.fd_mut(in_fd)? {
-                        *offset += n;
-                    }
-                    n
-                }
-                _ => return Err(Errno::EINVAL),
-            };
-            data.truncate(n);
-            match self.process_mut(pid)?.fd_mut(out_fd)?.clone() {
-                FdEntry::Socket(sid) => self.sockets.send(sid, &data),
-                FdEntry::File { ino, offset, writable, .. } => {
-                    if !writable {
-                        return Err(Errno::EBADF);
-                    }
-                    let n = self.vfs.write_at(ino, offset, &data)?;
-                    if let FdEntry::File { offset, .. } = self.process_mut(pid)?.fd_mut(out_fd)? {
-                        *offset += n;
-                    }
-                    Ok(n)
-                }
-                FdEntry::Console => {
-                    self.console.extend_from_slice(&data);
-                    Ok(data.len())
-                }
-            }
-        })();
-        let ret = match &result {
-            Ok(n) => *n as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Sendfile, ret);
-        result
-    }
-
-    // ---- sockets -----------------------------------------------------------
-
-    /// `socket`.
-    pub fn sys_socket(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid) -> Result<Fd, Errno> {
-        self.charge_base(ctx);
-        // Socket buffer allocation + protocol setup.
-        ctx.hv.machine.charge(CostCategory::KernelService, 600);
-        let sid = self.sockets.socket();
-        let fd = self.process_mut(pid)?.install_fd(FdEntry::Socket(sid));
-        self.audit_syscall(ctx, pid, Sysno::Socket, fd as i64);
-        Ok(fd)
-    }
+    // ---- syscall helpers ----------------------------------------------------
 
     fn sock_of(&self, pid: Pid, fd: Fd) -> Result<usize, Errno> {
         match self.process(pid)?.fd(fd)? {
@@ -750,109 +270,12 @@ impl Kernel {
         }
     }
 
-    /// `bind`.
-    pub fn sys_bind(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        port: u16,
-    ) -> Result<(), Errno> {
-        self.charge_base(ctx);
-        let sid = self.sock_of(pid, fd)?;
-        let result = self.sockets.bind(sid, port);
-        let ret = result.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        self.audit_syscall(ctx, pid, Sysno::Bind, ret);
-        result
-    }
-
-    /// `listen`.
-    pub fn sys_listen(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid, fd: Fd) -> Result<(), Errno> {
-        self.charge_base(ctx);
-        let sid = self.sock_of(pid, fd)?;
-        self.sockets.listen(sid)
-    }
-
-    /// `accept`.
-    pub fn sys_accept(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid, fd: Fd) -> Result<Fd, Errno> {
-        self.charge_base(ctx);
-        let sid = self.sock_of(pid, fd)?;
-        let result = self.sockets.accept(sid).map(|conn| {
-            self.process_mut(pid).expect("caller checked").install_fd(FdEntry::Socket(conn))
-        });
-        let ret = match &result {
-            Ok(fd) => *fd as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Accept, ret);
-        result
-    }
-
-    /// `connect`.
-    pub fn sys_connect(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        port: u16,
-    ) -> Result<(), Errno> {
-        self.charge_base(ctx);
-        let sid = self.sock_of(pid, fd)?;
-        let result = self.sockets.connect(sid, port);
-        let ret = result.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        self.audit_syscall(ctx, pid, Sysno::Connect, ret);
-        result
-    }
-
-    /// `send`.
-    pub fn sys_send(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        data: &[u8],
-    ) -> Result<usize, Errno> {
-        self.charge_base(ctx);
-        self.charge_copy(ctx, data.len());
-        let sid = self.sock_of(pid, fd)?;
-        let result = self.sockets.send(sid, data);
-        let ret = match &result {
-            Ok(n) => *n as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Sendto, ret);
-        result
-    }
-
-    /// `recv`.
-    pub fn sys_recv(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        buf: &mut [u8],
-    ) -> Result<usize, Errno> {
-        self.charge_base(ctx);
-        self.charge_copy(ctx, buf.len());
-        let sid = self.sock_of(pid, fd)?;
-        let result = self.sockets.recv(sid, buf);
-        let ret = match &result {
-            Ok(n) => *n as i64,
-            Err(e) => e.as_neg_ret(),
-        };
-        self.audit_syscall(ctx, pid, Sysno::Recvfrom, ret);
-        result
-    }
-
-    /// `socketpair`.
-    pub fn sys_socketpair(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid) -> Result<(Fd, Fd), Errno> {
-        self.charge_base(ctx);
-        let (a, b) = self.sockets.socketpair();
-        let proc = self.process_mut(pid)?;
-        let fa = proc.install_fd(FdEntry::Socket(a));
-        let fb = proc.install_fd(FdEntry::Socket(b));
-        self.audit_syscall(ctx, pid, Sysno::Socketpair, fa as i64);
-        Ok((fa, fb))
+    /// Moves a file descriptor's offset to `to` (other descriptors have none).
+    fn set_offset(&mut self, pid: Pid, fd: Fd, to: usize) -> Result<(), Errno> {
+        if let FdEntry::File { offset, .. } = self.process_mut(pid)?.fd_mut(fd)? {
+            *offset = to;
+        }
+        Ok(())
     }
 
     // ---- enclave kernel-module helpers (§7) ----------------------------------
@@ -1057,61 +480,14 @@ impl Kernel {
         self.frames.donate(gfn);
         Ok(())
     }
-
-    // ---- misc syscalls ---------------------------------------------------------
-
-    /// `dup`.
-    pub fn sys_dup(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid, fd: Fd) -> Result<Fd, Errno> {
-        self.charge_base(ctx);
-        let entry = self.process(pid)?.fd(fd)?.clone();
-        let new = self.process_mut(pid)?.install_fd(entry);
-        self.audit_syscall(ctx, pid, Sysno::Dup, new as i64);
-        Ok(new)
-    }
-
-    /// `dup2`.
-    pub fn sys_dup2(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        pid: Pid,
-        fd: Fd,
-        new_fd: Fd,
-    ) -> Result<Fd, Errno> {
-        self.charge_base(ctx);
-        let entry = self.process(pid)?.fd(fd)?.clone();
-        self.process_mut(pid)?.install_fd_at(new_fd, entry);
-        self.audit_syscall(ctx, pid, Sysno::Dup2, new_fd as i64);
-        Ok(new_fd)
-    }
-
-    /// `setuid`.
-    pub fn sys_setuid(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid, uid: u32) -> Result<(), Errno> {
-        self.charge_base(ctx);
-        self.process_mut(pid)?.uid = uid;
-        self.audit_syscall(ctx, pid, Sysno::Setuid, 0);
-        Ok(())
-    }
-
-    /// Simulated `fork` (for audit workloads): clones fd table only.
-    pub fn sys_fork(&mut self, ctx: &mut KernelCtx<'_>, pid: Pid) -> Result<Pid, Errno> {
-        self.charge_base(ctx);
-        // Forking charges a page-table copy worth of work.
-        let extra = ctx.hv.machine.cost().page_touch * 8;
-        ctx.hv.machine.charge(CostCategory::KernelService, extra);
-        let child_pid = self.next_pid;
-        self.next_pid += 1;
-        let parent = self.process(pid)?.clone();
-        let mut child = Process::new(child_pid);
-        child.fds = parent.fds.clone();
-        child.uid = parent.uid;
-        self.procs.insert(child_pid, child);
-        self.audit_syscall(ctx, pid, Sysno::Fork, child_pid as i64);
-        Ok(child_pid)
-    }
 }
 
 /// [`Sys`] implementation backed directly by the kernel: the path a
-/// native (non-enclave) process takes.
+/// native (non-enclave) process takes, and the kernel's only syscall
+/// layer. Every syscall runs through one helper that charges the entry
+/// cost, runs the body and hands the result to the `audit_log_end` hook,
+/// so every exit of a ruled syscall leaves a record, failed calls
+/// included.
 pub struct KernelSys<'a> {
     /// The kernel.
     pub kernel: &'a mut Kernel,
@@ -1125,290 +501,479 @@ pub struct KernelSys<'a> {
     pub pid: Pid,
 }
 
+/// How a successful syscall's value appears in its audit record; failed
+/// calls carry the negative errno.
+trait AuditRet {
+    fn audit_ret(&self) -> i64 {
+        0
+    }
+}
+
+macro_rules! audit_ret_as_i64 {
+    ($($t:ty),*) => {$(
+        impl AuditRet for $t {
+            fn audit_ret(&self) -> i64 {
+                *self as i64
+            }
+        }
+    )*};
+}
+audit_ret_as_i64!(usize, i32, u32, u64);
+
+impl AuditRet for () {}
+
+impl AuditRet for SysStat {}
+
+/// `socketpair`: the first descriptor.
+impl AuditRet for (Fd, Fd) {
+    fn audit_ret(&self) -> i64 {
+        self.0 as i64
+    }
+}
+
+/// `getdents`: the number of entries.
+impl AuditRet for Vec<String> {
+    fn audit_ret(&self) -> i64 {
+        self.len() as i64
+    }
+}
+
 impl KernelSys<'_> {
     fn ctx(&mut self) -> (&mut Kernel, KernelCtx<'_>) {
         (self.kernel, KernelCtx { hv: self.hv, gate: self.gate, vcpu: self.vcpu })
+    }
+
+    /// Services one syscall: charges `syscall_base`, runs `body` (whose
+    /// own charges and gate requests follow), then audits the exit.
+    fn syscall<T: AuditRet>(
+        &mut self,
+        sysno: Sysno,
+        body: impl FnOnce(&mut Kernel, &mut KernelCtx<'_>, Pid) -> Result<T, Errno>,
+    ) -> Result<T, Errno> {
+        let pid = self.pid;
+        let (kernel, mut ctx) = self.ctx();
+        let base = ctx.hv.machine.cost().syscall_base;
+        ctx.hv.machine.charge(CostCategory::KernelService, base);
+        let result = body(kernel, &mut ctx, pid);
+        let ret = match &result {
+            Ok(value) => value.audit_ret(),
+            Err(e) => e.as_neg_ret(),
+        };
+        kernel.audit_syscall(&mut ctx, pid, sysno, ret);
+        result
     }
 }
 
 impl Sys for KernelSys<'_> {
     fn open(&mut self, path: &str, flags: OpenFlags) -> Result<Fd, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_open(&mut ctx, pid, path, flags)
+        self.syscall(Sysno::Open, |k, ctx, pid| {
+            // Path resolution walks the dcache: per-component hashing plus
+            // inode lookups (calibrated against Fig. 4's open ratio).
+            ctx.charge_copy(path.len());
+            ctx.hv.machine.charge(CostCategory::KernelService, 1200);
+            let ino = match k.vfs.resolve(path) {
+                Ok(ino) => {
+                    if flags.truncate {
+                        k.vfs.truncate(ino, 0)?;
+                    }
+                    ino
+                }
+                Err(Errno::ENOENT) if flags.create => k.vfs.create(path, 0o644)?,
+                Err(e) => return Err(e),
+            };
+            if k.vfs.inode(ino)?.is_dir() && flags.write {
+                return Err(Errno::EISDIR);
+            }
+            let entry =
+                FdEntry::File { ino, offset: 0, writable: flags.write, append: flags.append };
+            Ok(k.process_mut(pid)?.install_fd(entry))
+        })
     }
 
     fn close(&mut self, fd: Fd) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_close(&mut ctx, pid, fd)
+        self.syscall(Sysno::Close, |k, _, pid| {
+            if let FdEntry::Socket(sid) = k.process_mut(pid)?.remove_fd(fd)? {
+                let _ = k.sockets.close(sid);
+            }
+            Ok(())
+        })
     }
 
+    /// Files, sockets and the console.
     fn read(&mut self, fd: Fd, buf: &mut [u8]) -> Result<usize, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_read(&mut ctx, pid, fd, buf)
+        self.syscall(Sysno::Read, |k, ctx, pid| {
+            ctx.charge_copy(buf.len());
+            match k.process(pid)?.fd(fd)?.clone() {
+                FdEntry::File { ino, offset, .. } => {
+                    let n = k.vfs.read_at(ino, offset, buf)?;
+                    k.set_offset(pid, fd, offset + n)?;
+                    Ok(n)
+                }
+                FdEntry::Socket(sid) => k.sockets.recv(sid, buf),
+                FdEntry::Console => Ok(0),
+            }
+        })
     }
 
     fn write(&mut self, fd: Fd, buf: &[u8]) -> Result<usize, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_write(&mut ctx, pid, fd, buf)
+        self.syscall(Sysno::Write, |k, ctx, pid| {
+            ctx.charge_copy(buf.len());
+            match k.process(pid)?.fd(fd)?.clone() {
+                FdEntry::File { writable: false, .. } => Err(Errno::EBADF),
+                FdEntry::File { ino, offset, append, .. } => {
+                    let at = if append { k.vfs.inode(ino)?.size() } else { offset };
+                    let n = k.vfs.write_at(ino, at, buf)?;
+                    k.set_offset(pid, fd, at + n)?;
+                    Ok(n)
+                }
+                FdEntry::Socket(sid) => k.sockets.send(sid, buf),
+                FdEntry::Console => {
+                    k.console.extend_from_slice(buf);
+                    Ok(buf.len())
+                }
+            }
+        })
     }
 
     fn pread(&mut self, fd: Fd, buf: &mut [u8], offset: u64) -> Result<usize, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_pread(&mut ctx, pid, fd, buf, offset)
+        self.syscall(Sysno::Pread64, |k, ctx, pid| {
+            ctx.charge_copy(buf.len());
+            match k.process(pid)?.fd(fd)?.clone() {
+                FdEntry::File { ino, .. } => k.vfs.read_at(ino, offset as usize, buf),
+                _ => Err(Errno::ESPIPE),
+            }
+        })
     }
 
     fn pwrite(&mut self, fd: Fd, buf: &[u8], offset: u64) -> Result<usize, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_pwrite(&mut ctx, pid, fd, buf, offset)
+        self.syscall(Sysno::Pwrite64, |k, ctx, pid| {
+            ctx.charge_copy(buf.len());
+            match k.process(pid)?.fd(fd)?.clone() {
+                FdEntry::File { writable: false, .. } => Err(Errno::EBADF),
+                FdEntry::File { ino, .. } => k.vfs.write_at(ino, offset as usize, buf),
+                _ => Err(Errno::ESPIPE),
+            }
+        })
     }
 
     fn lseek(&mut self, fd: Fd, offset: i64, whence: Whence) -> Result<u64, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_lseek(&mut ctx, pid, fd, offset, whence)
+        self.syscall(Sysno::Lseek, |k, _, pid| {
+            let FdEntry::File { ino, offset: cur, .. } = k.process(pid)?.fd(fd)?.clone() else {
+                return Err(Errno::ESPIPE);
+            };
+            let size = k.vfs.inode(ino)?.size() as i64;
+            let base = match whence {
+                Whence::Set => 0,
+                Whence::Cur => cur as i64,
+                Whence::End => size,
+            };
+            let new = base + offset;
+            if new < 0 {
+                return Err(Errno::EINVAL);
+            }
+            k.set_offset(pid, fd, new as usize)?;
+            Ok(new as u64)
+        })
     }
 
     fn stat(&mut self, path: &str) -> Result<SysStat, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_stat(&mut ctx, pid, path)
+        self.syscall(Sysno::Stat, |k, _, _| {
+            let node = k.vfs.inode(k.vfs.resolve(path)?)?;
+            Ok(SysStat {
+                size: node.size() as u64,
+                mode: node.mode,
+                nlink: node.nlink,
+                is_dir: node.is_dir(),
+            })
+        })
     }
 
     fn fstat(&mut self, fd: Fd) -> Result<SysStat, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_fstat(&mut ctx, pid, fd)
+        self.syscall(Sysno::Fstat, |k, _, pid| match k.process(pid)?.fd(fd)?.clone() {
+            FdEntry::File { ino, .. } => {
+                let node = k.vfs.inode(ino)?;
+                Ok(SysStat {
+                    size: node.size() as u64,
+                    mode: node.mode,
+                    nlink: node.nlink,
+                    is_dir: node.is_dir(),
+                })
+            }
+            _ => Ok(SysStat { size: 0, mode: 0o666, nlink: 1, is_dir: false }),
+        })
     }
 
     fn mkdir(&mut self, path: &str) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let r = k.vfs.mkdir(path, 0o755).map(|_| ());
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Mkdir, ret);
-        r
+        self.syscall(Sysno::Mkdir, |k, _, _| k.vfs.mkdir(path, 0o755).map(|_| ()))
     }
 
     fn rmdir(&mut self, path: &str) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let r = k.vfs.rmdir(path);
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Rmdir, ret);
-        r
+        self.syscall(Sysno::Rmdir, |k, _, _| k.vfs.rmdir(path))
     }
 
     fn unlink(&mut self, path: &str) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let r = k.vfs.unlink(path);
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Unlink, ret);
-        r
+        self.syscall(Sysno::Unlink, |k, _, _| k.vfs.unlink(path))
     }
 
     fn rename(&mut self, from: &str, to: &str) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let r = k.vfs.rename(from, to);
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Rename, ret);
-        r
+        self.syscall(Sysno::Rename, |k, _, _| k.vfs.rename(from, to))
     }
 
     fn link(&mut self, existing: &str, new_path: &str) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let r = k.vfs.link(existing, new_path);
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Link, ret);
-        r
+        self.syscall(Sysno::Link, |k, _, _| k.vfs.link(existing, new_path))
     }
 
     fn symlink(&mut self, target: &str, link_path: &str) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let r = k.vfs.symlink(link_path, target).map(|_| ());
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Symlink, ret);
-        r
+        self.syscall(Sysno::Symlink, |k, _, _| k.vfs.symlink(link_path, target).map(|_| ()))
     }
 
     fn ftruncate(&mut self, fd: Fd, len: u64) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let entry = k.process(pid)?.fd(fd)?.clone();
-        let r = match entry {
-            FdEntry::File { ino, writable, .. } => {
-                if !writable {
-                    Err(Errno::EBADF)
-                } else {
-                    k.vfs.truncate(ino, len as usize)
-                }
-            }
+        self.syscall(Sysno::Ftruncate, |k, _, pid| match k.process(pid)?.fd(fd)?.clone() {
+            FdEntry::File { writable: false, .. } => Err(Errno::EBADF),
+            FdEntry::File { ino, .. } => k.vfs.truncate(ino, len as usize),
             _ => Err(Errno::EINVAL),
-        };
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Ftruncate, ret);
-        r
+        })
     }
 
     fn chmod(&mut self, path: &str, mode: u32) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let r = k.vfs.resolve(path).and_then(|ino| k.vfs.chmod(ino, mode));
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Chmod, ret);
-        r
+        self.syscall(Sysno::Chmod, |k, _, _| k.vfs.chmod(k.vfs.resolve(path)?, mode))
     }
 
     fn fchmod(&mut self, fd: Fd, mode: u32) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let entry = k.process(pid)?.fd(fd)?.clone();
-        let r = match entry {
+        self.syscall(Sysno::Fchmod, |k, _, pid| match k.process(pid)?.fd(fd)?.clone() {
             FdEntry::File { ino, .. } => k.vfs.chmod(ino, mode),
             _ => Err(Errno::EINVAL),
-        };
-        let ret = r.map(|_| 0i64).unwrap_or_else(|e| e.as_neg_ret());
-        k.audit_syscall(&mut ctx, pid, Sysno::Fchmod, ret);
-        r
+        })
     }
 
     fn getdents(&mut self, fd: Fd) -> Result<Vec<String>, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let entry = k.process(pid)?.fd(fd)?.clone();
-        match entry {
+        self.syscall(Sysno::Getdents, |k, _, pid| match k.process(pid)?.fd(fd)?.clone() {
             FdEntry::File { ino, .. } => k.vfs.readdir(ino),
             _ => Err(Errno::ENOTDIR),
-        }
+        })
     }
 
+    /// Anonymous, page-rounded and eagerly backed (the simulation has no
+    /// lazy faults for ordinary processes).
     fn mmap(&mut self, len: usize) -> Result<u64, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_mmap(&mut ctx, pid, len)
+        self.syscall(Sysno::Mmap, |k, ctx, pid| {
+            if len == 0 {
+                return Err(Errno::EINVAL);
+            }
+            let pages = len.div_ceil(PAGE_SIZE);
+            let aspace = k.ensure_aspace(ctx, pid)?;
+            let frames = k.frames.alloc_n(pages).map_err(|_| Errno::ENOMEM)?;
+            k.refill_pt_pool(pages / 512 + 4).map_err(|_| Errno::ENOMEM)?;
+            let base = k.process(pid)?.mmap_cursor;
+            for (i, gfn) in frames.iter().enumerate() {
+                // Zero fresh pages before handing them to user space.
+                ctx.hv
+                    .machine
+                    .write(k.vmpl, gpa_of(*gfn), &[0u8; PAGE_SIZE])
+                    .map_err(|_| Errno::EFAULT)?;
+                let touch =
+                    ctx.hv.machine.cost().page_touch + ctx.hv.machine.cost().copy(PAGE_SIZE / 2);
+                ctx.hv.machine.charge(CostCategory::KernelService, touch);
+                aspace
+                    .map(
+                        &mut ctx.hv.machine,
+                        k.vmpl,
+                        &mut k.pt_free,
+                        base + (i * PAGE_SIZE) as u64,
+                        *gfn,
+                        PteFlags::user_data(),
+                    )
+                    .map_err(|_| Errno::ENOMEM)?;
+            }
+            let proc = k.process_mut(pid)?;
+            proc.mmap_cursor += (pages * PAGE_SIZE) as u64 + PAGE_SIZE as u64; // guard gap
+            proc.mmaps.insert(base, MmapRegion { len: pages * PAGE_SIZE, frames });
+            // Enclave processes: mirror the new shared region into the
+            // protected tables so the enclave can reach it (§6.2).
+            if let Some(enclave_id) = proc.enclave_id {
+                let req = MonRequest::EncMapSync {
+                    enclave_id,
+                    base_vaddr: base,
+                    pages: pages as u64,
+                    map: true,
+                };
+                if ctx.gate.request(ctx.hv, ctx.vcpu, req).is_err() {
+                    return Err(Errno::ENOMEM);
+                }
+            }
+            Ok(base)
+        })
     }
 
+    /// Unmaps a whole region returned by [`Sys::mmap`]. An enclave
+    /// process's region leaves the protected tables first; if VeilS-ENC
+    /// cannot confirm that, the call fails with `EBUSY` and the region
+    /// stays mapped.
     fn munmap(&mut self, addr: u64, len: usize) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_munmap(&mut ctx, pid, addr, len)
+        self.syscall(Sysno::Munmap, |k, ctx, pid| {
+            let aspace = k.process(pid)?.aspace.ok_or(Errno::EINVAL)?;
+            let region_len = k.process(pid)?.mmaps.get(&addr).ok_or(Errno::EINVAL)?.len;
+            // TLB shootdown per unmapped page.
+            let pages = len.div_ceil(PAGE_SIZE);
+            ctx.hv.machine.charge(CostCategory::KernelService, 2000 * pages as u64);
+            if pages * PAGE_SIZE != region_len {
+                return Err(Errno::EINVAL); // partial unmap unsupported
+            }
+            if let Some(enclave_id) = k.process(pid)?.enclave_id {
+                let req = MonRequest::EncMapSync {
+                    enclave_id,
+                    base_vaddr: addr,
+                    pages: pages as u64,
+                    map: false,
+                };
+                // Revocations never ride the batched path: the clone mapping
+                // must be gone before the frames return to the pool, or the
+                // enclave could reach recycled memory through a stale entry.
+                if ctx.gate.request(ctx.hv, ctx.vcpu, req).is_err() {
+                    return Err(Errno::EBUSY);
+                }
+            }
+            let region = k.process_mut(pid)?.mmaps.remove(&addr).ok_or(Errno::EINVAL)?;
+            for (i, gfn) in region.frames.iter().enumerate() {
+                aspace
+                    .unmap(&mut ctx.hv.machine, k.vmpl, addr + (i * PAGE_SIZE) as u64)
+                    .map_err(|_| Errno::EFAULT)?;
+                k.frames.free(*gfn);
+            }
+            Ok(())
+        })
     }
 
+    /// Over a whole mmap region. Enclave-region permission changes are
+    /// *not* the kernel's to make: the SDK routes those to VeilS-ENC. For
+    /// an enclave process, this path mirrors each changed page into the
+    /// protected tables with `EncPermSync` (§6.2).
     fn mprotect(&mut self, addr: u64, len: usize, prot_write: bool) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_mprotect(&mut ctx, pid, addr, len, prot_write)
+        self.syscall(Sysno::Mprotect, |k, ctx, pid| {
+            let aspace = k.process(pid)?.aspace.ok_or(Errno::EINVAL)?;
+            if !k.process(pid)?.mmaps.contains_key(&addr) {
+                return Err(Errno::EINVAL);
+            }
+            let flags = if prot_write { PteFlags::user_data() } else { PteFlags::user_ro() };
+            for i in 0..len.div_ceil(PAGE_SIZE) {
+                let va = addr + (i * PAGE_SIZE) as u64;
+                aspace
+                    .protect(&mut ctx.hv.machine, k.vmpl, va, flags)
+                    .map_err(|_| Errno::EFAULT)?;
+                if let Some(enclave_id) = k.process(pid)?.enclave_id {
+                    let req =
+                        MonRequest::EncPermSync { enclave_id, vaddr: va, pte_flags: flags.bits() };
+                    if ctx.gate.request(ctx.hv, ctx.vcpu, req).is_err() {
+                        return Err(Errno::EACCES);
+                    }
+                }
+            }
+            Ok(())
+        })
     }
 
+    /// A user-space store through the process page tables (CPL-3 rules):
+    /// no syscall, so no base charge and no audit record.
     fn mem_write(&mut self, addr: u64, data: &[u8]) -> Result<(), Errno> {
         let pid = self.pid;
         let (k, mut ctx) = self.ctx();
-        k.proc_mem_write(&mut ctx, pid, addr, data)
+        ctx.charge_copy(data.len());
+        let aspace = k.process(pid)?.aspace.ok_or(Errno::EFAULT)?;
+        aspace
+            .write_virt(&mut ctx.hv.machine, addr, data, k.vmpl, Cpl::Cpl3)
+            .map_err(|_| Errno::EFAULT)
     }
 
+    /// A user-space load through the process page tables, like
+    /// [`Sys::mem_write`].
     fn mem_read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), Errno> {
         let pid = self.pid;
         let (k, mut ctx) = self.ctx();
-        k.proc_mem_read(&mut ctx, pid, addr, buf)
+        ctx.charge_copy(buf.len());
+        let aspace = k.process(pid)?.aspace.ok_or(Errno::EFAULT)?;
+        aspace
+            .read_virt_into(&ctx.hv.machine, addr, buf, k.vmpl, Cpl::Cpl3)
+            .map_err(|_| Errno::EFAULT)
     }
 
     fn socket(&mut self) -> Result<Fd, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_socket(&mut ctx, pid)
+        self.syscall(Sysno::Socket, |k, ctx, pid| {
+            // Socket buffer allocation + protocol setup.
+            ctx.hv.machine.charge(CostCategory::KernelService, 600);
+            let sid = k.sockets.socket();
+            Ok(k.process_mut(pid)?.install_fd(FdEntry::Socket(sid)))
+        })
     }
 
     fn bind(&mut self, fd: Fd, port: u16) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_bind(&mut ctx, pid, fd, port)
+        self.syscall(Sysno::Bind, |k, _, pid| k.sockets.bind(k.sock_of(pid, fd)?, port))
     }
 
     fn listen(&mut self, fd: Fd) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_listen(&mut ctx, pid, fd)
+        self.syscall(Sysno::Listen, |k, _, pid| k.sockets.listen(k.sock_of(pid, fd)?))
     }
 
     fn accept(&mut self, fd: Fd) -> Result<Fd, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_accept(&mut ctx, pid, fd)
+        self.syscall(Sysno::Accept, |k, _, pid| {
+            let conn = k.sockets.accept(k.sock_of(pid, fd)?)?;
+            Ok(k.process_mut(pid)?.install_fd(FdEntry::Socket(conn)))
+        })
     }
 
     fn connect(&mut self, fd: Fd, port: u16) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_connect(&mut ctx, pid, fd, port)
+        self.syscall(Sysno::Connect, |k, _, pid| k.sockets.connect(k.sock_of(pid, fd)?, port))
     }
 
     fn send(&mut self, fd: Fd, data: &[u8]) -> Result<usize, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_send(&mut ctx, pid, fd, data)
+        self.syscall(Sysno::Sendto, |k, ctx, pid| {
+            ctx.charge_copy(data.len());
+            k.sockets.send(k.sock_of(pid, fd)?, data)
+        })
     }
 
     fn recv(&mut self, fd: Fd, buf: &mut [u8]) -> Result<usize, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_recv(&mut ctx, pid, fd, buf)
+        self.syscall(Sysno::Recvfrom, |k, ctx, pid| {
+            ctx.charge_copy(buf.len());
+            k.sockets.recv(k.sock_of(pid, fd)?, buf)
+        })
     }
 
     fn socketpair(&mut self) -> Result<(Fd, Fd), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_socketpair(&mut ctx, pid)
+        self.syscall(Sysno::Socketpair, |k, _, pid| {
+            let (a, b) = k.sockets.socketpair();
+            let proc = k.process_mut(pid)?;
+            Ok((proc.install_fd(FdEntry::Socket(a)), proc.install_fd(FdEntry::Socket(b))))
+        })
     }
 
     fn dup(&mut self, fd: Fd) -> Result<Fd, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_dup(&mut ctx, pid, fd)
+        self.syscall(Sysno::Dup, |k, _, pid| {
+            let entry = k.process(pid)?.fd(fd)?.clone();
+            Ok(k.process_mut(pid)?.install_fd(entry))
+        })
     }
 
     fn dup2(&mut self, fd: Fd, new_fd: Fd) -> Result<Fd, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_dup2(&mut ctx, pid, fd, new_fd)
+        self.syscall(Sysno::Dup2, |k, _, pid| {
+            let entry = k.process(pid)?.fd(fd)?.clone();
+            k.process_mut(pid)?.install_fd_at(new_fd, entry);
+            Ok(new_fd)
+        })
     }
 
     fn getpid(&mut self) -> Result<u32, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        Ok(pid)
+        self.syscall(Sysno::Getpid, |_, _, pid| Ok(pid))
     }
 
     fn getuid(&mut self) -> Result<u32, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        Ok(k.process(pid)?.uid)
+        self.syscall(Sysno::Getuid, |k, _, pid| Ok(k.process(pid)?.uid))
     }
 
     fn setuid(&mut self, uid: u32) -> Result<(), Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_setuid(&mut ctx, pid, uid)
+        self.syscall(Sysno::Setuid, |k, _, pid| {
+            k.process_mut(pid)?.uid = uid;
+            Ok(())
+        })
     }
 
     fn print(&mut self, msg: &str) -> Result<usize, Errno> {
@@ -1416,16 +981,36 @@ impl Sys for KernelSys<'_> {
     }
 
     fn clock_gettime(&mut self) -> Result<u64, Errno> {
-        let (k, mut ctx) = self.ctx();
-        k.charge_base(&mut ctx);
-        let cycles = ctx.hv.machine.cycles().total();
-        Ok(cycles.saturating_mul(1_000_000_000) / CLOCK_HZ)
+        self.syscall(Sysno::ClockGettime, |_, ctx, _| {
+            Ok(ctx.hv.machine.cycles().total().saturating_mul(1_000_000_000) / CLOCK_HZ)
+        })
     }
 
+    /// An in-kernel copy between descriptors.
     fn sendfile(&mut self, out_fd: Fd, in_fd: Fd, len: usize) -> Result<usize, Errno> {
-        let pid = self.pid;
-        let (k, mut ctx) = self.ctx();
-        k.sys_sendfile(&mut ctx, pid, out_fd, in_fd, len)
+        self.syscall(Sysno::Sendfile, |k, ctx, pid| {
+            ctx.charge_copy(len);
+            let FdEntry::File { ino, offset, .. } = k.process(pid)?.fd(in_fd)?.clone() else {
+                return Err(Errno::EINVAL);
+            };
+            let mut data = vec![0u8; len];
+            let n = k.vfs.read_at(ino, offset, &mut data)?;
+            k.set_offset(pid, in_fd, offset + n)?;
+            data.truncate(n);
+            match k.process(pid)?.fd(out_fd)?.clone() {
+                FdEntry::Socket(sid) => k.sockets.send(sid, &data),
+                FdEntry::File { writable: false, .. } => Err(Errno::EBADF),
+                FdEntry::File { ino, offset, .. } => {
+                    let n = k.vfs.write_at(ino, offset, &data)?;
+                    k.set_offset(pid, out_fd, offset + n)?;
+                    Ok(n)
+                }
+                FdEntry::Console => {
+                    k.console.extend_from_slice(&data);
+                    Ok(data.len())
+                }
+            }
+        })
     }
 
     fn burn(&mut self, cycles: u64) {
@@ -1684,23 +1269,6 @@ mod tests {
         let mut buf = [0u8; 15];
         assert_eq!(s.recv(b, &mut buf).unwrap(), 15);
         assert_eq!(&buf, b"<html>hi</html>");
-    }
-
-    #[test]
-    fn fork_clones_fds_and_audits() {
-        let (mut hv, mut gate, mut kernel) = native();
-        kernel.audit.mode = AuditMode::Kaudit;
-        kernel.audit.rules = crate::audit::paper_ruleset();
-        let pid = kernel.spawn();
-        let child = {
-            let mut ctx = KernelCtx { hv: &mut hv, gate: &mut gate, vcpu: 0 };
-            let fd = kernel.sys_open(&mut ctx, pid, "/tmp/f", OpenFlags::rdwr_create()).unwrap();
-            let child = kernel.sys_fork(&mut ctx, pid).unwrap();
-            assert!(kernel.process(child).unwrap().fds.contains_key(&fd));
-            child
-        };
-        assert_ne!(child, pid);
-        assert!(kernel.audit.kaudit_log.iter().any(|r| r.sysno == Sysno::Fork));
     }
 
     #[test]

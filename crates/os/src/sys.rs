@@ -4,7 +4,9 @@
 //! implementations exist:
 //!
 //! * `veil-os::kernel::KernelSys` — direct kernel service (native process
-//!   or the untrusted side of an enclave app);
+//!   or the untrusted side of an enclave app), and the kernel's only
+//!   syscall layer: each call is charged, serviced and audited in one
+//!   place;
 //! * `veil-sdk::EnclaveSys` — the enclave path: arguments are deep-copied
 //!   out through the sanitizer, the enclave exits to `Dom_UNT`, the
 //!   syscall runs, results are copied back and IAGO-checked (§6.2).
@@ -79,7 +81,7 @@ pub enum Whence {
 }
 
 /// The syscall surface. All methods mirror their POSIX namesakes; see
-/// each kernel implementation for the exact semantics modelled.
+/// [`crate::kernel::KernelSys`] for the exact semantics modelled.
 #[allow(clippy::too_many_arguments)]
 pub trait Sys {
     /// Opens `path`.

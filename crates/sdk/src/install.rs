@@ -7,7 +7,7 @@
 //! system invokes VeilS-ENC to finalize the enclave."
 
 use crate::binary::EnclaveBinary;
-use veil_os::error::{Errno, OsError, Refusal};
+use veil_os::error::{OsError, Refusal};
 use veil_os::monitor::{MonRequest, MonResponse};
 use veil_os::process::{Pid, ENCLAVE_BASE};
 use veil_os::sys::Sys;
@@ -62,12 +62,20 @@ impl EnclaveHandle {
 /// # Errors
 ///
 /// Kernel allocation failures and every VeilS-ENC refusal (invariant
-/// violations, bad GHCB) surface here.
+/// violations, bad GHCB) surface here. A refusal undoes the kernel-side
+/// steps (the page tables the process gained stay), so the install can be
+/// retried.
 pub fn install_enclave(
     cvm: &mut Cvm,
     pid: Pid,
     binary: &EnclaveBinary,
 ) -> Result<EnclaveHandle, OsError> {
+    // The per-thread user GHCB (§6.2) comes from a fixed pool: check for
+    // a free one before allocating anything.
+    let used = cvm.kernel.enclave_ghcbs_used;
+    let candidates = cvm.gate.monitor.layout.enclave_ghcb_gfns(cvm.gate.monitor.vcpus, used + 1);
+    let ghcb_gfn = *candidates.get(used as usize).ok_or(Refusal::NoGhcb)?;
+
     // 1. The shared staging buffer must exist before finalization so the
     //    clone includes it.
     let shared_base = cvm.sys(pid).mmap(SHARED_BUF_LEN)?;
@@ -89,15 +97,12 @@ pub fn install_enclave(
         }
     }
 
-    // 3. Allocate and map the per-thread user GHCB (§6.2).
-    let used = cvm.kernel.enclave_ghcbs_used;
-    let candidates = cvm.gate.monitor.layout.enclave_ghcb_gfns(cvm.gate.monitor.vcpus, used + 1);
-    let ghcb_gfn = *candidates.get(used as usize).ok_or(Refusal::NoGhcb)?;
+    // 3. Map the user GHCB.
+    let ghcb_vaddr = GHCB_VADDR + used as u64 * PAGE_SIZE as u64;
     {
         let (kernel, mut ctx) = cvm.kctx();
         kernel.enclave_ghcbs_used += 1;
-        let vaddr = GHCB_VADDR + used as u64 * PAGE_SIZE as u64;
-        kernel.map_user_page(&mut ctx, pid, vaddr, ghcb_gfn, PteFlags::user_data())?;
+        kernel.map_user_page(&mut ctx, pid, ghcb_vaddr, ghcb_gfn, PteFlags::user_data())?;
     }
 
     // 4. Finalize through VeilS-ENC.
@@ -105,12 +110,30 @@ pub fn install_enclave(
     let cr3_gfn =
         cvm.kernel.process(pid)?.aspace.expect("aspace created by shared-buffer mmap").root_gfn();
     let req = MonRequest::EncFinalize { pid, cr3_gfn, base_vaddr: ENCLAVE_BASE, len, ghcb_gfn };
-    let id = {
+    let finalized = {
         let (_, ctx) = cvm.kctx();
-        match ctx.gate.request(ctx.hv, ctx.vcpu, req)? {
-            MonResponse::Value(id) => id,
-            _ => return Err(Refusal::UnexpectedResponse.into()),
+        ctx.gate.request(ctx.hv, ctx.vcpu, req)
+    };
+    let id = match finalized {
+        Ok(MonResponse::Value(id)) => id,
+        Ok(_) => return Err(Refusal::UnexpectedResponse.into()),
+        // A host refusal means the switch to VeilS-ENC never happened,
+        // and each of its own refusals comes before its first
+        // `rmpadjust`: every frame is still the kernel's, so steps 1-3
+        // are undone. An unexpected response can follow a finalize that
+        // did run (a misrouted switch back), so it undoes nothing.
+        Err(OsError::Refused(why)) if why != Refusal::UnexpectedResponse => {
+            let (kernel, mut ctx) = cvm.kctx();
+            for ((vaddr, _, _), gfn) in pages.iter().zip(&frames) {
+                let _ = kernel.unmap_user_page(&mut ctx, pid, *vaddr);
+                kernel.frames.free(*gfn);
+            }
+            let _ = kernel.unmap_user_page(&mut ctx, pid, ghcb_vaddr);
+            kernel.enclave_ghcbs_used -= 1;
+            let _ = cvm.sys(pid).munmap(shared_base, SHARED_BUF_LEN);
+            return Err(why.into());
         }
+        Err(e) => return Err(e),
     };
     cvm.kernel.process_mut(pid)?.enclave_id = Some(id);
     cvm.kernel.process_mut(pid).expect("exists").user_ghcb_gfn = Some(ghcb_gfn);
@@ -272,8 +295,7 @@ pub fn swap_in_page(cvm: &mut Cvm, handle: &mut EnclaveHandle, vaddr: u64) -> Re
             let page_idx = ((vaddr - handle.base) as usize) / PAGE_SIZE;
             handle.frames[page_idx] = dest;
             let _ = kernel.map_user_page(&mut ctx, handle.pid, vaddr, dest, PteFlags::user_data());
-            // Remove the swap copy.
-            let _ = Errno::ENOENT; // (swap file retained for forensic tests)
+            // The swap file stays behind: forensic tests read it.
             Ok(())
         }
         Err(e) => {

@@ -1,6 +1,6 @@
 //! End-to-end SDK tests: install → run shielded syscalls → page → destroy.
 
-use veil_os::error::Errno;
+use veil_os::error::{Errno, OsError, Refusal};
 use veil_os::sys::{OpenFlags, Sys, Whence};
 use veil_sdk::install::{swap_in_page, swap_out_page};
 use veil_sdk::{install_enclave, remove_enclave, EnclaveBinary, EnclaveRuntime, EnclaveSys};
@@ -272,4 +272,61 @@ fn enclave_mmap_reaches_shared_memory() {
         aspace.read_virt(&sys.cvm.hv.machine, addr, 4, Vmpl::Vmpl2, Cpl::Cpl3).is_err(),
         "unmap synced into the clone"
     );
+}
+
+/// A refused `EncMapSync { map: false }` leaves the enclave's mapping in
+/// place, so `munmap` must keep the frames out of the pool until a retry
+/// gets the revocation through.
+#[test]
+fn munmap_frees_frames_only_after_the_enclave_mapping_is_revoked() {
+    let mut cvm = cvm();
+    let pid = cvm.spawn();
+    let handle = install_enclave(&mut cvm, pid, &EnclaveBinary::build("unmap", 1024, 0)).unwrap();
+    let addr = cvm.sys(pid).mmap(PAGE_SIZE).unwrap();
+    let aspace = cvm.gate.services.enc.enclave(handle.id).unwrap().aspace;
+    let enclave_reaches = |cvm: &veil_services::Cvm| {
+        aspace.read_virt(&cvm.hv.machine, addr, 4, Vmpl::Vmpl2, Cpl::Cpl3).is_ok()
+    };
+    assert!(enclave_reaches(&cvm), "mmap mirrored into the enclave's tables");
+    let free = cvm.kernel.frames.available();
+
+    cvm.hv.policy.refuse_switches = true;
+    assert_eq!(cvm.sys(pid).munmap(addr, PAGE_SIZE), Err(Errno::EBUSY));
+    assert_eq!(cvm.kernel.frames.available(), free, "no frame returned to the pool");
+    assert!(enclave_reaches(&cvm), "the enclave still maps the page");
+
+    cvm.hv.policy.refuse_switches = false;
+    cvm.sys(pid).munmap(addr, PAGE_SIZE).expect("honest retry");
+    assert_eq!(cvm.kernel.frames.available(), free + 1, "frame back in the pool");
+    assert!(!enclave_reaches(&cvm), "revoked from the enclave's tables");
+}
+
+/// A host that refuses the `EncFinalize` switch leaves nothing behind:
+/// an honest retry succeeds and leaves as many frames free as one
+/// undisturbed install. The retry reuses the page tables of the first
+/// attempt, so one more frame waits in the page-table pool.
+#[test]
+fn refused_install_is_undone_and_an_honest_retry_succeeds() {
+    let free = |cvm: &veil_services::Cvm| cvm.kernel.frames.available() + cvm.kernel.pt_pool_len();
+    let binary = EnclaveBinary::build("retry", 6000, 2000);
+    let undisturbed = {
+        let mut cvm = cvm();
+        let pid = cvm.spawn();
+        install_enclave(&mut cvm, pid, &binary).unwrap();
+        free(&cvm)
+    };
+    let mut cvm = cvm();
+    let pid = cvm.spawn();
+    cvm.hv.policy.refuse_switches = true;
+    let refused = install_enclave(&mut cvm, pid, &binary).unwrap_err();
+    assert_eq!(refused, OsError::Refused(Refusal::HostRefused));
+    assert_eq!(cvm.kernel.enclave_ghcbs_used, 0, "GHCB slot given back");
+
+    cvm.hv.policy.refuse_switches = false;
+    let handle = install_enclave(&mut cvm, pid, &binary).expect("honest retry");
+    assert_eq!(
+        cvm.gate.services.enc.enclave(handle.id).unwrap().resident_pages(),
+        binary.total_pages()
+    );
+    assert_eq!(free(&cvm), undisturbed);
 }

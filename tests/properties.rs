@@ -10,7 +10,8 @@ use veil_snp::perms::{Access, Cpl, Vmpl, VmplPerms};
 use veil_snp::pt::{AddressSpace, PteFlags};
 use veil_snp::rmp::PageState;
 use veil_testkit::prop::{
-    any_u8, bools, bytes, check, one_of, tuple2, tuple3, tuple4, u64s, u8s, usizes, vecs, Strategy,
+    any_u8, bools, bytes, check, ints, one_of, tuple2, tuple3, tuple4, u64s, u8s, usizes, vecs,
+    Strategy,
 };
 use veil_testkit::{prop_assert, prop_assert_eq};
 
@@ -703,6 +704,158 @@ fn hostile_gate_ring_bytes_complete_or_count_every_deferred_request() {
         let records = cvm.gate.services.log.record_count() - records;
         prop_assert_eq!(requests, k as u64);
         prop_assert_eq!(records + errors, requests);
+        Ok(())
+    });
+}
+
+/// Paths for [`SysCall`]: files, a directory, a missing parent and the
+/// root of the tree.
+const SYS_PATHS: [&str; 5] = ["/tmp/a", "/tmp/b", "/tmp/dir", "/nope/x", "/tmp"];
+
+/// One `Sys` call with raw arguments. `op` picks the call (see
+/// [`run_sys_call`]); `fd` and `fd2` range over the console, opened,
+/// closed and never-opened descriptors and also index the regions mapped
+/// so far (an index past them names an unknown region); `len` is 0, half
+/// a page, one page or one and a half pages.
+#[derive(Debug, Clone)]
+struct SysCall {
+    op: usize,
+    fd: i32,
+    fd2: i32,
+    path: usize,
+    path2: usize,
+    len: usize,
+}
+
+/// Runs `call` and returns the syscall it made with its result in audit
+/// form (a value, or the errno), or `None` for the calls that are not
+/// syscalls: user-memory access and compute.
+fn run_sys_call(
+    sys: &mut veil_os::kernel::KernelSys<'_>,
+    call: &SysCall,
+    mapped: &mut Vec<u64>,
+) -> Option<(veil_os::syscall::Sysno, Result<i64, veil_os::Errno>)> {
+    use veil_os::sys::{OpenFlags, Sys, Whence};
+    use veil_os::syscall::Sysno;
+    let SysCall { op, fd, fd2, len, .. } = *call;
+    let (path, path2) = (SYS_PATHS[call.path], SYS_PATHS[call.path2]);
+    let region =
+        usize::try_from(fd).ok().and_then(|i| mapped.get(i)).copied().unwrap_or(0xdead_0000);
+    let bits = fd2 as u8;
+    let flags = OpenFlags {
+        read: true,
+        write: bits & 1 != 0,
+        create: bits & 2 != 0,
+        truncate: bits & 4 != 0,
+        append: bits & 8 != 0,
+    };
+    let whence = [Whence::Set, Whence::Cur, Whence::End][call.path % 3];
+    let mut buf = vec![0u8; len];
+    let zero = |r: Result<(), veil_os::Errno>| r.map(|()| 0);
+    let count = |r: Result<usize, veil_os::Errno>| r.map(|n| n as i64);
+    Some(match op {
+        0 => (Sysno::Open, sys.open(path, flags).map(i64::from)),
+        1 => (Sysno::Close, zero(sys.close(fd))),
+        2 => (Sysno::Read, count(sys.read(fd, &mut buf))),
+        3 => (Sysno::Write, count(sys.write(fd, &buf))),
+        4 => (Sysno::Pread64, count(sys.pread(fd, &mut buf, u64::from(bits) * 100))),
+        5 => (Sysno::Pwrite64, count(sys.pwrite(fd, &buf, u64::from(bits) * 100))),
+        6 => (Sysno::Lseek, sys.lseek(fd, i64::from(fd2) * 100 - 200, whence).map(|o| o as i64)),
+        7 => (Sysno::Stat, sys.stat(path).map(|_| 0)),
+        8 => (Sysno::Fstat, sys.fstat(fd).map(|_| 0)),
+        9 => (Sysno::Mkdir, zero(sys.mkdir(path))),
+        10 => (Sysno::Rmdir, zero(sys.rmdir(path))),
+        11 => (Sysno::Unlink, zero(sys.unlink(path))),
+        12 => (Sysno::Rename, zero(sys.rename(path, path2))),
+        13 => (Sysno::Link, zero(sys.link(path, path2))),
+        14 => (Sysno::Symlink, zero(sys.symlink(path, path2))),
+        15 => (Sysno::Ftruncate, zero(sys.ftruncate(fd, len as u64))),
+        16 => (Sysno::Chmod, zero(sys.chmod(path, 0o600))),
+        17 => (Sysno::Fchmod, zero(sys.fchmod(fd, 0o600))),
+        18 => (Sysno::Getdents, sys.getdents(fd).map(|names| names.len() as i64)),
+        19 => {
+            let addr = sys.mmap(len);
+            mapped.extend(addr.iter().copied());
+            (Sysno::Mmap, addr.map(|a| a as i64))
+        }
+        20 => (Sysno::Munmap, zero(sys.munmap(region, len))),
+        21 => (Sysno::Mprotect, zero(sys.mprotect(region, len, fd2 % 2 == 0))),
+        22 => {
+            let _ = sys.mem_write(region, &buf);
+            return None;
+        }
+        23 => {
+            let _ = sys.mem_read(region, &mut buf);
+            return None;
+        }
+        24 => {
+            sys.burn(len as u64);
+            return None;
+        }
+        25 => (Sysno::Socket, sys.socket().map(i64::from)),
+        26 => (Sysno::Bind, zero(sys.bind(fd, 8000 + u16::from(bits)))),
+        27 => (Sysno::Listen, zero(sys.listen(fd))),
+        28 => (Sysno::Accept, sys.accept(fd).map(i64::from)),
+        29 => (Sysno::Connect, zero(sys.connect(fd, 8000 + u16::from(bits)))),
+        30 => (Sysno::Sendto, count(sys.send(fd, &buf))),
+        31 => (Sysno::Recvfrom, count(sys.recv(fd, &mut buf))),
+        32 => (Sysno::Socketpair, sys.socketpair().map(|(a, _)| i64::from(a))),
+        33 => (Sysno::Dup, sys.dup(fd).map(i64::from)),
+        34 => (Sysno::Dup2, sys.dup2(fd, fd2).map(i64::from)),
+        35 => (Sysno::Getpid, sys.getpid().map(i64::from)),
+        36 => (Sysno::Getuid, sys.getuid().map(i64::from)),
+        37 => (Sysno::Setuid, zero(sys.setuid(fd2 as u32))),
+        38 => (Sysno::Write, count(sys.print("audited"))),
+        39 => (Sysno::ClockGettime, sys.clock_gettime().map(|ns| ns as i64)),
+        _ => (Sysno::Sendfile, count(sys.sendfile(fd, fd2, len))),
+    })
+}
+
+/// kaudit's `audit_log_end` runs at the exit of every ruled syscall,
+/// failed calls included. With every syscall ruled, each `Sys` call on a
+/// `KernelSys` adds exactly one record carrying its syscall and its
+/// result (the value, or the negative errno); user-memory access and
+/// compute add none. (`ioctl` is left out: `Sys`'s default answers it
+/// without entering the kernel.)
+#[test]
+fn syscall_audit_one_record_per_ruled_exit() {
+    use veil::prelude::*;
+    use veil_os::audit::AuditMode;
+    use veil_os::syscall::Sysno;
+    use veil_snp::mem::PAGE_SIZE;
+    let call = tuple4(
+        usizes(0..41),
+        tuple2(ints(-1..10), ints(-1..10)),
+        tuple2(usizes(0..SYS_PATHS.len()), usizes(0..SYS_PATHS.len())),
+        usizes(0..4).map(|halves| halves * PAGE_SIZE / 2),
+    )
+    .map(|(op, (fd, fd2), (path, path2), len)| SysCall { op, fd, fd2, path, path2, len });
+    check("syscall_audit_one_record_per_ruled_exit", 48, &call.vec_of(1..48), |calls| {
+        let mut cvm = CvmBuilder::new().frames(1024).vcpus(1).build().unwrap();
+        cvm.kernel.audit.mode = AuditMode::Kaudit;
+        cvm.kernel.audit.rules = Sysno::ALL.into_iter().collect();
+        let pid = cvm.spawn();
+        let mut sys = cvm.sys(pid);
+        let mut mapped = Vec::new();
+        for call in &calls {
+            let before = sys.kernel.audit.kaudit_log.len();
+            let audited = run_sys_call(&mut sys, call, &mut mapped);
+            let log = &sys.kernel.audit.kaudit_log;
+            let Some((sysno, result)) = audited else {
+                prop_assert!(log.len() == before, "{call:?} is no syscall but left a record");
+                continue;
+            };
+            prop_assert!(
+                log.len() == before + 1,
+                "{call:?} ({sysno}) left {} records",
+                log.len() - before
+            );
+            let rec = &log[before];
+            prop_assert_eq!(
+                (rec.sysno, rec.ret),
+                (sysno, result.unwrap_or_else(|e| e.as_neg_ret()))
+            );
+        }
         Ok(())
     });
 }
