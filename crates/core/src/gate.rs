@@ -32,12 +32,14 @@
 //! fire-and-forget request defers, and the ring drains when it fills,
 //! when a synchronous request or a different target forces it, or on an
 //! explicit flush.
+//!
+//! Each VCPU's batch storage lives as long as the gate: a drain clears
+//! the queued requests but keeps the vector's capacity for the next batch.
 
 use crate::idcb::Idcb;
 use crate::monitor::Monitor;
-use crate::ring::{GateRing, RING_SLOTS};
+use crate::ring::{GateRing, SlotBuf, RING_SLOTS};
 use crate::service::ServiceDispatch;
-use std::collections::BTreeMap;
 use veil_hv::{HvResponse, Hypervisor};
 use veil_os::error::{OsError, Refusal};
 use veil_os::monitor::{MonRequest, MonResponse, MonitorChannel};
@@ -48,6 +50,7 @@ use veil_trace::Event;
 
 /// Requests queued behind one future doorbell. Batches stay homogeneous
 /// in target domain: a mixed-target enqueue drains the old batch first.
+/// `target` means nothing while `reqs` is empty.
 #[derive(Debug)]
 struct PendingBatch {
     target: Vmpl,
@@ -63,7 +66,8 @@ pub struct VeilGate<S> {
     pub services: S,
     seq: u32,
     batch_enabled: bool,
-    pending: BTreeMap<u32, PendingBatch>,
+    /// Batch storage indexed by VCPU, grown on a VCPU's first deferral.
+    pending: Vec<PendingBatch>,
     requests: u64,
     deferred_errors: u64,
     /// Causal request context `(tenant, req)` stamped onto ring-slot
@@ -82,7 +86,7 @@ impl<S: ServiceDispatch> VeilGate<S> {
             services,
             seq: 0,
             batch_enabled: false,
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
             requests: 0,
             deferred_errors: 0,
             req_context: (0, 0),
@@ -129,7 +133,22 @@ impl<S: ServiceDispatch> VeilGate<S> {
 
     /// Queued-but-undrained requests for a VCPU.
     pub fn pending_depth(&self, vcpu: u32) -> u32 {
-        self.pending.get(&vcpu).map_or(0, |b| b.reqs.len() as u32)
+        self.pending.get(vcpu as usize).map_or(0, |b| b.reqs.len() as u32)
+    }
+
+    /// Takes `vcpu`'s queued requests out for a drain, leaving its batch
+    /// empty. [`VeilGate::recycle`] hands the vector back afterwards.
+    fn take_batch(&mut self, vcpu: u32) -> Vec<MonRequest> {
+        self.pending.get_mut(vcpu as usize).map(|b| std::mem::take(&mut b.reqs)).unwrap_or_default()
+    }
+
+    /// Returns a drained batch's vector to `vcpu`'s storage, emptied, so
+    /// the next batch reuses its capacity instead of regrowing it.
+    fn recycle(&mut self, vcpu: u32, mut reqs: Vec<MonRequest>) {
+        reqs.clear();
+        if let Some(batch) = self.pending.get_mut(vcpu as usize) {
+            batch.reqs = reqs;
+        }
     }
 
     /// Which trusted domain terminates a request.
@@ -247,13 +266,23 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
         }
         self.requests += 1;
         let target = Self::target_vmpl(&req);
-        // Keep batches homogeneous: a target change drains the old batch.
-        if self.pending.get(&vcpu).is_some_and(|b| !b.reqs.is_empty() && b.target != target) {
-            self.flush(hv, vcpu)?;
-        }
+        // Only a VCPU with a ring can hold a batch, so the storage grows
+        // no further than the layout's VCPUs.
         let ring_gfn = self.monitor.layout.gate_ring_gfn(vcpu).ok_or(Refusal::NoGateRing)?;
         let ring = GateRing::at(ring_gfn);
-        if self.pending.get(&vcpu).is_none_or(|b| b.reqs.is_empty()) {
+        let at = vcpu as usize;
+        if at >= self.pending.len() {
+            self.pending.resize_with(at + 1, || PendingBatch { target, reqs: Vec::new() });
+        }
+        // Keep batches homogeneous: a target change drains the old batch.
+        let queued = &self.pending[at];
+        if !queued.reqs.is_empty() && queued.target != target {
+            self.flush(hv, vcpu)?;
+        }
+        // The kernel is the ring's only producer: its batch length is the
+        // next slot index, so nothing is read back from the ring.
+        let idx = self.pending[at].reqs.len() as u32;
+        if idx == 0 {
             ring.reset(&mut hv.machine, Vmpl::Vmpl3)?;
         }
         // Same compact wire stub as the IDCB path; the copy cost below is
@@ -261,11 +290,10 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
         let mut wire = [0u8; 16];
         wire[0] = req.kind_code();
         wire[8..].copy_from_slice(&(req.wire_len() as u64).to_le_bytes());
-        ring.push(&mut hv.machine, Vmpl::Vmpl3, req.kind_code(), &wire)?;
+        ring.push(&mut hv.machine, Vmpl::Vmpl3, idx, req.kind_code(), &wire)?;
         let copy_cost = hv.machine.cost().copy(req.wire_len());
         hv.machine.charge(CostCategory::KernelService, copy_cost);
-        let batch =
-            self.pending.entry(vcpu).or_insert_with(|| PendingBatch { target, reqs: Vec::new() });
+        let batch = &mut self.pending[at];
         batch.target = target;
         batch.reqs.push(req);
         let (tenant, ctx_req) = self.req_context;
@@ -283,26 +311,28 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
     }
 
     fn flush(&mut self, hv: &mut Hypervisor, vcpu: u32) -> Result<(), OsError> {
-        let Some(batch) = self.pending.remove(&vcpu) else { return Ok(()) };
+        let Some(batch) = self.pending.get(vcpu as usize) else { return Ok(()) };
         if batch.reqs.is_empty() {
             return Ok(());
         }
         let target = batch.target;
+        let reqs = self.take_batch(vcpu);
         hv.machine.span_enter("gate.batch");
-        let depth = batch.reqs.len() as u64;
+        let depth = reqs.len() as u64;
         let res = match Self::relay(hv, vcpu, Vmpl::Vmpl3, GhcbExit::Doorbell, target, depth) {
             Ok(()) => {
-                let drained = self.drain_entries(hv, vcpu, &batch);
+                let drained = self.drain_entries(hv, vcpu, target, &reqs);
                 // The switch back must happen even when the drain tripped.
                 let back = self.switch(hv, vcpu, target, Vmpl::Vmpl3);
                 drained.and(back)
             }
             Err(e) => {
                 // The switch never happened; the whole batch is lost.
-                self.void_deferred(hv, vcpu, batch.reqs.len() as u64);
+                self.void_deferred(hv, vcpu, depth);
                 Err(e)
             }
         };
+        self.recycle(vcpu, reqs);
         hv.machine.span_exit("gate.batch");
         res
     }
@@ -314,22 +344,24 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
 
 impl<S: ServiceDispatch> VeilGate<S> {
     /// Trusted-side drain loop, after the doorbell switch landed. The
-    /// ring is untrusted input: count and slot headers are re-validated,
-    /// and anything inconsistent voids the affected entries into
+    /// ring is untrusted input: the count and every slot header are
+    /// re-validated on each drain, from a private copy of each slot, and
+    /// anything inconsistent voids the affected entries into
     /// `deferred_errors` rather than crashing the trusted side.
     fn drain_entries(
         &mut self,
         hv: &mut Hypervisor,
         vcpu: u32,
-        batch: &PendingBatch,
+        target: Vmpl,
+        reqs: &[MonRequest],
     ) -> Result<(), OsError> {
-        let target = batch.target;
         let ring_gfn = self.monitor.layout.gate_ring_gfn(vcpu).ok_or(Refusal::NoGateRing)?;
         let ring = GateRing::at(ring_gfn);
+        let mut slot = SlotBuf::default();
         match ring.depth(&hv.machine, target) {
-            Ok(depth) if depth as usize == batch.reqs.len() => {
-                for (idx, req) in batch.reqs.iter().enumerate() {
-                    match ring.read_slot(&hv.machine, target, idx as u32) {
+            Ok(depth) if depth as usize == reqs.len() => {
+                for (idx, req) in reqs.iter().enumerate() {
+                    match ring.read_slot(&hv.machine, target, idx as u32, &mut slot) {
                         Ok((kind, _payload)) if kind == req.kind_code() => {
                             let read_cost = hv.machine.cost().copy(req.wire_len());
                             hv.machine.charge(CostCategory::Other, read_cost);
@@ -339,7 +371,7 @@ impl<S: ServiceDispatch> VeilGate<S> {
                         }
                         _ => {
                             // Corrupt slot: void this entry and the rest.
-                            self.void_deferred(hv, vcpu, (batch.reqs.len() - idx) as u64);
+                            self.void_deferred(hv, vcpu, (reqs.len() - idx) as u64);
                             break;
                         }
                     }
@@ -347,7 +379,7 @@ impl<S: ServiceDispatch> VeilGate<S> {
             }
             _ => {
                 // Hostile or corrupt occupancy: void the whole batch.
-                self.void_deferred(hv, vcpu, batch.reqs.len() as u64);
+                self.void_deferred(hv, vcpu, reqs.len() as u64);
             }
         }
         // Ack: the trusted side leaves the ring empty.
@@ -366,7 +398,7 @@ impl<S: ServiceDispatch> VeilGate<S> {
         // A same-target pending batch rides under this request's switch
         // pair; a mixed-target batch drains on its own first. With an
         // empty ring this is the exact serial protocol.
-        let piggyback = match self.pending.get(&vcpu) {
+        let piggyback = match self.pending.get(vcpu as usize) {
             Some(b) if !b.reqs.is_empty() => {
                 if b.target == target {
                     true
@@ -400,16 +432,17 @@ impl<S: ServiceDispatch> VeilGate<S> {
         // ②–⑤ Request path switch. With a same-target batch pending, the
         // switch out is a doorbell and the ring drains before dispatch.
         if piggyback {
-            let batch = self.pending.remove(&vcpu).expect("pending batch checked above");
+            let reqs = self.take_batch(vcpu);
             hv.machine.span_enter("gate.batch");
-            let depth = batch.reqs.len() as u64;
+            let depth = reqs.len() as u64;
             let res = match Self::relay(hv, vcpu, Vmpl::Vmpl3, GhcbExit::Doorbell, target, depth) {
-                Ok(()) => self.drain_entries(hv, vcpu, &batch),
+                Ok(()) => self.drain_entries(hv, vcpu, target, &reqs),
                 Err(e) => {
-                    self.void_deferred(hv, vcpu, batch.reqs.len() as u64);
+                    self.void_deferred(hv, vcpu, depth);
                     Err(e)
                 }
             };
+            self.recycle(vcpu, reqs);
             hv.machine.span_exit("gate.batch");
             res?;
         } else {

@@ -70,15 +70,17 @@ impl Idcb {
     /// Fails on RMP faults or a corrupt header.
     pub fn read_message(&self, machine: &Machine, vmpl: Vmpl) -> Result<(u32, Vec<u8>), OsError> {
         let base = gpa_of(self.gfn);
-        let mut header = [0u8; HEADER_LEN];
-        machine.read_into(vmpl, base, &mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().expect("4"));
-        let seq = u32::from_le_bytes(header[4..8].try_into().expect("4"));
-        let len = u64::from_le_bytes(header[8..16].try_into().expect("8")) as usize;
-        if magic != MAGIC || len > Self::capacity() {
+        // `magic(4) seq(4)` and `len(8)`, read as two 8-byte words.
+        let mut header = [[0u8; 8]; HEADER_LEN / 8];
+        machine.read_into(vmpl, base, header.as_flattened_mut())?;
+        let [[m0, m1, m2, m3, s0, s1, s2, s3], len] = header;
+        let magic = u32::from_le_bytes([m0, m1, m2, m3]);
+        let seq = u32::from_le_bytes([s0, s1, s2, s3]);
+        let len = u64::from_le_bytes(len);
+        if magic != MAGIC || len > Self::capacity() as u64 {
             return Err(Refusal::IdcbCorrupt.into());
         }
-        let payload = machine.read(vmpl, base + HEADER_LEN as u64, len)?;
+        let payload = machine.read(vmpl, base + HEADER_LEN as u64, len as usize)?;
         Ok((seq, payload))
     }
 }

@@ -20,10 +20,13 @@
 //! +----------------------------------------------------------+
 //! ```
 //!
-//! `count` is the number of occupied slots; the drain side treats the
-//! whole page as untrusted input and re-validates magic, count, and every
-//! slot length before parsing (§8.1 — the kernel, or a hostile
-//! hypervisor-colluding kernel, can scribble anything here).
+//! `count` is the number of occupied slots. The kernel is the ring's only
+//! producer, so it writes entry `i` of its batch into slot `i` and never
+//! reads the ring back. The drain side treats
+//! the whole page as untrusted input: it re-validates magic and count, and
+//! copies each slot once into a private [`SlotBuf`] whose length it checks
+//! before parsing (§8.1 — the kernel, or a hostile hypervisor-colluding
+//! kernel, can scribble anything here).
 
 use veil_os::error::{OsError, Refusal};
 use veil_snp::machine::Machine;
@@ -42,6 +45,22 @@ pub const SLOT_PAYLOAD: usize = 256;
 pub const SLOT_SIZE: usize = SLOT_HEADER_LEN + SLOT_PAYLOAD;
 /// Slots per ring; header + slots exactly fill one frame.
 pub const RING_SLOTS: u32 = ((PAGE_SIZE - HEADER_LEN) / SLOT_SIZE) as u32;
+
+/// A private copy of one slot, held by the drain side: the header and the
+/// payload are validated and parsed from this copy, never from the shared
+/// page. Stored as 8-byte words, so the header fields read without a
+/// fallible slice conversion.
+#[derive(Debug)]
+pub struct SlotBuf([[u8; 8]; SLOT_SIZE / 8]);
+
+// The words must cover the slot exactly.
+const _: () = assert!(SLOT_SIZE.is_multiple_of(8));
+
+impl Default for SlotBuf {
+    fn default() -> Self {
+        SlotBuf([[0; 8]; SLOT_SIZE / 8])
+    }
+}
 
 /// One gate ring bound to a guest frame.
 #[derive(Debug, Clone, Copy)]
@@ -83,70 +102,73 @@ impl GateRing {
     /// Fails on RMP faults, a corrupt magic, or a count exceeding
     /// [`RING_SLOTS`] — the drain side must treat all three as hostile.
     pub fn depth(&self, machine: &Machine, vmpl: Vmpl) -> Result<u32, OsError> {
-        let mut header = [0u8; HEADER_LEN];
-        machine.read_into(vmpl, gpa_of(self.gfn), &mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().expect("4"));
-        let count = u32::from_le_bytes(header[4..8].try_into().expect("4"));
+        let mut header = [[0u8; 4]; HEADER_LEN / 4];
+        machine.read_into(vmpl, gpa_of(self.gfn), header.as_flattened_mut())?;
+        let [magic, count, ..] = header.map(u32::from_le_bytes);
         if magic != MAGIC || count > RING_SLOTS {
             return Err(Refusal::GateRingCorrupt.into());
         }
         Ok(count)
     }
 
-    /// Appends one entry, returning the new depth.
+    /// Writes entry `idx` (header and payload in one write), then sets the
+    /// count to `idx + 1`, which it returns. The kernel is the only
+    /// producer and passes its own batch length as `idx`, so the ring is
+    /// never read back here; the drain side validates what it finds.
     ///
     /// # Errors
     ///
-    /// Rejects oversized payloads and a full ring (callers drain first);
-    /// RMP faults and a corrupt header surface as errors.
+    /// Rejects oversized payloads and an index past the last slot (callers
+    /// drain first); RMP faults surface as errors.
     pub fn push(
         &self,
         machine: &mut Machine,
         vmpl: Vmpl,
+        idx: u32,
         kind: u8,
         payload: &[u8],
     ) -> Result<u32, OsError> {
         if payload.len() > SLOT_PAYLOAD {
             return Err(Refusal::MessageTooLong.into());
         }
-        let count = self.depth(machine, vmpl)?;
-        if count == RING_SLOTS {
+        if idx >= RING_SLOTS {
             return Err(Refusal::GateRingFull.into());
         }
-        let mut slot = [0u8; SLOT_HEADER_LEN];
+        let end = SLOT_HEADER_LEN + payload.len();
+        let mut slot = [0u8; SLOT_SIZE];
         slot[0] = kind;
-        slot[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        machine.write(vmpl, self.slot_gpa(count), &slot)?;
-        machine.write(vmpl, self.slot_gpa(count) + SLOT_HEADER_LEN as u64, payload)?;
-        let new_count = count + 1;
-        machine.write(vmpl, gpa_of(self.gfn) + 4, &new_count.to_le_bytes())?;
-        Ok(new_count)
+        slot[8..SLOT_HEADER_LEN].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        slot[SLOT_HEADER_LEN..end].copy_from_slice(payload);
+        machine.write(vmpl, self.slot_gpa(idx), &slot[..end])?;
+        let count = idx + 1;
+        machine.write(vmpl, gpa_of(self.gfn) + 4, &count.to_le_bytes())?;
+        Ok(count)
     }
 
-    /// Reads slot `idx`, validating its header.
+    /// Copies slot `idx` into `buf` and validates its header, returning
+    /// the kind byte and the payload (borrowed from `buf`).
     ///
     /// # Errors
     ///
     /// Fails on RMP faults, an out-of-range index, or a slot length
     /// exceeding [`SLOT_PAYLOAD`].
-    pub fn read_slot(
+    pub fn read_slot<'b>(
         &self,
         machine: &Machine,
         vmpl: Vmpl,
         idx: u32,
-    ) -> Result<(u8, Vec<u8>), OsError> {
+        buf: &'b mut SlotBuf,
+    ) -> Result<(u8, &'b [u8]), OsError> {
         if idx >= RING_SLOTS {
             return Err(Refusal::GateRingCorrupt.into());
         }
-        let mut header = [0u8; SLOT_HEADER_LEN];
-        machine.read_into(vmpl, self.slot_gpa(idx), &mut header)?;
-        let kind = header[0];
-        let len = u64::from_le_bytes(header[8..16].try_into().expect("8")) as usize;
-        if len > SLOT_PAYLOAD {
+        machine.read_into(vmpl, self.slot_gpa(idx), buf.0.as_flattened_mut())?;
+        let [[kind, ..], len, payload @ ..] = &buf.0;
+        let len = u64::from_le_bytes(*len);
+        if len > SLOT_PAYLOAD as u64 {
             return Err(Refusal::GateRingCorrupt.into());
         }
-        let payload = machine.read(vmpl, self.slot_gpa(idx) + SLOT_HEADER_LEN as u64, len)?;
-        Ok((kind, payload))
+        Ok((*kind, &payload.as_flattened()[..len as usize]))
     }
 }
 
@@ -177,37 +199,42 @@ mod tests {
     fn push_then_drain_across_domains() {
         let (mut m, ring) = machine_with_ring();
         assert_eq!(ring.depth(&m, Vmpl::Vmpl3).unwrap(), 0);
-        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 5, b"record-a").unwrap(), 1);
-        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 9, b"").unwrap(), 2);
+        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 0, 5, b"record-a").unwrap(), 1);
+        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 1, 9, b"").unwrap(), 2);
         // Monitor side drains at VMPL-0.
         assert_eq!(ring.depth(&m, Vmpl::Vmpl0).unwrap(), 2);
-        let (kind, payload) = ring.read_slot(&m, Vmpl::Vmpl0, 0).unwrap();
-        assert_eq!((kind, payload.as_slice()), (5, b"record-a".as_slice()));
-        let (kind, payload) = ring.read_slot(&m, Vmpl::Vmpl0, 1).unwrap();
+        let mut buf = SlotBuf::default();
+        let (kind, payload) = ring.read_slot(&m, Vmpl::Vmpl0, 0, &mut buf).unwrap();
+        assert_eq!((kind, payload), (5, b"record-a".as_slice()));
+        let (kind, payload) = ring.read_slot(&m, Vmpl::Vmpl0, 1, &mut buf).unwrap();
         assert_eq!((kind, payload.len()), (9, 0));
     }
 
     #[test]
     fn full_ring_rejects_push() {
         let (mut m, ring) = machine_with_ring();
-        for _ in 0..RING_SLOTS {
-            ring.push(&mut m, Vmpl::Vmpl3, 1, b"x").unwrap();
+        for idx in 0..RING_SLOTS {
+            ring.push(&mut m, Vmpl::Vmpl3, idx, 1, b"x").unwrap();
         }
-        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 1, b"x"), Err(Refusal::GateRingFull.into()));
+        assert_eq!(
+            ring.push(&mut m, Vmpl::Vmpl3, RING_SLOTS, 1, b"x"),
+            Err(Refusal::GateRingFull.into())
+        );
     }
 
     #[test]
     fn oversized_entry_rejected() {
         let (mut m, ring) = machine_with_ring();
         let big = vec![0u8; SLOT_PAYLOAD + 1];
-        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 1, &big), Err(Refusal::MessageTooLong.into()));
+        assert_eq!(ring.push(&mut m, Vmpl::Vmpl3, 0, 1, &big), Err(Refusal::MessageTooLong.into()));
     }
 
     #[test]
     fn hostile_count_and_lengths_detected() {
         let corrupt = OsError::Refused(Refusal::GateRingCorrupt);
         let (mut m, ring) = machine_with_ring();
-        ring.push(&mut m, Vmpl::Vmpl3, 1, b"x").unwrap();
+        let mut buf = SlotBuf::default();
+        ring.push(&mut m, Vmpl::Vmpl3, 0, 1, b"x").unwrap();
         // Kernel lies about occupancy.
         m.write(Vmpl::Vmpl3, gpa_of(3) + 4, &(RING_SLOTS + 1).to_le_bytes()).unwrap();
         assert_eq!(ring.depth(&m, Vmpl::Vmpl0).unwrap_err(), corrupt);
@@ -216,9 +243,9 @@ mod tests {
         let mut slot = [0u8; 16];
         slot[8..16].copy_from_slice(&(PAGE_SIZE as u64).to_le_bytes());
         m.write(Vmpl::Vmpl3, gpa_of(3) + HEADER_LEN as u64, &slot).unwrap();
-        assert_eq!(ring.read_slot(&m, Vmpl::Vmpl0, 0).unwrap_err(), corrupt);
+        assert_eq!(ring.read_slot(&m, Vmpl::Vmpl0, 0, &mut buf).unwrap_err(), corrupt);
         // Out-of-range index.
-        assert_eq!(ring.read_slot(&m, Vmpl::Vmpl0, RING_SLOTS).unwrap_err(), corrupt);
+        assert_eq!(ring.read_slot(&m, Vmpl::Vmpl0, RING_SLOTS, &mut buf).unwrap_err(), corrupt);
         // Corrupt magic.
         m.write(Vmpl::Vmpl3, gpa_of(3), &[0xff; 4]).unwrap();
         assert_eq!(ring.depth(&m, Vmpl::Vmpl0).unwrap_err(), corrupt);

@@ -30,6 +30,7 @@ pub enum Errno {
     EINVAL = 22,
     ENFILE = 23,
     EMFILE = 24,
+    EFBIG = 27,
     ENOSPC = 28,
     ESPIPE = 29,
     EROFS = 30,
@@ -242,6 +243,7 @@ mod tests {
         assert_eq!(Errno::ENOENT as i64, 2);
         assert_eq!(Errno::EINVAL as i64, 22);
         assert_eq!(Errno::ENOSYS as i64, 38);
+        assert_eq!(Errno::EFBIG as i64, 27);
         assert_eq!(Errno::ENOENT.as_neg_ret(), -2);
     }
 

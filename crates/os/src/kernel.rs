@@ -989,14 +989,16 @@ impl Sys for KernelSys<'_> {
     /// An in-kernel copy between descriptors.
     fn sendfile(&mut self, out_fd: Fd, in_fd: Fd, len: usize) -> Result<usize, Errno> {
         self.syscall(Sysno::Sendfile, |k, ctx, pid| {
-            ctx.charge_copy(len);
             let FdEntry::File { ino, offset, .. } = k.process(pid)?.fd(in_fd)?.clone() else {
                 return Err(Errno::EINVAL);
             };
+            // Copy no more than the source holds past its offset, so a
+            // huge `len` neither charges nor allocates what is not there.
+            let len = len.min(k.vfs.inode(ino)?.size().saturating_sub(offset));
+            ctx.charge_copy(len);
             let mut data = vec![0u8; len];
             let n = k.vfs.read_at(ino, offset, &mut data)?;
             k.set_offset(pid, in_fd, offset + n)?;
-            data.truncate(n);
             match k.process(pid)?.fd(out_fd)?.clone() {
                 FdEntry::Socket(sid) => k.sockets.send(sid, &data),
                 FdEntry::File { writable: false, .. } => Err(Errno::EBADF),
@@ -1177,6 +1179,75 @@ mod tests {
         let sysnos: Vec<Sysno> = kernel.audit.kaudit_log.iter().map(|r| r.sysno).collect();
         assert_eq!(sysnos, vec![Sysno::Open, Sysno::Write, Sysno::Close]);
         assert!(kernel.audit.kaudit_log[0].ret >= 3, "open returns the fd");
+    }
+
+    /// The 16 bytes [`oversize_call`] leaves in `/tmp/f`.
+    const FILE: &[u8; 16] = b"0123456789abcdef";
+
+    /// Runs `call` with an open read-write descriptor on `/tmp/f` (holding
+    /// [`FILE`], offset 0) and one end of a connected socket pair, with
+    /// only `sysno` audited. Returns the call's result, the `ret` of its
+    /// audit record and the file's bytes afterwards.
+    fn oversize_call<T>(
+        sysno: Sysno,
+        call: impl FnOnce(&mut KernelSys<'_>, Fd, Fd) -> Result<T, Errno>,
+    ) -> (Result<T, Errno>, i64, Vec<u8>) {
+        let (mut hv, mut gate, mut kernel) = native();
+        kernel.audit.mode = AuditMode::Kaudit;
+        kernel.audit.rules = [sysno].into();
+        let pid = kernel.spawn();
+        let result = {
+            let mut s = sys(&mut hv, &mut gate, &mut kernel, pid);
+            let fd = s.open("/tmp/f", OpenFlags::rdwr_create()).unwrap();
+            s.write(fd, FILE).unwrap();
+            s.lseek(fd, 0, Whence::Set).unwrap();
+            let (sock, _peer) = s.socketpair().unwrap();
+            call(&mut s, fd, sock)
+        };
+        let [record] = kernel.audit.kaudit_log.as_slice() else { panic!("one audit record") };
+        assert_eq!(record.sysno, sysno);
+        let ino = kernel.vfs.resolve("/tmp/f").unwrap();
+        let mut bytes = vec![0u8; kernel.vfs.inode(ino).unwrap().size()];
+        kernel.vfs.read_at(ino, 0, &mut bytes).unwrap();
+        (result, record.ret, bytes)
+    }
+
+    #[test]
+    fn pwrite_ending_past_any_offset_is_efbig() {
+        let (result, ret, file) =
+            oversize_call(Sysno::Pwrite64, |s, fd, _| s.pwrite(fd, &[0; 16], u64::MAX - 4));
+        assert_eq!(result, Err(Errno::EFBIG));
+        assert_eq!(ret, Errno::EFBIG.as_neg_ret());
+        assert_eq!(file, FILE);
+    }
+
+    #[test]
+    fn ftruncate_past_the_largest_file_is_efbig() {
+        let (result, ret, file) =
+            oversize_call(Sysno::Ftruncate, |s, fd, _| s.ftruncate(fd, 1 << 40));
+        assert_eq!(result, Err(Errno::EFBIG));
+        assert_eq!(ret, Errno::EFBIG.as_neg_ret());
+        assert_eq!(file, FILE);
+    }
+
+    #[test]
+    fn sendfile_of_usize_max_copies_the_bytes_left() {
+        let (result, ret, file) =
+            oversize_call(Sysno::Sendfile, |s, fd, sock| s.sendfile(sock, fd, usize::MAX));
+        assert_eq!(result, Ok(FILE.len()));
+        assert_eq!(ret, FILE.len() as i64);
+        assert_eq!(file, FILE);
+    }
+
+    #[test]
+    fn sendfile_of_a_terabyte_copies_the_bytes_left() {
+        let (result, ret, file) = oversize_call(Sysno::Sendfile, |s, fd, sock| {
+            s.lseek(fd, 10, Whence::Set)?;
+            s.sendfile(sock, fd, 1 << 40)
+        });
+        assert_eq!(result, Ok(6));
+        assert_eq!(ret, 6);
+        assert_eq!(file, FILE);
     }
 
     #[test]

@@ -15,6 +15,10 @@ pub type Ino = usize;
 const SYMLINK_DEPTH_LIMIT: usize = 8;
 /// Maximum path component length (matches Linux's NAME_MAX spirit).
 pub const NAME_MAX: usize = 255;
+/// Largest file the VFS holds, 64 times the largest workload file
+/// (perfbench's 4 MiB GZip input). Writes and truncations past it fail
+/// with `EFBIG`, as Linux does past a filesystem's maximum file size.
+pub const MAX_FILE_SIZE: usize = 256 << 20;
 
 #[derive(Debug, Clone)]
 enum InodeKind {
@@ -291,10 +295,18 @@ impl Vfs {
     }
 
     /// Writes `buf` at `offset`, growing the file as needed.
+    ///
+    /// # Errors
+    ///
+    /// `EFBIG` when the write would end past [`MAX_FILE_SIZE`]; the file
+    /// is left unchanged.
     pub fn write_at(&mut self, ino: Ino, offset: usize, buf: &[u8]) -> Result<usize, Errno> {
         match &mut self.get_mut(ino)?.kind {
             InodeKind::File { data } => {
-                let end = offset + buf.len();
+                let end = offset
+                    .checked_add(buf.len())
+                    .filter(|&end| end <= MAX_FILE_SIZE)
+                    .ok_or(Errno::EFBIG)?;
                 if data.len() < end {
                     data.resize(end, 0);
                 }
@@ -307,8 +319,14 @@ impl Vfs {
     }
 
     /// Truncates/extends a file to `len` bytes.
+    ///
+    /// # Errors
+    ///
+    /// `EFBIG` when `len` exceeds [`MAX_FILE_SIZE`]; the file is left
+    /// unchanged.
     pub fn truncate(&mut self, ino: Ino, len: usize) -> Result<(), Errno> {
         match &mut self.get_mut(ino)?.kind {
+            InodeKind::File { .. } if len > MAX_FILE_SIZE => Err(Errno::EFBIG),
             InodeKind::File { data } => {
                 data.resize(len, 0);
                 Ok(())
@@ -466,6 +484,17 @@ mod tests {
         let mut buf = [0xffu8; 8];
         fs.read_at(ino, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"0123\0\0\0\0");
+    }
+
+    #[test]
+    fn writes_and_truncations_past_the_largest_file_are_efbig() {
+        let mut fs = fs_with_etc();
+        let ino = fs.resolve("/etc/passwd").unwrap();
+        fs.write_at(ino, 0, b"0123").unwrap();
+        assert_eq!(fs.write_at(ino, MAX_FILE_SIZE, b"x"), Err(Errno::EFBIG));
+        assert_eq!(fs.write_at(ino, usize::MAX, b"x"), Err(Errno::EFBIG));
+        assert_eq!(fs.truncate(ino, MAX_FILE_SIZE + 1), Err(Errno::EFBIG));
+        assert_eq!(fs.inode(ino).unwrap().size(), 4, "refused calls leave the file");
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub struct VeilSLog {
     records: u64,
     /// Records refused because storage was full.
     pub dropped: u64,
+    /// The next stored image, `len || payload`, built here so each record
+    /// reaches storage in one write without a fresh allocation.
+    staged: Vec<u8>,
 }
 
 impl VeilSLog {
@@ -62,15 +65,8 @@ impl VeilSLog {
         self.records
     }
 
-    fn write_at(&self, hv: &mut Hypervisor, offset: u64, bytes: &[u8]) -> Result<(), OsError> {
-        let gpa = gpa_of(self.storage.start) + offset;
-        hv.machine.write(Vmpl::Vmpl1, gpa, bytes)?;
-        Ok(())
-    }
-
-    fn read_at(&self, hv: &Hypervisor, offset: u64, len: usize) -> Result<Vec<u8>, OsError> {
-        let gpa = gpa_of(self.storage.start) + offset;
-        Ok(hv.machine.read(Vmpl::Vmpl1, gpa, len)?)
+    fn gpa(&self, offset: u64) -> u64 {
+        gpa_of(self.storage.start) + offset
     }
 
     /// Appends one record (the `LogAppend` service request).
@@ -89,8 +85,10 @@ impl VeilSLog {
         }
         let work = hv.machine.cost().veil_log_record + hv.machine.cost().copy(record.len());
         hv.machine.charge(CostCategory::AuditLog, work);
-        self.write_at(hv, self.head, &(record.len() as u32).to_le_bytes())?;
-        self.write_at(hv, self.head + LEN_PREFIX as u64, record)?;
+        self.staged.clear();
+        self.staged.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        self.staged.extend_from_slice(record);
+        hv.machine.write(Vmpl::Vmpl1, self.gpa(self.head), &self.staged)?;
         self.head += needed;
         self.records += 1;
         Ok(())
@@ -107,12 +105,13 @@ impl VeilSLog {
         let mut out = Vec::with_capacity(self.records as usize);
         let mut offset = 0u64;
         while offset < self.head {
-            let len_bytes = self.read_at(hv, offset, LEN_PREFIX)?;
-            let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+            let mut len = [0u8; LEN_PREFIX];
+            hv.machine.read_into(Vmpl::Vmpl1, self.gpa(offset), &mut len)?;
+            let len = u32::from_le_bytes(len) as usize;
             if offset + (LEN_PREFIX + len) as u64 > self.head {
                 return Err(Refusal::LogCorrupt.into());
             }
-            out.push(self.read_at(hv, offset + LEN_PREFIX as u64, len)?);
+            out.push(hv.machine.read(Vmpl::Vmpl1, self.gpa(offset + LEN_PREFIX as u64), len)?);
             offset += (LEN_PREFIX + len) as u64;
         }
         Ok(out)

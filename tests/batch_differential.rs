@@ -164,3 +164,66 @@ fn minidb_batched_equals_serial() {
 fn compress_batched_equals_serial() {
     differential("compress", &|| Box::new(GzipWorkload { input_len: 64 * 1024, chunk: 8 * 1024 }));
 }
+
+/// A pinned batched, VeilLog-audited CVM with `k` audited syscalls (file
+/// creations) queued in VCPU 0's gate ring. Returns the SHA-256 of the
+/// gate-ring frame before the drain and of VeilS-LOG's used storage after
+/// `flush_gate()`.
+fn ring_and_log_digests(k: usize) -> (String, String) {
+    use veil::crypto::sha256::{hex, Sha256};
+    use veil_snp::mem::{gpa_of, PAGE_SIZE};
+    use veil_snp::perms::Vmpl;
+    let mut cvm = CvmBuilder::new()
+        .frames(2048)
+        .vcpus(1)
+        .trace(false)
+        .metrics(false)
+        .attest(false)
+        .batch(true)
+        .build()
+        .expect("boot");
+    cvm.kernel.audit.mode = AuditMode::VeilLog;
+    cvm.kernel.audit.rules = veil_os::audit::paper_ruleset();
+    let pid = cvm.spawn();
+    cvm.flush_gate().expect("flush");
+    let mut sys = cvm.sys(pid);
+    for i in 0..k {
+        sys.open(&format!("/tmp/q{i}"), OpenFlags::rdwr_create()).expect("open");
+    }
+    assert_eq!(cvm.gate.pending_depth(0) as usize, k, "every record must still be queued");
+    let ring = gpa_of(cvm.gate.monitor.layout.gate_ring_gfn(0).expect("ring"));
+    let ring = cvm.hv.machine.read(Vmpl::Vmpl3, ring, PAGE_SIZE).expect("read ring");
+    cvm.flush_gate().expect("flush");
+    assert_eq!(cvm.gate.deferred_errors(), 0);
+    let log = &cvm.gate.services.log;
+    let storage = gpa_of(cvm.gate.monitor.layout.log_storage.start);
+    let used = cvm.hv.machine.read(Vmpl::Vmpl1, storage, log.used() as usize).expect("read log");
+    (hex(&Sha256::digest(&ring)), hex(&Sha256::digest(&used)))
+}
+
+/// The bytes the kernel writes into the gate ring and the bytes VeilS-LOG
+/// stores, pinned for 1, 7 and 14 queued records: how a slot or a log
+/// record is written (one checked write or several) must not move a byte.
+#[test]
+fn ring_and_log_bytes_are_pinned() {
+    let pins = [
+        (
+            1,
+            "c967b58c3efc69ec6f6f12749210cbc68cb9d7dad479b09ffcf27b63f2f5f5b8",
+            "ec5793eddb25a27bb608f32929241b31558f208cbdc1a138a8b6764a65775e59",
+        ),
+        (
+            7,
+            "cee620de0dc5d14062e0b39958b02c9a6c966bfdc15ecf4a556a29df9449943a",
+            "8e757092f98fd8df03f90db14b79e1818b852b23f9f7976c26c48ce3082e3a69",
+        ),
+        (
+            14,
+            "af36132fc2e928d21e343c5e5da99b266ed1462ab64381451939c4fd54d19f26",
+            "f44d7d7e21870731cfa1ac0ef3fbbfefacd2dcbeeac75f44eed6a43b4eb27722",
+        ),
+    ];
+    for (k, ring, log) in pins {
+        assert_eq!(ring_and_log_digests(k), (ring.to_string(), log.to_string()), "{k} records");
+    }
+}

@@ -649,11 +649,11 @@ fn sha256_matches_reference() {
 }
 
 /// A batched, VeilLog-audited CVM with `k` audited syscalls (file
-/// creations) queued in VCPU 0's gate ring, plus the gate-request,
-/// deferred-error and log-record counts from before they were issued.
-fn queued_audit_cvm(k: usize) -> (veil::prelude::Cvm, [u64; 3]) {
+/// creations) queued in VCPU 0's gate ring, the process that issued them,
+/// and the gate-request, deferred-error and log-record counts from before
+/// they were issued.
+fn queued_audit_cvm(k: usize) -> (veil::prelude::Cvm, veil_os::process::Pid, [u64; 3]) {
     use veil::prelude::*;
-    use veil_os::sys::OpenFlags;
     let mut cvm = CvmBuilder::new().frames(2048).vcpus(1).batch(true).build().unwrap();
     cvm.kernel.audit.mode = veil_os::audit::AuditMode::VeilLog;
     cvm.kernel.audit.rules = veil_os::audit::paper_ruleset();
@@ -664,12 +664,23 @@ fn queued_audit_cvm(k: usize) -> (veil::prelude::Cvm, [u64; 3]) {
         cvm.gate.deferred_errors(),
         cvm.gate.services.log.record_count(),
     ];
+    audited_creates(&mut cvm, pid, 0..k);
+    assert_eq!(cvm.gate.pending_depth(0) as usize, k, "every audit record must still be queued");
+    (cvm, pid, before)
+}
+
+/// Creates `/tmp/q{i}` for each `i` in `names` as process `pid`, one
+/// audited syscall each.
+fn audited_creates(
+    cvm: &mut veil::prelude::Cvm,
+    pid: veil_os::process::Pid,
+    names: std::ops::Range<usize>,
+) {
+    use veil_os::sys::{OpenFlags, Sys};
     let mut sys = cvm.sys(pid);
-    for i in 0..k {
+    for i in names {
         sys.open(&format!("/tmp/q{i}"), OpenFlags::rdwr_create()).unwrap();
     }
-    assert_eq!(cvm.gate.pending_depth(0) as usize, k, "every audit record must still be queued");
-    (cvm, before)
 }
 
 /// The gate ring is written by the untrusted kernel (VMPL-3) and re-read
@@ -685,7 +696,7 @@ fn hostile_gate_ring_bytes_complete_or_count_every_deferred_request() {
     let ring_gfn = |cvm: &veil::prelude::Cvm| cvm.gate.monitor.layout.gate_ring_gfn(0).unwrap();
     let attacks: Vec<Strategy<(usize, Vec<u8>)>> = (1..=14)
         .map(|k| {
-            let (cvm, _) = queued_audit_cvm(k);
+            let (cvm, ..) = queued_audit_cvm(k);
             let valid =
                 cvm.hv.machine.read(Vmpl::Vmpl3, gpa_of(ring_gfn(&cvm)), PAGE_SIZE).unwrap();
             hostile_bytes(valid).map(move |bytes| (k, bytes))
@@ -693,7 +704,7 @@ fn hostile_gate_ring_bytes_complete_or_count_every_deferred_request() {
         .collect();
     check("hostile_gate_ring_bytes", 160, &one_of(attacks), |(k, mut bytes)| {
         bytes.truncate(PAGE_SIZE);
-        let (mut cvm, [requests, errors, records]) = queued_audit_cvm(k);
+        let (mut cvm, _, [requests, errors, records]) = queued_audit_cvm(k);
         let ring = gpa_of(ring_gfn(&cvm));
         prop_assert!(cvm.hv.machine.write(Vmpl::Vmpl3, ring, &bytes).is_ok());
         // Any result is a typed `OsError` or success; a panic fails the case.
@@ -704,6 +715,43 @@ fn hostile_gate_ring_bytes_complete_or_count_every_deferred_request() {
         let records = cvm.gate.services.log.record_count() - records;
         prop_assert_eq!(requests, k as u64);
         prop_assert_eq!(records + errors, requests);
+        Ok(())
+    });
+}
+
+/// The kernel writes each ring slot at its own batch length and never
+/// reads the ring back, so only the trusted drain can notice hostile
+/// bytes. Whatever the kernel leaves in the ring after `j` of `k` audited
+/// syscalls, the remaining syscalls still run, the flush must not panic
+/// and must empty the batch, and each audited syscall must end as exactly
+/// one of a stored log record, a deferred error or a kernel audit failure.
+#[test]
+fn gate_ring_corrupted_between_enqueues_completes_or_counts_every_record() {
+    use veil_snp::mem::{gpa_of, PAGE_SIZE};
+    let attacks: Vec<Strategy<(usize, usize, Vec<u8>)>> = (1..14)
+        .map(|j| {
+            let (cvm, ..) = queued_audit_cvm(j);
+            let ring = gpa_of(cvm.gate.monitor.layout.gate_ring_gfn(0).unwrap());
+            let valid = cvm.hv.machine.read(Vmpl::Vmpl3, ring, PAGE_SIZE).unwrap();
+            tuple2(usizes(j + 1..15), hostile_bytes(valid)).map(move |(k, bytes)| (j, k, bytes))
+        })
+        .collect();
+    check("gate_ring_corrupted_between_enqueues", 160, &one_of(attacks), |(j, k, mut bytes)| {
+        bytes.truncate(PAGE_SIZE);
+        let (mut cvm, pid, [requests, errors, records]) = queued_audit_cvm(j);
+        let failures = cvm.kernel.audit_failures;
+        let ring = gpa_of(cvm.gate.monitor.layout.gate_ring_gfn(0).unwrap());
+        prop_assert!(cvm.hv.machine.write(Vmpl::Vmpl3, ring, &bytes).is_ok());
+        audited_creates(&mut cvm, pid, j..k);
+        // Any result is a typed `OsError` or success; a panic fails the case.
+        let _flushed: Result<(), veil_os::error::OsError> = cvm.flush_gate();
+        prop_assert_eq!(cvm.gate.pending_depth(0), 0);
+        let requests = cvm.gate.gate_requests() - requests;
+        let errors = cvm.gate.deferred_errors() - errors;
+        let records = cvm.gate.services.log.record_count() - records;
+        let failures = cvm.kernel.audit_failures - failures;
+        prop_assert_eq!(requests, k as u64);
+        prop_assert_eq!(records + errors + failures, requests);
         Ok(())
     });
 }
