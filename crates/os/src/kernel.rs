@@ -667,10 +667,9 @@ impl Sys for KernelSys<'_> {
                 Whence::Cur => cur as i64,
                 Whence::End => size,
             };
-            let new = base + offset;
-            if new < 0 {
-                return Err(Errno::EINVAL);
-            }
+            // Like Linux's `vfs_setpos`: an overflowing or negative offset
+            // is refused and the old one kept.
+            let new = base.checked_add(offset).filter(|&n| n >= 0).ok_or(Errno::EINVAL)?;
             k.set_offset(pid, fd, new as usize)?;
             Ok(new as u64)
         })
@@ -1060,6 +1059,21 @@ mod tests {
         pid: Pid,
     ) -> KernelSys<'a> {
         KernelSys { kernel, hv, gate, vcpu: 0, pid }
+    }
+
+    #[test]
+    fn lseek_refuses_overflow_and_keeps_the_offset() {
+        let (mut hv, mut gate, mut kernel) = native();
+        let pid = kernel.spawn();
+        let mut s = sys(&mut hv, &mut gate, &mut kernel, pid);
+        let fd = s.open("/tmp/seek", OpenFlags::rdwr_create()).unwrap();
+        assert_eq!(s.write(fd, b"twenty bytes of text").unwrap(), 20);
+        assert_eq!(s.lseek(fd, 16, Whence::Set), Ok(16));
+        assert_eq!(s.lseek(fd, i64::MAX, Whence::Cur), Err(Errno::EINVAL));
+        assert_eq!(s.lseek(fd, i64::MAX, Whence::End), Err(Errno::EINVAL));
+        assert_eq!(s.lseek(fd, -17, Whence::Cur), Err(Errno::EINVAL));
+        assert_eq!(s.lseek(fd, 0, Whence::Cur), Ok(16));
+        assert_eq!(s.lseek(fd, i64::MAX - 20, Whence::End), Ok(i64::MAX as u64));
     }
 
     #[test]

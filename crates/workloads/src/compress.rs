@@ -21,6 +21,8 @@ const MAX_CHAIN: usize = 32;
 /// then reads as a position more than [`WINDOW`] back, so one bound test
 /// per candidate covers both "no candidate" and "expired candidate".
 const BIAS: usize = WINDOW + 1;
+/// The key-mask half of an [`Lz77`] `head` entry.
+const MASK_HALF: u64 = !(u32::MAX as u64);
 
 fn load_u32(data: &[u8], i: usize) -> u32 {
     u32::from_le_bytes(data[i..i + 4].try_into().expect("a 4-byte slice"))
@@ -28,6 +30,13 @@ fn load_u32(data: &[u8], i: usize) -> u32 {
 
 fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+}
+
+/// The key-mask bit of the 4-byte key `v`: one of a `head` entry's high
+/// 32 bits, picked by the top 5 bits of a second multiplicative hash, so
+/// the keys that share a [`hash4`] bucket spread over the mask.
+fn key_bit(v: u32) -> u64 {
+    1 << (32 + (v.wrapping_mul(0xcc9e_2d51) >> 27))
 }
 
 /// Length of the common prefix of two equal-length slices, compared
@@ -54,6 +63,17 @@ fn emit_literals(out: &mut Vec<u8>, run: &[u8]) {
     }
 }
 
+/// Puts position `j`, whose 4 bytes are `key`, at the front of its
+/// bucket's chain and sets its key bit in the bucket's mask. Returns the
+/// bucket's entry from before.
+fn insert(head: &mut [u64], prev: &mut [u32], j: usize, key: u32) -> u64 {
+    let entry = &mut head[hash4(key)];
+    let old = *entry;
+    prev[j] = old as u32;
+    *entry = (old | key_bit(key)) & MASK_HALF | (j + BIAS) as u64;
+    old
+}
+
 /// The first longest match for position `i` among the chain that starts
 /// at the biased position `candidate`, as `(len, dist)`. `key` holds the
 /// 4 bytes at `i`, which the caller guarantees exist. The length is 0
@@ -65,19 +85,6 @@ fn longest_match(
     mut candidate: usize,
     key: u32,
 ) -> (usize, usize) {
-    // Quick reject in one branch. The walk can meet a candidate with the
-    // key only if the newest candidate is live and has it, or a second
-    // candidate is live: `d0` is the newest one's distance, pushed past
-    // the window by a key mismatch, and `d1` the second one's. An empty
-    // or expired newest candidate has no live successor (`prev[0]` is
-    // always empty). On incompressible input most positions stop here,
-    // where separate tests would each be a mispredicted branch.
-    let p0 = candidate.saturating_sub(BIAS);
-    let d0 = (i + BIAS - candidate) as u64 | u64::from(load_u32(data, p0) ^ key) << 32;
-    let d1 = (i + BIAS - prev[p0] as usize) as u64;
-    if d0.min(d1) > WINDOW as u64 {
-        return (0, 0);
-    }
     let max = MAX_MATCH.min(data.len() - i);
     let (mut best_len, mut best_dist) = (0, 0);
     for _ in 0..MAX_CHAIN {
@@ -98,7 +105,9 @@ fn longest_match(
     (best_len, best_dist)
 }
 
-/// Greedy hash-chain LZ77 over a 32 KiB window.
+/// A greedy hash-chain LZ77 compressor over a 32 KiB window, whose hash
+/// tables outlive one input so that a caller compressing many chunks
+/// allocates them once.
 ///
 /// Token stream format:
 /// * `0x00 len  bytes...` — literal run (len 1..=255);
@@ -111,62 +120,105 @@ fn longest_match(
 /// more is emitted as a match, and the positions it covers are hashed
 /// too. Anything else is a literal.
 ///
-/// The walk skips a candidate whose first 4 bytes differ from the
-/// position's after one `u32` compare (it still counts against the 32),
-/// and a position whose chain can hold no such candidate is not walked.
-/// Neither can change a token. A skipped candidate matches at most 3
-/// bytes, so it can set the best length only while no candidate has
-/// reached `MIN_MATCH`, and if none ever does the position is a literal
-/// whatever that length was. Nor can it displace a candidate of 4 bytes
-/// or more, since a replacement needs a strictly longer match. The
-/// `lz77_roundtrip` property pins the token stream against the
-/// unfiltered byte-by-byte walk.
+/// Two shortcuts cannot change a token:
+/// * The walk skips a candidate whose first 4 bytes differ from the
+///   position's after one `u32` compare (it still counts against the
+///   32). A skipped candidate matches at most 3 bytes, so it can set the
+///   best length only while no candidate has reached `MIN_MATCH`, and if
+///   none ever does the position is a literal whatever that length was.
+///   Nor can it displace a candidate of 4 bytes or more, since a
+///   replacement needs a strictly longer match.
+/// * Each `head` entry packs the bucket's newest biased position (low 32
+///   bits) with a key mask (high 32 bits) that holds the key bit of
+///   every position inserted into the bucket during this input. Equal
+///   keys have equal bits, so a position whose bit is clear in its
+///   bucket's mask has no candidate with its key: the walk would skip
+///   every candidate, and the position is a literal without one.
+///
+/// The `lz77_roundtrip` and `lz77_reuse` properties pin the token stream
+/// against the unfiltered byte-by-byte walk, with fresh and with reused
+/// tables.
+///
+/// Every input starts with `head` cleared, positions and masks, so each
+/// candidate precedes the position being matched and each mask holds
+/// only this input's keys. `prev` is reused without clearing: a link is
+/// read only at a live candidate, which came from `head` or from another
+/// link, so by induction from the cleared `head` it is a position
+/// inserted earlier in this input, and that insertion wrote its link.
+#[derive(Debug, Default)]
+pub struct Lz77 {
+    /// Per hash bucket: key mask `<< 32 |` newest biased position.
+    head: Vec<u64>,
+    /// Per position: the biased position inserted before it in its bucket.
+    prev: Vec<u32>,
+}
+
+impl Lz77 {
+    /// Replaces the contents of `out` with the token stream of `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is 4 GiB or longer: hash-table positions are `u32`.
+    pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        let n = data.len();
+        assert!(n <= u32::MAX as usize - BIAS, "lz77: input of {n} bytes is too long");
+        out.clear();
+        // Room for an all-literal stream, which incompressible input is.
+        out.reserve(n + 2 * n.div_ceil(255));
+        self.head.clear();
+        self.head.resize(1 << HASH_BITS, 0);
+        if self.prev.len() < n {
+            self.prev.resize(n, 0);
+        }
+        let (head, prev) = (&mut self.head[..], &mut self.prev[..n]);
+        let mut literal_start = 0usize;
+        let mut i = 0usize;
+
+        while i < n {
+            let (best_len, best_dist) = if i + MIN_MATCH <= n {
+                let key = load_u32(data, i);
+                // Inserting `i` before the walk is safe: the walk reads
+                // `prev` only at earlier positions.
+                let old = insert(head, prev, i, key);
+                if old & key_bit(key) == 0 {
+                    (0, 0)
+                } else {
+                    longest_match(data, prev, i, old as u32 as usize, key)
+                }
+            } else {
+                (0, 0)
+            };
+            if best_len >= MIN_MATCH {
+                emit_literals(out, &data[literal_start..i]);
+                out.extend_from_slice(&[
+                    0x01,
+                    best_len as u8,
+                    best_dist as u8,
+                    (best_dist >> 8) as u8,
+                ]);
+                // Insert hash entries for the match body (cheap variant).
+                let end = (i + best_len).min(n.saturating_sub(MIN_MATCH));
+                for j in i + 1..end {
+                    insert(head, prev, j, load_u32(data, j));
+                }
+                i += best_len;
+                literal_start = i;
+            } else {
+                i += 1;
+            }
+        }
+        emit_literals(out, &data[literal_start..]);
+    }
+}
+
+/// The [`Lz77`] token stream of `data`, from fresh tables.
 ///
 /// # Panics
 ///
 /// Panics if `data` is 4 GiB or longer: hash-table positions are `u32`.
 pub fn lz77_compress(data: &[u8]) -> Vec<u8> {
-    let n = data.len();
-    assert!(n <= u32::MAX as usize - BIAS, "lz77_compress: input of {n} bytes is too long");
-    // Room for an all-literal stream, which incompressible input is.
-    let mut out = Vec::with_capacity(n + 2 * n.div_ceil(255));
-    let mut head = vec![0u32; 1 << HASH_BITS];
-    let mut prev = vec![0u32; n.max(1)];
-    let mut literal_start = 0usize;
-    let mut i = 0usize;
-
-    while i < n {
-        let (best_len, best_dist) = if i + MIN_MATCH <= n {
-            let key = load_u32(data, i);
-            let h = hash4(key);
-            // Inserting `i` before the walk is safe: the walk reads `prev`
-            // only at earlier positions.
-            let newest = head[h] as usize;
-            prev[i] = head[h];
-            head[h] = (i + BIAS) as u32;
-            longest_match(data, &prev, i, newest, key)
-        } else {
-            (0, 0)
-        };
-        if best_len >= MIN_MATCH {
-            emit_literals(&mut out, &data[literal_start..i]);
-            out.extend_from_slice(&[0x01, best_len as u8, best_dist as u8, (best_dist >> 8) as u8]);
-            // Insert hash entries for the match body (cheap variant).
-            let end = (i + best_len).min(n.saturating_sub(MIN_MATCH));
-            let mut j = i + 1;
-            while j < end {
-                let h = hash4(load_u32(data, j));
-                prev[j] = head[h];
-                head[h] = (j + BIAS) as u32;
-                j += 1;
-            }
-            i += best_len;
-            literal_start = i;
-        } else {
-            i += 1;
-        }
-    }
-    emit_literals(&mut out, &data[literal_start..]);
+    let mut out = Vec::new();
+    Lz77::default().compress_into(data, &mut out);
     out
 }
 
@@ -223,7 +275,7 @@ pub const COMPRESS_CYCLES_PER_BYTE: u64 = 80;
 pub struct GzipWorkload {
     /// Input size in bytes (paper: 10 MB; scaled by the benches).
     pub input_len: usize,
-    /// Chunk size for file I/O.
+    /// Chunk size for file I/O; [`Workload::run`] refuses 0 with `EINVAL`.
     pub chunk: usize,
 }
 
@@ -242,6 +294,9 @@ impl Workload for GzipWorkload {
     fn run(&mut self, driver: &mut dyn Driver) -> Result<WorkloadStats, Errno> {
         let input_len = self.input_len;
         let chunk_size = self.chunk;
+        if chunk_size == 0 {
+            return Err(Errno::EINVAL);
+        }
         // Untrusted side prepares the input file (dd if=/dev/urandom).
         driver.untrusted(&mut |sys| {
             let mut drbg = Drbg::from_seed(b"gzip-input");
@@ -263,12 +318,13 @@ impl Workload for GzipWorkload {
             let input = sys.open("/data/gzip.in", OpenFlags::rdonly())?;
             let output = sys.open("/data/gzip.out", OpenFlags::wronly_create_trunc())?;
             let mut buf = vec![0u8; chunk_size];
+            let (mut lz77, mut compressed) = (Lz77::default(), Vec::new());
             loop {
                 let n = sys.read(input, &mut buf)?;
                 if n == 0 {
                     break;
                 }
-                let compressed = lz77_compress(&buf[..n]);
+                lz77.compress_into(&buf[..n], &mut compressed);
                 sys.burn(n as u64 * COMPRESS_CYCLES_PER_BYTE);
                 sys.write(output, &compressed)?;
                 stats.ops += 1;
@@ -316,8 +372,9 @@ impl Workload for SevenZipWorkload {
             }
             corpus.truncate(corpus_len);
             let out = sys.open("/data/7zip.out", OpenFlags::wronly_create_trunc())?;
+            let (mut lz77, mut compressed) = (Lz77::default(), Vec::new());
             for _ in 0..iterations {
-                let compressed = lz77_compress(&corpus);
+                lz77.compress_into(&corpus, &mut compressed);
                 // 7-Zip's LZMA works much harder per byte than gzip.
                 sys.burn(corpus_len as u64 * 3 * COMPRESS_CYCLES_PER_BYTE);
                 sys.write(out, &compressed[..compressed.len().min(512)])?;
@@ -388,6 +445,25 @@ mod tests {
         let mut sys = cvm.sys(pid);
         let st = veil_os::sys::Sys::stat(&mut sys, "/data/gzip.out").unwrap();
         assert_eq!(st.size, 132_104);
+    }
+
+    #[test]
+    fn gzip_refuses_chunk_0_before_any_syscall() {
+        let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
+        let pid = cvm.spawn();
+        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let before = d.cycles();
+        let mut w = GzipWorkload { input_len: 1, chunk: 0 };
+        assert_eq!(w.run(&mut d).unwrap_err(), Errno::EINVAL);
+        assert_eq!(d.cycles(), before, "no syscall was charged");
+    }
+
+    /// `tests/properties.rs` builds inputs from these words to reach a
+    /// walk that the key mask lets through but that finds no candidate.
+    #[test]
+    fn mask_collision_words_share_bucket_and_key_bit() {
+        let (a, b) = (u32::from_le_bytes(*b"aani"), u32::from_le_bytes(*b"fear"));
+        assert_eq!((hash4(a), key_bit(a)), (hash4(b), key_bit(b)));
     }
 
     #[test]

@@ -347,6 +347,14 @@ fn idcb_header_decoder_never_panics() {
     });
 }
 
+/// The hash bucket of the 4 bytes at `data[i..]` in
+/// [`reference_lz77_compress`].
+fn reference_hash4(data: &[u8], i: usize) -> usize {
+    const HASH_BITS: usize = 15;
+    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+}
+
 /// The straightforward hash-chain LZ77 that `lz77_compress` is
 /// optimized from, kept as the reference its token stream must equal.
 fn reference_lz77_compress(data: &[u8]) -> Vec<u8> {
@@ -354,10 +362,7 @@ fn reference_lz77_compress(data: &[u8]) -> Vec<u8> {
     const MIN_MATCH: usize = 4;
     const MAX_MATCH: usize = 255;
     const HASH_BITS: usize = 15;
-    fn hash4(data: &[u8], i: usize) -> usize {
-        let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-        (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
-    }
+    use reference_hash4 as hash4;
 
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
@@ -425,15 +430,13 @@ fn reference_lz77_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// LZ77 compression round-trips arbitrary data (the Fig. 5 compute
-/// kernel must be *correct*, not just costed), and its token stream is
-/// byte-for-byte the reference's. Besides random bytes, the inputs
-/// include 1- to 4-symbol alphabets of up to 70 KiB, whose chains hit
-/// the 32-candidate cap and whose matches reach `MAX_MATCH`; a block
-/// repeated 32,766 to 32,770 bytes later, whose candidates sit on the
-/// edge of the 32 KiB window; and two words whose keys collide.
-#[test]
-fn lz77_roundtrip() {
+/// Inputs for the LZ77 properties. Besides random bytes: 1- to 4-symbol
+/// alphabets of up to 70 KiB, whose chains hit the 32-candidate cap and
+/// whose matches reach `MAX_MATCH`; a block repeated 32,766 to 32,770
+/// bytes later, whose candidates sit on the edge of the 32 KiB window;
+/// words whose keys collide; and inputs past twice the window whose key
+/// masks saturate.
+fn lz77_inputs() -> Strategy<Vec<u8>> {
     let small_alphabet = |k: u8| vecs(u8s(0..k), 0..70 * 1024);
     let window_edge = tuple3(bytes(4..256), usizes(0..5), any_u8()).map(|(block, skew, fill)| {
         let mut v = block.clone();
@@ -441,21 +444,65 @@ fn lz77_roundtrip() {
         v.extend_from_slice(&block);
         v
     });
+    let two_words = |a: [u8; 4], b: [u8; 4]| {
+        vecs(bools(), 0..16 * 1024)
+            .map(move |words| words.into_iter().flat_map(|w| if w { a } else { b }).collect())
+    };
     // "arux" and "baba" share a hash bucket and differ in their first
     // byte, so the greedy parse stays word-aligned and every chain it
     // walks mixes the two keys: the 4-byte filter skips about half.
-    let colliding_words = vecs(bools(), 0..16 * 1024)
-        .map(|words| words.into_iter().flat_map(|w| if w { *b"arux" } else { *b"baba" }).collect());
-    let mut inputs = vec![bytes(0..4096), window_edge, colliding_words];
+    let colliding_words = two_words(*b"arux", *b"baba");
+    // "aani" and "fear" also share their key-mask bit (a unit test in
+    // `veil_workloads::compress` pins that), so the first of one word
+    // after a run of the other passes the mask and walks a chain with no
+    // candidate of its key.
+    let mask_colliding_words = two_words(*b"aani", *b"fear");
+    // 96 keys of one bucket set nearly every bit of its mask. Between two
+    // runs of them, 33 KiB of random bytes expire every candidate, so the
+    // mask passes while the chain holds nothing live.
+    let veil = reference_hash4(b"veil", 0);
+    let bucket: Vec<[u8; 4]> =
+        (0u32..).map(u32::to_le_bytes).filter(|w| reference_hash4(w, 0) == veil).take(96).collect();
+    let run = vecs(usizes(0..bucket.len()), 4096..6144);
+    let saturated =
+        tuple3(run.clone(), bytes(33 * 1024..34 * 1024), run).map(move |(a, filler, b)| {
+            let words =
+                |run: Vec<usize>| run.into_iter().flat_map(|w| bucket[w]).collect::<Vec<_>>();
+            [words(a), filler, words(b)].concat()
+        });
+    let mut inputs =
+        vec![bytes(0..4096), window_edge, colliding_words, mask_colliding_words, saturated];
     inputs.extend((1..=4).map(small_alphabet));
     // `one_of` drops shrinking; shrink any input as `bytes` does.
     let ladder = bytes(0..4096);
-    let inputs = one_of(inputs).with_shrink(move |v| ladder.shrinks(v));
-    check("lz77_roundtrip", 64, &inputs, |data| {
+    one_of(inputs).with_shrink(move |v| ladder.shrinks(v))
+}
+
+/// LZ77 compression round-trips arbitrary data (the Fig. 5 compute
+/// kernel must be *correct*, not just costed), and its token stream is
+/// byte-for-byte the reference's.
+#[test]
+fn lz77_roundtrip() {
+    check("lz77_roundtrip", 64, &lz77_inputs(), |data| {
         use veil_workloads::compress::{lz77_compress, lz77_decompress};
         let c = lz77_compress(&data);
         prop_assert!(c == reference_lz77_compress(&data), "token stream differs from reference");
         prop_assert_eq!(lz77_decompress(&c).unwrap(), data);
+        Ok(())
+    });
+}
+
+/// One `Lz77` compresses a sequence of inputs, longer and shorter than
+/// the last, with the reference's tokens for each: nothing an input
+/// leaves in the reused tables reaches the next one's tokens.
+#[test]
+fn lz77_reuse() {
+    check("lz77_reuse", 24, &lz77_inputs().vec_of(1..7), |inputs| {
+        let (mut lz77, mut out) = (veil_workloads::compress::Lz77::default(), Vec::new());
+        for (k, data) in inputs.iter().enumerate() {
+            lz77.compress_into(data, &mut out);
+            prop_assert!(out == reference_lz77_compress(data), "input {k} differs from reference");
+        }
         Ok(())
     });
 }
