@@ -531,11 +531,11 @@ impl World {
                 // before VeilMon runs, naming both digests; any other
                 // outcome (boot succeeds, or a different error) is a
                 // finding.
-                let result = CvmBuilder::new()
+                let result = CvmBuilder::<NoServices>::new()
                     .frames(2048)
                     .attest(true)
                     .tamper_boot_image(page as usize, offset as usize)
-                    .build_with(NoServices);
+                    .build();
                 match result {
                     Err(OsError::FirmwareRefused { expected, actual }) if expected != actual => {
                         Ok("boot-tampered-image refused".into())

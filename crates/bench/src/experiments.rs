@@ -9,7 +9,7 @@ use veil_services::{Cvm, CvmBuilder};
 use veil_snp::cost::{CostCategory, CLOCK_HZ};
 use veil_snp::ghcb::{Ghcb, GhcbExit};
 use veil_snp::perms::Vmpl;
-use veil_workloads::driver::{Driver, EnclaveDriver, NativeDriver, VeilUnshieldedDriver};
+use veil_workloads::driver::{Driver, EnclaveDriver, KernelDriver};
 use veil_workloads::{
     compress::{GzipWorkload, SevenZipWorkload},
     http::HttpWorkload,
@@ -89,15 +89,15 @@ pub fn boot_time(frames: u64) -> BootTime {
     let native = CvmBuilder::new().frames(frames).vcpus(4).build_native().expect("native");
     let veil = CvmBuilder::new().frames(frames).vcpus(4).batch(false).build().expect("veil");
     let rmp_cycles = veil.hv.machine.cycles().of(CostCategory::Rmpadjust);
-    let delta = veil.veil_boot_cycles.saturating_sub(native.native_boot_cycles);
+    let delta = veil.boot_cycles.saturating_sub(native.boot_cycles);
     // Per-frame delta × 2 GB worth of frames.
     let frames_2gb = (2u64 << 30) / 4096;
     let per_frame = delta as f64 / frames as f64;
     BootTime {
         frames,
-        native_cycles: native.native_boot_cycles,
-        veil_cycles: veil.veil_boot_cycles,
-        rmpadjust_share: rmp_cycles as f64 / veil.veil_boot_cycles as f64,
+        native_cycles: native.boot_cycles,
+        veil_cycles: veil.boot_cycles,
+        rmpadjust_share: rmp_cycles as f64 / veil.boot_cycles as f64,
         extrapolated_2gb_seconds: per_frame * frames_2gb as f64 / CLOCK_HZ as f64,
     }
 }
@@ -169,7 +169,7 @@ fn run_native(w: &mut dyn Workload) -> (u64, u64) {
     let pid = cvm.spawn();
     let snap = cvm.hv.machine.cycles().snapshot();
     let stats = {
-        let mut d = NativeDriver { cvm: &mut cvm, pid };
+        let mut d = KernelDriver { cvm: &mut cvm, pid };
         w.run(&mut d).expect("native run")
     };
     (cvm.hv.machine.cycles().since(&snap).total(), stats.checksum)
@@ -184,7 +184,7 @@ fn run_veil_unshielded(w: &mut dyn Workload, audit: AuditMode) -> (u64, u64, u64
     let pid = cvm.spawn();
     let snap = cvm.hv.machine.cycles().snapshot();
     let stats = {
-        let mut d = VeilUnshieldedDriver { cvm: &mut cvm, pid };
+        let mut d = KernelDriver { cvm: &mut cvm, pid };
         w.run(&mut d).expect("veil run")
     };
     let records = match audit {
@@ -380,7 +380,7 @@ pub fn fig4(iterations: u64) -> Vec<SyscallRow> {
     let native = {
         let mut cvm = native_cvm();
         let pid = cvm.spawn();
-        let mut d = NativeDriver { cvm: &mut cvm, pid };
+        let mut d = KernelDriver { cvm: &mut cvm, pid };
         fig4_measure(&mut d, iterations)
     };
     let enclave = {

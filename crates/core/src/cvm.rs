@@ -1,16 +1,23 @@
-//! CVM assembly: the Veil boot flow and the native baseline.
+//! CVM assembly: one CVM type, booted with Veil or natively.
 //!
-//! [`CvmBuilder::build_with`] produces a Veil CVM (§5.1's modified boot
-//! process: the hypervisor's single boot VCPU runs VeilMon at `Dom_MON`,
-//! which then creates every other domain and finally boots the kernel at
-//! `Dom_UNT`). [`CvmBuilder::build_native`] produces the unmodified
-//! baseline CVM (kernel at VMPL-0) the paper's evaluation compares
-//! against.
+//! The paper's evaluation runs the same machine and the same kernel twice:
+//! once under Veil and once natively. The only difference is where the
+//! kernel's privileged requests go, which is the kernel's
+//! [`MonitorChannel`]. So there is one CVM type, [`GenericCvm<G>`], generic
+//! over that channel, and one [`CvmBuilder`] with two build methods:
+//!
+//! * [`CvmBuilder::build`] boots a [`VeilCvm`] (§5.1's modified boot
+//!   process: the hypervisor's single boot VCPU runs VeilMon at `Dom_MON`,
+//!   which then creates every other domain and finally boots the kernel at
+//!   `Dom_UNT`);
+//! * [`CvmBuilder::build_native`] boots a [`NativeCvm`], the unmodified
+//!   baseline (kernel at VMPL-0) the evaluation compares against.
 
 use crate::gate::VeilGate;
 use crate::layout::{Layout, LayoutConfig};
 use crate::monitor::Monitor;
 use crate::service::{KernelHandoff, ServiceDispatch};
+use std::marker::PhantomData;
 use veil_hv::Hypervisor;
 use veil_os::error::OsError;
 use veil_os::kernel::{Kernel, KernelConfig, KernelCtx, KernelSys};
@@ -24,9 +31,10 @@ use veil_snp::perms::Vmpl;
 /// The module-vendor signing key baked into the boot image (32 bytes).
 pub const VENDOR_KEY: [u8; 32] = *b"veil-module-vendor-signing-key!!";
 
-/// Builder for simulated CVMs.
-#[derive(Debug, Clone)]
-pub struct CvmBuilder {
+/// Builder for simulated CVMs. `S` is the protected-service bundle a Veil
+/// boot constructs with `S::default()`; a native boot has no services.
+#[derive(Debug)]
+pub struct CvmBuilder<S> {
     frames: u64,
     vcpus: u32,
     log_frames: u64,
@@ -38,15 +46,23 @@ pub struct CvmBuilder {
     expected_measurement: Option<[u8; 32]>,
     image_tamper: Option<(usize, usize)>,
     shard: u32,
+    services: PhantomData<fn() -> S>,
 }
 
-impl Default for CvmBuilder {
+// By hand: a derive would require `S: Clone`, and a builder holds no `S`.
+impl<S> Clone for CvmBuilder<S> {
+    fn clone(&self) -> Self {
+        CvmBuilder { ..*self }
+    }
+}
+
+impl<S> Default for CvmBuilder<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl CvmBuilder {
+impl<S> CvmBuilder<S> {
     /// Defaults: 4096 frames (16 MiB), 4 VCPUs, KCI on.
     pub fn new() -> Self {
         let d = LayoutConfig::default();
@@ -62,6 +78,7 @@ impl CvmBuilder {
             expected_measurement: None,
             image_tamper: None,
             shard: 0,
+            services: PhantomData,
         }
     }
 
@@ -83,7 +100,8 @@ impl CvmBuilder {
         self
     }
 
-    /// Enables/disables routing module loads through VeilS-KCI.
+    /// Enables/disables routing module loads through VeilS-KCI (Veil
+    /// boots only; a native kernel loads modules itself).
     pub fn kci(mut self, enabled: bool) -> Self {
         self.kci = enabled;
         self
@@ -120,7 +138,7 @@ impl CvmBuilder {
     /// doorbell drains; see `veil_core::ring`). Defaults to *on*; when
     /// not set explicitly the `VEIL_NO_BATCH` environment variable turns
     /// it off (any value other than `0`), keeping the serial Fig. 3
-    /// protocol as a differential twin.
+    /// protocol as a differential twin. Veil boots only.
     pub fn batch(mut self, enabled: bool) -> Self {
         self.batch = Some(enabled);
         self
@@ -173,23 +191,14 @@ impl CvmBuilder {
         self
     }
 
-    fn layout_config(&self) -> LayoutConfig {
-        LayoutConfig {
+    /// The machine and hypervisor both boots start from.
+    fn machine(&self) -> (Layout, Hypervisor) {
+        let layout = Layout::compute(&LayoutConfig {
             frames: self.frames,
             vcpus: self.vcpus,
             log_frames: self.log_frames,
             ..LayoutConfig::default()
-        }
-    }
-
-    /// Builds a Veil CVM with the given protected-service bundle.
-    ///
-    /// # Errors
-    ///
-    /// Any machine/RMP error during launch, monitor init, service boot or
-    /// kernel boot aborts construction.
-    pub fn build_with<S: ServiceDispatch>(self, services: S) -> Result<GenericCvm<S>, OsError> {
-        let layout = Layout::compute(&self.layout_config());
+        });
         let machine = Machine::new(MachineConfig {
             frames: self.frames as usize,
             shard: self.shard,
@@ -198,6 +207,40 @@ impl CvmBuilder {
         let mut hv = Hypervisor::new(machine);
         hv.set_trace(self.trace_enabled());
         hv.set_metrics(self.metrics_enabled());
+        (layout, hv)
+    }
+
+    /// Boots the kernel over `gate`, which fixes the VMPL it runs at.
+    fn boot_kernel(
+        &self,
+        hv: &mut Hypervisor,
+        gate: &mut dyn MonitorChannel,
+        layout: &Layout,
+    ) -> Result<Kernel, OsError> {
+        let kconfig = KernelConfig {
+            pool_start: layout.kernel_pool.start,
+            pool_end: layout.kernel_pool.end,
+            ghcb_gfns: layout.kernel_ghcb_gfns(self.vcpus),
+            vcpus: self.vcpus,
+            vendor_key: VENDOR_KEY,
+            kernel_text_gfns: layout.kernel_text.clone().collect(),
+            kernel_data_gfns: layout.kernel_data.clone().collect(),
+        };
+        Kernel::boot(&mut KernelCtx { hv, gate, vcpu: 0 }, kconfig)
+    }
+
+    /// Builds a Veil CVM carrying a fresh `S` as its protected services.
+    ///
+    /// # Errors
+    ///
+    /// Any machine/RMP error during launch, monitor init, service boot or
+    /// kernel boot aborts construction, as does a failed measured-boot
+    /// check ([`OsError::FirmwareRefused`]).
+    pub fn build(self) -> Result<VeilCvm<S>, OsError>
+    where
+        S: ServiceDispatch + Default,
+    {
+        let (layout, mut hv) = self.machine();
         let mut image = veil_boot_image(&layout);
         if let Some((page, offset)) = self.image_tamper {
             let page = page % image.len();
@@ -223,25 +266,13 @@ impl CvmBuilder {
             kernel_data_gfns: layout.kernel_data.clone().collect(),
             vendor_key: VENDOR_KEY,
         };
-        let mut services = services;
+        let mut services = S::default();
         services.on_boot(&mut monitor, &mut hv, &handoff)?;
-        let veil_boot_cycles = hv.machine.cycles().total() - boot_start;
+        let boot_cycles = hv.machine.cycles().total() - boot_start;
 
         let mut gate = VeilGate::new(monitor, services);
         gate.set_batching(self.batch_enabled());
-        let kconfig = KernelConfig {
-            pool_start: layout.kernel_pool.start,
-            pool_end: layout.kernel_pool.end,
-            ghcb_gfns: layout.kernel_ghcb_gfns(self.vcpus),
-            vcpus: self.vcpus,
-            vendor_key: VENDOR_KEY,
-            kernel_text_gfns: layout.kernel_text.clone().collect(),
-            kernel_data_gfns: layout.kernel_data.clone().collect(),
-        };
-        let mut kernel = {
-            let mut ctx = KernelCtx { hv: &mut hv, gate: &mut gate, vcpu: 0 };
-            Kernel::boot(&mut ctx, kconfig)?
-        };
+        let mut kernel = self.boot_kernel(&mut hv, &mut gate, &layout)?;
         kernel.kci = self.kci;
         // Boot handoff: VeilMon transfers control to the kernel domain on
         // every VCPU (the last VMENTER of the boot flow).
@@ -252,7 +283,7 @@ impl CvmBuilder {
         }
         // Subsequent cycles accrue to the guest kernel domain.
         hv.machine.set_current_domain(Vmpl::Vmpl3);
-        Ok(GenericCvm { hv, gate, kernel, vcpus: self.vcpus, veil_boot_cycles })
+        Ok(GenericCvm { hv, gate, kernel, vcpus: self.vcpus, boot_cycles })
     }
 
     /// Builds the *native* baseline CVM: same machine, same kernel, no
@@ -260,14 +291,10 @@ impl CvmBuilder {
     ///
     /// # Errors
     ///
-    /// See [`CvmBuilder::build_with`].
+    /// Any machine/RMP error during launch, memory validation or kernel
+    /// boot.
     pub fn build_native(self) -> Result<NativeCvm, OsError> {
-        let layout = Layout::compute(&self.layout_config());
-        let machine =
-            Machine::new(MachineConfig { frames: self.frames as usize, ..Default::default() });
-        let mut hv = Hypervisor::new(machine);
-        hv.set_trace(self.trace_enabled());
-        hv.set_metrics(self.metrics_enabled());
+        let (layout, mut hv) = self.machine();
         // The native boot image is just the kernel.
         let image: Vec<(u64, Vec<u8>)> =
             layout.kernel_text.clone().map(|gfn| (gfn, image_page(gfn, "linux-guest"))).collect();
@@ -284,25 +311,12 @@ impl CvmBuilder {
                 hv.machine.pvalidate(Vmpl::Vmpl0, gfn, true)?;
             }
         }
-        let native_boot_cycles = hv.machine.cycles().total() - boot_start;
+        let boot_cycles = hv.machine.cycles().total() - boot_start;
 
         // The monitor-pool region is unused natively; lend it for VMSAs.
-        let vmsa_frames: Vec<u64> = layout.mon_pool.clone().collect();
-        let mut gate = NativeMonitor::new(vmsa_frames);
-        let kconfig = KernelConfig {
-            pool_start: layout.kernel_pool.start,
-            pool_end: layout.kernel_pool.end,
-            ghcb_gfns: layout.kernel_ghcb_gfns(self.vcpus),
-            vcpus: self.vcpus,
-            vendor_key: VENDOR_KEY,
-            kernel_text_gfns: layout.kernel_text.clone().collect(),
-            kernel_data_gfns: layout.kernel_data.clone().collect(),
-        };
-        let kernel = {
-            let mut ctx = KernelCtx { hv: &mut hv, gate: &mut gate, vcpu: 0 };
-            Kernel::boot(&mut ctx, kconfig)?
-        };
-        Ok(NativeCvm { hv, gate, kernel, vcpus: self.vcpus, native_boot_cycles, layout })
+        let mut gate = NativeMonitor::new(layout.mon_pool.clone().collect());
+        let kernel = self.boot_kernel(&mut hv, &mut gate, &layout)?;
+        Ok(GenericCvm { hv, gate, kernel, vcpus: self.vcpus, boot_cycles })
     }
 }
 
@@ -327,38 +341,40 @@ pub fn veil_boot_image(layout: &Layout) -> Vec<(u64, Vec<u8>)> {
         .collect()
 }
 
-/// A Veil CVM: hypervisor + VeilMon/services gate + untrusted kernel.
+/// A CVM: the hypervisor, the untrusted kernel, and `G`, the kernel's
+/// channel to trusted software.
 #[derive(Debug)]
-pub struct GenericCvm<S> {
+pub struct GenericCvm<G> {
     /// The untrusted hypervisor (owns the machine).
     pub hv: Hypervisor,
-    /// VeilMon + services.
-    pub gate: VeilGate<S>,
-    /// The untrusted commodity kernel (at `Dom_UNT`).
+    /// VeilMon and its services, or the kernel's own VMPL-0 powers.
+    pub gate: G,
+    /// The commodity kernel (at `Dom_UNT` under Veil, VMPL-0 natively).
     pub kernel: Kernel,
     /// VCPUs replicated at boot.
     pub vcpus: u32,
-    /// Cycles the Veil initialization added to boot (§9.1).
-    pub veil_boot_cycles: u64,
+    /// One-time boot cycles (§9.1): under Veil, VeilMon and service
+    /// initialization; natively, validating private memory.
+    pub boot_cycles: u64,
 }
 
-// Fleet shards move whole CVMs across worker threads: a `GenericCvm` (and
-// the native twin) must be `Send` whenever its service bundle is. The
-// assertion makes any future non-`Send` field a compile error here rather
-// than a type-inference surprise at the scheduler call site.
+/// A Veil CVM: the kernel at `Dom_UNT` behind VeilMon's gate.
+pub type VeilCvm<S> = GenericCvm<VeilGate<S>>;
+
+/// The native (Veil-less) baseline CVM: the kernel at VMPL-0.
+pub type NativeCvm = GenericCvm<NativeMonitor>;
+
+// Fleet shards move whole CVMs across worker threads: a CVM must be `Send`
+// whenever its channel is. The assertion makes any future non-`Send` field
+// a compile error here rather than a type-inference surprise at the
+// scheduler call site.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<GenericCvm<crate::service::NoServices>>();
+    assert_send::<VeilCvm<crate::service::NoServices>>();
     assert_send::<NativeCvm>();
 };
 
-impl<S: ServiceDispatch> GenericCvm<S> {
-    /// Whether Veil protections are active (always true for this type;
-    /// the method exists so generic harness code can ask either CVM).
-    pub fn veil_enabled(&self) -> bool {
-        true
-    }
-
+impl<G: MonitorChannel> GenericCvm<G> {
     /// Spawns a process.
     pub fn spawn(&mut self) -> Pid {
         self.kernel.spawn()
@@ -375,8 +391,8 @@ impl<S: ServiceDispatch> GenericCvm<S> {
     }
 
     /// Drains any deferred gate requests on every VCPU. A no-op when the
-    /// batched gate path is off or nothing is pending; call it before
-    /// comparing final states across batched/serial twins.
+    /// batched gate path is off or nothing is pending (always, natively);
+    /// call it before comparing final states across batched/serial twins.
     ///
     /// # Errors
     ///
@@ -387,7 +403,6 @@ impl<S: ServiceDispatch> GenericCvm<S> {
         }
         Ok(())
     }
-
     /// SHA-256 digest over every event recorded since tracing was enabled
     /// (deterministic for a fixed build/configuration/`VEIL_TEST_SEED`).
     pub fn trace_digest(&self) -> [u8; 32] {
@@ -434,55 +449,18 @@ impl<S: ServiceDispatch> GenericCvm<S> {
     }
 }
 
-/// The native (Veil-less) baseline CVM.
-#[derive(Debug)]
-pub struct NativeCvm {
-    /// The hypervisor.
-    pub hv: Hypervisor,
-    /// Native monitor (the kernel's own VMPL-0 powers).
-    pub gate: NativeMonitor,
-    /// The kernel, at VMPL-0.
-    pub kernel: Kernel,
-    /// VCPU count.
-    pub vcpus: u32,
-    /// Cycles native SNP boot spent validating memory.
-    pub native_boot_cycles: u64,
-    /// The memory map (kept for benches that compare regions).
-    pub layout: Layout,
-}
-
-impl NativeCvm {
-    /// Always false — see [`GenericCvm::veil_enabled`].
-    pub fn veil_enabled(&self) -> bool {
-        false
-    }
-
-    /// Spawns a process.
-    pub fn spawn(&mut self) -> Pid {
-        self.kernel.spawn()
-    }
-
-    /// A [`veil_os::sys::Sys`] handle for `pid`.
-    pub fn sys(&mut self, pid: Pid) -> KernelSys<'_> {
-        KernelSys { kernel: &mut self.kernel, hv: &mut self.hv, gate: &mut self.gate, vcpu: 0, pid }
-    }
-
-    /// A kernel context for direct kernel calls.
-    pub fn kctx(&mut self) -> (&mut Kernel, KernelCtx<'_>) {
-        (&mut self.kernel, KernelCtx { hv: &mut self.hv, gate: &mut self.gate, vcpu: 0 })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::NoServices;
     use veil_os::sys::{OpenFlags, Sys};
 
+    /// The builder of a monitor-only CVM.
+    type Builder = CvmBuilder<NoServices>;
+
     #[test]
     fn veil_cvm_boots_and_serves_syscalls() {
-        let mut cvm = CvmBuilder::new().frames(2048).vcpus(2).build_with(NoServices).unwrap();
-        assert!(cvm.veil_enabled());
+        let mut cvm = Builder::new().frames(2048).vcpus(2).build().unwrap();
         assert_eq!(cvm.kernel.vmpl, Vmpl::Vmpl3, "kernel deprivileged under Veil");
         let pid = cvm.spawn();
         let mut sys = cvm.sys(pid);
@@ -493,8 +471,7 @@ mod tests {
 
     #[test]
     fn native_cvm_boots_with_kernel_at_vmpl0() {
-        let mut cvm = CvmBuilder::new().frames(2048).build_native().unwrap();
-        assert!(!cvm.veil_enabled());
+        let mut cvm = Builder::new().frames(2048).build_native().unwrap();
         assert_eq!(cvm.kernel.vmpl, Vmpl::Vmpl0);
         let pid = cvm.spawn();
         let mut sys = cvm.sys(pid);
@@ -504,23 +481,23 @@ mod tests {
 
     #[test]
     fn veil_boot_costs_more_than_native() {
-        let veil = CvmBuilder::new().frames(2048).build_with(NoServices).unwrap();
-        let native = CvmBuilder::new().frames(2048).build_native().unwrap();
+        let veil = Builder::new().frames(2048).build().unwrap();
+        let native = Builder::new().frames(2048).build_native().unwrap();
         assert!(
-            veil.veil_boot_cycles > native.native_boot_cycles,
+            veil.boot_cycles > native.boot_cycles,
             "veil {} vs native {}",
-            veil.veil_boot_cycles,
-            native.native_boot_cycles
+            veil.boot_cycles,
+            native.boot_cycles
         );
         // The paper reports ~13% boot-time increase; the RMPADJUST pass
         // dominates the delta. Sanity-check the magnitude relationship.
-        let delta = veil.veil_boot_cycles - native.native_boot_cycles;
-        assert!(delta > native.native_boot_cycles / 2);
+        let delta = veil.boot_cycles - native.boot_cycles;
+        assert!(delta > native.boot_cycles / 2);
     }
 
     #[test]
     fn pvalidate_delegation_works_through_the_whole_stack() {
-        let mut cvm = CvmBuilder::new().frames(2048).build_with(NoServices).unwrap();
+        let mut cvm = Builder::new().frames(2048).build().unwrap();
         // Pick an unassigned shared frame as a hotplug page.
         let gfn = cvm.gate.monitor.layout.shared.start + 8;
         let before = cvm.kernel.frames.available();
@@ -531,19 +508,15 @@ mod tests {
 
     #[test]
     fn kernel_cannot_touch_monitor_memory() {
-        let mut cvm = CvmBuilder::new().frames(2048).build_with(NoServices).unwrap();
+        let mut cvm = Builder::new().frames(2048).build().unwrap();
         let mon_gpa = Machine::gpa(cvm.gate.monitor.layout.mon_pool.start);
         assert!(cvm.hv.machine.write(Vmpl::Vmpl3, mon_gpa, b"attack").is_err());
     }
 
     #[test]
     fn measured_boot_refuses_mutated_image() {
-        let err = CvmBuilder::new()
-            .frames(2048)
-            .attest(true)
-            .tamper_boot_image(0, 5)
-            .build_with(NoServices)
-            .unwrap_err();
+        let err =
+            Builder::new().frames(2048).attest(true).tamper_boot_image(0, 5).build().unwrap_err();
         assert!(
             matches!(err, OsError::FirmwareRefused { .. }),
             "expected fail-fast refusal, got {err:?}"
@@ -552,26 +525,22 @@ mod tests {
 
     #[test]
     fn measured_boot_accepts_pristine_image_without_perturbing_boot() {
-        let attested = CvmBuilder::new().frames(2048).attest(true).build_with(NoServices).unwrap();
-        let plain = CvmBuilder::new().frames(2048).attest(false).build_with(NoServices).unwrap();
+        let attested = Builder::new().frames(2048).attest(true).build().unwrap();
+        let plain = Builder::new().frames(2048).attest(false).build().unwrap();
         assert_eq!(
             attested.hv.machine.launch_measurement(),
             plain.hv.machine.launch_measurement(),
             "enforcement only compares digests"
         );
-        assert_eq!(attested.veil_boot_cycles, plain.veil_boot_cycles);
+        assert_eq!(attested.boot_cycles, plain.boot_cycles);
     }
 
     #[test]
     fn measured_boot_honours_pinned_measurement() {
         let layout = Layout::compute(&LayoutConfig::default());
         let good = measure_launch(&veil_boot_image(&layout), layout.boot_vmsa);
-        CvmBuilder::new().attest(true).expected_measurement(good).build_with(NoServices).unwrap();
-        let err = CvmBuilder::new()
-            .attest(true)
-            .expected_measurement([0xab; 32])
-            .build_with(NoServices)
-            .unwrap_err();
+        Builder::new().attest(true).expected_measurement(good).build().unwrap();
+        let err = Builder::new().attest(true).expected_measurement([0xab; 32]).build().unwrap_err();
         assert!(matches!(err, OsError::FirmwareRefused { .. }));
     }
 
@@ -579,8 +548,8 @@ mod tests {
     fn boot_image_is_deterministic() {
         let layout = Layout::compute(&LayoutConfig::default());
         assert_eq!(veil_boot_image(&layout), veil_boot_image(&layout));
-        let m1 = CvmBuilder::new().frames(2048).build_with(NoServices).unwrap();
-        let m2 = CvmBuilder::new().frames(2048).build_with(NoServices).unwrap();
+        let m1 = Builder::new().frames(2048).build().unwrap();
+        let m2 = Builder::new().frames(2048).build().unwrap();
         assert_eq!(
             m1.hv.machine.launch_measurement(),
             m2.hv.machine.launch_measurement(),

@@ -21,21 +21,25 @@
 //!   services (VeilS-KCI/ENC/LOG, in `veil-services`) plug into.
 //! * [`remote`] — the remote user: chain-report verification, the DH
 //!   binding check and the secure channel (§5.1).
-//! * [`cvm`] — the generic CVM assembly: launch, the measured-boot check,
-//!   VeilMon init, kernel boot, plus the *native* (Veil-less) baseline
-//!   used by the evaluation.
+//! * [`cvm`] — the one CVM type, [`GenericCvm<G>`], generic over the
+//!   kernel's channel `G`, and its builder: a Veil boot (launch, the
+//!   measured-boot check, VeilMon init, kernel boot at `Dom_UNT`) or the
+//!   *native* (Veil-less) baseline the evaluation compares against.
 //!
 //! # Example
 //!
 //! ```
-//! use veil_core::cvm::{CvmBuilder, GenericCvm};
+//! use veil_core::cvm::{CvmBuilder, NativeCvm, VeilCvm};
 //! use veil_core::service::NoServices;
+//! use veil_snp::perms::Vmpl;
 //!
 //! // A Veil CVM with no protected services registered (monitor only).
-//! let mut cvm: GenericCvm<NoServices> =
-//!     CvmBuilder::new().vcpus(2).build_with(NoServices).expect("boot");
-//! assert!(cvm.veil_enabled());
+//! let cvm: VeilCvm<NoServices> = CvmBuilder::new().vcpus(2).build().expect("boot");
+//! assert_eq!(cvm.kernel.vmpl, Vmpl::Vmpl3);
 //! assert!(cvm.hv.machine.launch_measurement().is_some());
+//! // The same machine and kernel without Veil: the kernel owns VMPL-0.
+//! let native: NativeCvm = CvmBuilder::<NoServices>::new().vcpus(2).build_native().expect("boot");
+//! assert_eq!(native.kernel.vmpl, Vmpl::Vmpl0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -130,24 +130,6 @@ pub struct HvStats {
     pub doorbells: u64,
 }
 
-/// One recorded VCPU transition, for protocol-sequence assertions
-/// (Fig. 3) and forensic inspection. A typed view over the
-/// [`veil_trace::Event::DomainSwitch`] records in the machine's trace ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwitchEvent {
-    /// VCPU that transitioned.
-    pub vcpu: u32,
-    /// Domain it left.
-    pub from: Vmpl,
-    /// Domain it entered.
-    pub to: Vmpl,
-    /// Whether the request arrived through a user-mapped GHCB.
-    pub user_ghcb: bool,
-    /// Whether this was an automatic exit (interrupt) rather than a
-    /// guest-requested switch.
-    pub automatic: bool,
-}
-
 /// The hypervisor: owns the machine and runs the CVM's VCPUs.
 #[derive(Debug, Clone)]
 pub struct Hypervisor {
@@ -177,26 +159,6 @@ impl Hypervisor {
     /// recorded stream, so assertions see only events from this point on.
     pub fn set_trace(&mut self, enabled: bool) {
         self.machine.tracer_mut().set_enabled(enabled);
-    }
-
-    /// Domain transitions recorded since tracing was enabled: the
-    /// `DomainSwitch` records of the machine's event ring, viewed as the
-    /// legacy [`SwitchEvent`] type.
-    pub fn trace(&self) -> Vec<SwitchEvent> {
-        self.machine
-            .tracer()
-            .records()
-            .filter_map(|r| match r.event {
-                Event::DomainSwitch { vcpu, from, to, user_ghcb, automatic } => Some(SwitchEvent {
-                    vcpu,
-                    from: Vmpl::from_index(from as usize)?,
-                    to: Vmpl::from_index(to as usize)?,
-                    user_ghcb,
-                    automatic,
-                }),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Enables/disables metrics collection (registry + span profiler) on

@@ -207,6 +207,60 @@ impl Kernel {
         Ok(())
     }
 
+    /// Zeroes `frames` and maps them as user data at `addr..`. On failure,
+    /// returns how many pages it mapped along with the error.
+    fn map_zeroed(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        aspace: AddressSpace,
+        addr: u64,
+        frames: &[u64],
+    ) -> Result<(), (usize, Errno)> {
+        self.refill_pt_pool(frames.len() / 512 + 4).map_err(|_| (0, Errno::ENOMEM))?;
+        for (i, gfn) in frames.iter().enumerate() {
+            // Zero fresh pages before handing them to user space.
+            ctx.hv
+                .machine
+                .write(self.vmpl, gpa_of(*gfn), &[0u8; PAGE_SIZE])
+                .map_err(|_| (i, Errno::EFAULT))?;
+            let touch =
+                ctx.hv.machine.cost().page_touch + ctx.hv.machine.cost().copy(PAGE_SIZE / 2);
+            ctx.hv.machine.charge(CostCategory::KernelService, touch);
+            aspace
+                .map(
+                    &mut ctx.hv.machine,
+                    self.vmpl,
+                    &mut self.pt_free,
+                    addr + (i * PAGE_SIZE) as u64,
+                    *gfn,
+                    PteFlags::user_data(),
+                )
+                .map_err(|_| (i, Errno::ENOMEM))?;
+        }
+        Ok(())
+    }
+
+    /// Unmaps the pages at `addr..` backed by `frames` and frees each frame
+    /// whose page left the tables. A page that will not unmap keeps its
+    /// frame out of the pool, and the call fails with `EFAULT` once every
+    /// other page is done.
+    fn unmap_frames(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        aspace: AddressSpace,
+        addr: u64,
+        frames: &[u64],
+    ) -> Result<(), Errno> {
+        let mut res = Ok(());
+        for (i, gfn) in frames.iter().enumerate() {
+            match aspace.unmap(&mut ctx.hv.machine, self.vmpl, addr + (i * PAGE_SIZE) as u64) {
+                Ok(_) => self.frames.free(*gfn),
+                Err(_) => res = Err(Errno::EFAULT),
+            }
+        }
+        res
+    }
+
     // ---- audit -----------------------------------------------------------
 
     /// The `audit_log_end` hook. `KernelSys`'s syscall helper calls it at
@@ -753,7 +807,9 @@ impl Sys for KernelSys<'_> {
     }
 
     /// Anonymous, page-rounded and eagerly backed (the simulation has no
-    /// lazy faults for ordinary processes).
+    /// lazy faults for ordinary processes). A failed call keeps nothing,
+    /// except an enclave process's region whose failed mirror VeilS-ENC
+    /// will not confirm revoked: that region stays recorded.
     fn mmap(&mut self, len: usize) -> Result<u64, Errno> {
         self.syscall(Sysno::Mmap, |k, ctx, pid| {
             if len == 0 {
@@ -762,45 +818,41 @@ impl Sys for KernelSys<'_> {
             let pages = len.div_ceil(PAGE_SIZE);
             let aspace = k.ensure_aspace(ctx, pid)?;
             let frames = k.frames.alloc_n(pages).map_err(|_| Errno::ENOMEM)?;
-            k.refill_pt_pool(pages / 512 + 4).map_err(|_| Errno::ENOMEM)?;
             let base = k.process(pid)?.mmap_cursor;
-            for (i, gfn) in frames.iter().enumerate() {
-                // Zero fresh pages before handing them to user space.
-                ctx.hv
-                    .machine
-                    .write(k.vmpl, gpa_of(*gfn), &[0u8; PAGE_SIZE])
-                    .map_err(|_| Errno::EFAULT)?;
-                let touch =
-                    ctx.hv.machine.cost().page_touch + ctx.hv.machine.cost().copy(PAGE_SIZE / 2);
-                ctx.hv.machine.charge(CostCategory::KernelService, touch);
-                aspace
-                    .map(
-                        &mut ctx.hv.machine,
-                        k.vmpl,
-                        &mut k.pt_free,
-                        base + (i * PAGE_SIZE) as u64,
-                        *gfn,
-                        PteFlags::user_data(),
-                    )
-                    .map_err(|_| Errno::ENOMEM)?;
+            if let Err((mapped, e)) = k.map_zeroed(ctx, aspace, base, &frames) {
+                // Nothing is mirrored yet: every frame goes straight back.
+                let _ = k.unmap_frames(ctx, aspace, base, &frames[..mapped]);
+                frames[mapped..].iter().for_each(|gfn| k.frames.free(*gfn));
+                return Err(e);
+            }
+            // Enclave processes: mirror the new shared region into the
+            // protected tables so the enclave can reach it (§6.2).
+            let mut res = Ok(base);
+            if let Some(enclave_id) = k.process(pid)?.enclave_id {
+                let sync = |map| MonRequest::EncMapSync {
+                    enclave_id,
+                    base_vaddr: base,
+                    pages: pages as u64,
+                    map,
+                };
+                if ctx.gate.request(ctx.hv, ctx.vcpu, sync(true)).is_err() {
+                    // The caller never learns `base`, so it could never
+                    // unmap the region: take it back here. The failed
+                    // mirror may have mapped some of its pages, so, as in
+                    // `munmap`, the frames return to the pool only once
+                    // VeilS-ENC confirms the revocation. Without that the
+                    // region stays recorded and keeps its frames.
+                    res = Err(Errno::ENOMEM);
+                    if ctx.gate.request(ctx.hv, ctx.vcpu, sync(false)).is_ok() {
+                        let _ = k.unmap_frames(ctx, aspace, base, &frames);
+                        return res;
+                    }
+                }
             }
             let proc = k.process_mut(pid)?;
             proc.mmap_cursor += (pages * PAGE_SIZE) as u64 + PAGE_SIZE as u64; // guard gap
             proc.mmaps.insert(base, MmapRegion { len: pages * PAGE_SIZE, frames });
-            // Enclave processes: mirror the new shared region into the
-            // protected tables so the enclave can reach it (§6.2).
-            if let Some(enclave_id) = proc.enclave_id {
-                let req = MonRequest::EncMapSync {
-                    enclave_id,
-                    base_vaddr: base,
-                    pages: pages as u64,
-                    map: true,
-                };
-                if ctx.gate.request(ctx.hv, ctx.vcpu, req).is_err() {
-                    return Err(Errno::ENOMEM);
-                }
-            }
-            Ok(base)
+            res
         })
     }
 
@@ -833,13 +885,7 @@ impl Sys for KernelSys<'_> {
                 }
             }
             let region = k.process_mut(pid)?.mmaps.remove(&addr).ok_or(Errno::EINVAL)?;
-            for (i, gfn) in region.frames.iter().enumerate() {
-                aspace
-                    .unmap(&mut ctx.hv.machine, k.vmpl, addr + (i * PAGE_SIZE) as u64)
-                    .map_err(|_| Errno::EFAULT)?;
-                k.frames.free(*gfn);
-            }
-            Ok(())
+            k.unmap_frames(ctx, aspace, addr, &region.frames)
         })
     }
 
@@ -1129,6 +1175,32 @@ mod tests {
         assert!(s.mem_read(addr, &mut buf).is_err(), "unmapped memory faults");
         // Data frames returned (page-table frames remain allocated).
         assert!(kernel.frames.available() >= avail_before - 16);
+    }
+
+    /// A failed mmap keeps no frame, whether the kernel runs out of
+    /// frames for its page tables or a page will not map.
+    #[test]
+    fn failed_mmap_keeps_no_frame() {
+        let (mut hv, mut gate, mut kernel) = native();
+        let pid = kernel.spawn();
+        let mut s = sys(&mut hv, &mut gate, &mut kernel, pid);
+        let first = s.mmap(PAGE_SIZE).unwrap();
+        s.mmap(PAGE_SIZE).unwrap();
+        let free = |k: &Kernel| k.frames.available() + k.pt_pool_len();
+        let before = free(s.kernel);
+        // No frame left for page tables once the region's frames are taken.
+        let reserve = std::mem::take(&mut s.kernel.pt_free);
+        assert_eq!(s.mmap(s.kernel.frames.available() * PAGE_SIZE), Err(Errno::ENOMEM));
+        s.kernel.pt_free = reserve;
+        assert_eq!(free(s.kernel), before);
+
+        // From the guard page after `first` on into the second region.
+        let guard = first + PAGE_SIZE as u64;
+        s.kernel.process_mut(pid).unwrap().mmap_cursor = guard;
+        assert_eq!(s.mmap(2 * PAGE_SIZE), Err(Errno::ENOMEM));
+        assert_eq!(free(s.kernel), before);
+        assert_eq!(s.kernel.process(pid).unwrap().mmaps.len(), 2, "no region recorded");
+        assert_eq!(s.mem_read(guard, &mut [0u8; 1]), Err(Errno::EFAULT), "guard page unmapped");
     }
 
     #[test]

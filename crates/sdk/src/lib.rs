@@ -9,8 +9,9 @@
 //! * [`install`] — the kernel-module flow: lay out the region, allocate
 //!   the user-mapped GHCB, call VeilS-ENC to finalize.
 //! * [`heap`] — the in-enclave dlmalloc-style allocator.
-//! * [`spec`] — the syscall *call/type specifications* driving the
-//!   sanitizer (the grammar tables).
+//! * [`spec`] — the syscall *call specifications* (the grammar table):
+//!   which calls the sanitizer supports, and the argument shapes its
+//!   per-call redirect helpers copy.
 //! * [`runtime`] — [`runtime::EnclaveSys`]: the redirection engine. Every
 //!   syscall stages arguments into the shared application buffer (real
 //!   guest memory, through the enclave's protected page tables), exits to

@@ -4,9 +4,10 @@
 //! enclave. Every call follows §6.2's redirection protocol, with each
 //! step modelled in real guest memory:
 //!
-//! 1. the sanitizer consults the call spec ([`crate::spec`]) and
-//!    deep-copies in-arguments from enclave memory into the shared
-//!    application buffer, *through the enclave's protected page tables*;
+//! 1. the sanitizer checks the call spec ([`crate::spec`]) that the call
+//!    is supported, and the call's redirect helper deep-copies
+//!    in-arguments from enclave memory into the shared application
+//!    buffer, *through the enclave's protected page tables*;
 //! 2. the enclave exits to `Dom_UNT` via its user-mapped GHCB;
 //! 3. the untrusted application stub reads the staged arguments and
 //!    performs the real syscall;
@@ -192,15 +193,18 @@ impl<'a> EnclaveSys<'a> {
         Ok(())
     }
 
-    fn enclave_aspace(&self) -> AddressSpace {
-        self.cvm.gate.services.enc.enclave(self.rt.handle.id).expect("live enclave").aspace
+    /// The enclave's protected address space. The untrusted OS may have
+    /// destroyed the enclave (`EncDestroy`) at any point: then `EFAULT`.
+    fn enclave_aspace(&self) -> Result<AddressSpace, Errno> {
+        let enclave = self.cvm.gate.services.enc.enclave(self.rt.handle.id);
+        enclave.map(|e| e.aspace).ok_or(Errno::EFAULT)
     }
 
     /// Charges and performs a copy from enclave-visible memory into the
     /// shared buffer (step 1). Returns the staged address.
     fn stage_in(&mut self, bytes: &[u8]) -> Result<u64, Errno> {
         let addr = self.reserve(bytes.len())?;
-        let aspace = self.enclave_aspace();
+        let aspace = self.enclave_aspace()?;
         aspace
             .write_virt(&mut self.cvm.hv.machine, addr, bytes, Vmpl::Vmpl2, Cpl::Cpl3)
             .map_err(|_| Errno::EFAULT)?;
@@ -226,7 +230,7 @@ impl<'a> EnclaveSys<'a> {
     /// Copies an out-buffer back into the enclave (step 4). Reads straight
     /// into the caller's buffer — no intermediate allocation.
     fn copy_back(&mut self, staged: u64, buf: &mut [u8]) -> Result<(), Errno> {
-        let aspace = self.enclave_aspace();
+        let aspace = self.enclave_aspace()?;
         aspace
             .read_virt_into(&self.cvm.hv.machine, staged, buf, Vmpl::Vmpl2, Cpl::Cpl3)
             .map_err(|_| Errno::EFAULT)?;
@@ -323,11 +327,16 @@ impl<'a> EnclaveSys<'a> {
     }
 
     /// IAGO check for returned pointers: must not alias enclave memory.
+    /// A range that runs past `u64::MAX` is refused too: its wrapped end
+    /// would slip under the overlap test.
     fn check_untrusted_pointer(&mut self, addr: u64, len: usize) -> Result<(), Errno> {
-        let end = addr + len as u64;
         let e_start = self.rt.handle.base;
         let e_end = e_start + self.rt.handle.len as u64;
-        if addr < e_end && e_start < end {
+        let aliases = match addr.checked_add(len as u64) {
+            Some(end) => addr < e_end && e_start < end,
+            None => true,
+        };
+        if aliases {
             self.rt.stats.iago_blocks += 1;
             return Err(Errno::EFAULT);
         }
@@ -550,14 +559,14 @@ impl Sys for EnclaveSys<'_> {
 
     fn mem_write(&mut self, addr: u64, data: &[u8]) -> Result<(), Errno> {
         // Direct enclave memory access through the protected tables.
-        let aspace = self.enclave_aspace();
+        let aspace = self.enclave_aspace()?;
         aspace
             .write_virt(&mut self.cvm.hv.machine, addr, data, Vmpl::Vmpl2, Cpl::Cpl3)
             .map_err(|_| Errno::EFAULT)
     }
 
     fn mem_read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), Errno> {
-        let aspace = self.enclave_aspace();
+        let aspace = self.enclave_aspace()?;
         aspace
             .read_virt_into(&self.cvm.hv.machine, addr, buf, Vmpl::Vmpl2, Cpl::Cpl3)
             .map_err(|_| Errno::EFAULT)
@@ -634,5 +643,51 @@ impl Sys for EnclaveSys<'_> {
 
     fn burn(&mut self, cycles: u64) {
         self.cvm.hv.machine.charge(CostCategory::Compute, cycles);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{install_enclave, EnclaveBinary};
+    use veil_services::CvmBuilder;
+    use veil_snp::mem::PAGE_SIZE;
+
+    /// The kernel cannot be made to return an enclave pointer from `mmap`
+    /// (VeilS-ENC refuses the mirror first), so the check is driven
+    /// directly with hostile ranges.
+    #[test]
+    fn iago_check_refuses_every_range_that_reaches_the_enclave() {
+        let mut cvm = CvmBuilder::new().frames(4096).vcpus(1).build().unwrap();
+        let pid = cvm.spawn();
+        let handle =
+            install_enclave(&mut cvm, pid, &EnclaveBinary::build("iago", 1024, 0)).unwrap();
+        let (base, end) = (handle.base, handle.base + handle.len as u64);
+        let mut rt = EnclaveRuntime::new(handle);
+        let mut sys = EnclaveSys { cvm: &mut cvm, rt: &mut rt };
+        let page = PAGE_SIZE as u64;
+        let refused = [
+            (base, PAGE_SIZE),                    // inside, at the base
+            (end - page, PAGE_SIZE),              // inside, at the top
+            (base - page, 2 * PAGE_SIZE),         // over the low edge
+            (end - page, 2 * PAGE_SIZE),          // over the high edge
+            (u64::MAX - page + 1, 2 * PAGE_SIZE), // runs past u64::MAX
+            (end, usize::MAX),                    // wraps round onto the enclave
+        ];
+        for (addr, len) in refused {
+            assert_eq!(
+                sys.check_untrusted_pointer(addr, len),
+                Err(Errno::EFAULT),
+                "{addr:#x}+{len:#x}"
+            );
+        }
+        let allowed = [
+            (base - page, PAGE_SIZE), // ends exactly at the base
+            (end, PAGE_SIZE),         // starts exactly at the top
+        ];
+        for (addr, len) in allowed {
+            assert_eq!(sys.check_untrusted_pointer(addr, len), Ok(()), "{addr:#x}+{len:#x}");
+        }
+        assert_eq!(rt.stats.iago_blocks, refused.len() as u64);
     }
 }

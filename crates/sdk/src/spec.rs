@@ -1,4 +1,4 @@
-//! Syscall call/type specifications — the sanitizer grammar (§7).
+//! Syscall call specifications — the sanitizer grammar (§7).
 //!
 //! "The sanitizer is guided by both a call and type specification. The
 //! call specification encodes the high-level information about arguments
@@ -7,11 +7,17 @@
 //! information, such as the length constraint relationship between
 //! different arguments."
 //!
-//! The tables below are that data, derived (as in the paper) from
-//! Syzkaller-style descriptions and refined by the unit tests in this
-//! module. The redirection engine in [`crate::runtime`] interprets them
-//! to deep-copy every argument and pointed-to buffer across the enclave
-//! boundary.
+//! The table below is the call specification, derived (as in the paper)
+//! from Syzkaller-style descriptions and checked by the unit tests in
+//! this module, length constraints included. There is no type
+//! specification: no supported call passes a pointer inside a structure.
+//!
+//! The runtime reads the table only through [`spec_for`], to decide
+//! whether a call is supported; an unsupported call kills the enclave.
+//! The deep copies are written out per call: each `Sys` method of
+//! [`crate::runtime::EnclaveSys`] uses one of five redirect helpers
+//! (in-buffer, out-buffer, scalar, one path, two paths), the shape its
+//! row here describes.
 
 use veil_os::syscall::Sysno;
 

@@ -1,6 +1,8 @@
 //! End-to-end SDK tests: install → run shielded syscalls → page → destroy.
 
 use veil_os::error::{Errno, OsError, Refusal};
+use veil_os::monitor::MonRequest;
+use veil_os::process::{Pid, MMAP_BASE};
 use veil_os::sys::{OpenFlags, Sys, Whence};
 use veil_sdk::install::{swap_in_page, swap_out_page};
 use veil_sdk::{install_enclave, remove_enclave, EnclaveBinary, EnclaveRuntime, EnclaveSys};
@@ -307,7 +309,6 @@ fn munmap_frees_frames_only_after_the_enclave_mapping_is_revoked() {
 /// attempt, so one more frame waits in the page-table pool.
 #[test]
 fn refused_install_is_undone_and_an_honest_retry_succeeds() {
-    let free = |cvm: &veil_services::Cvm| cvm.kernel.frames.available() + cvm.kernel.pt_pool_len();
     let binary = EnclaveBinary::build("retry", 6000, 2000);
     let undisturbed = {
         let mut cvm = cvm();
@@ -329,4 +330,127 @@ fn refused_install_is_undone_and_an_honest_retry_succeeds() {
         binary.total_pages()
     );
     assert_eq!(free(&cvm), undisturbed);
+}
+
+fn free(cvm: &veil_services::Cvm) -> usize {
+    cvm.kernel.frames.available() + cvm.kernel.pt_pool_len()
+}
+
+fn regions(cvm: &veil_services::Cvm, pid: Pid) -> usize {
+    cvm.kernel.process(pid).unwrap().mmaps.len()
+}
+
+/// A refused `EncMapSync { map: true }` fails `mmap` (here the region
+/// lies in a fresh 1 GiB slot, where the enclave's clone has no page
+/// tables, and VeilS-ENC has no frame left to build them). The process
+/// never learns the region's address, so once VeilS-ENC confirms the
+/// revocation the kernel takes the region back itself: no region
+/// recorded, no frame kept but the OS page tables an undisturbed `mmap`
+/// leaves too, and the address free for an honest retry.
+#[test]
+fn mmap_refused_by_the_enclave_mirror_keeps_nothing() {
+    let far = MMAP_BASE + (1 << 30);
+    let booted = || {
+        let mut cvm = cvm();
+        let pid = cvm.spawn();
+        install_enclave(&mut cvm, pid, &EnclaveBinary::build("mirror", 1024, 0)).unwrap();
+        cvm.kernel.process_mut(pid).unwrap().mmap_cursor = far;
+        (cvm, pid)
+    };
+    let undisturbed = {
+        let (mut cvm, pid) = booted();
+        cvm.sys(pid).mmap(4 * PAGE_SIZE).unwrap();
+        cvm.sys(pid).munmap(far, 4 * PAGE_SIZE).unwrap();
+        free(&cvm)
+    };
+    let (mut cvm, pid) = booted();
+    let mapped = regions(&cvm, pid);
+
+    let drained: Vec<u64> = std::iter::from_fn(|| cvm.gate.monitor.alloc_mon().ok()).collect();
+    assert_eq!(cvm.sys(pid).mmap(4 * PAGE_SIZE), Err(Errno::ENOMEM));
+    assert_eq!(regions(&cvm, pid), mapped, "no region recorded");
+    assert_eq!(free(&cvm), undisturbed, "every data frame back in the pool");
+
+    drained.into_iter().for_each(|gfn| cvm.gate.monitor.free_mon(gfn));
+    assert_eq!(cvm.sys(pid).mmap(4 * PAGE_SIZE), Ok(far), "honest retry at the same address");
+}
+
+/// A mirror refused partway has already mapped the region's first page
+/// into the enclave's tables (here the second page needs a page table the
+/// clone lacks, and VeilS-ENC has no frame left for it). No frame may go
+/// back to the kernel's pool while the enclave still maps it.
+#[test]
+fn mmap_frees_no_frame_a_partial_enclave_mirror_still_maps() {
+    let mut cvm = cvm();
+    let pid = cvm.spawn();
+    let handle = install_enclave(&mut cvm, pid, &EnclaveBinary::build("edge", 1024, 0)).unwrap();
+    // The last page of the leaf table that holds the install's own regions.
+    let last = MMAP_BASE + (511 * PAGE_SIZE) as u64;
+    cvm.kernel.process_mut(pid).unwrap().mmap_cursor = last;
+    let mapped = regions(&cvm, pid);
+
+    let _drained: Vec<u64> = std::iter::from_fn(|| cvm.gate.monitor.alloc_mon().ok()).collect();
+    assert_eq!(cvm.sys(pid).mmap(2 * PAGE_SIZE), Err(Errno::ENOMEM));
+    assert_eq!(regions(&cvm, pid), mapped, "region taken back after the revocation");
+
+    let aspace = cvm.gate.services.enc.enclave(handle.id).unwrap().aspace;
+    let still_mapped = aspace.translate(&cvm.hv.machine, last).ok();
+    let pool = cvm.kernel.frames.alloc_n(cvm.kernel.frames.available()).unwrap();
+    if let Some((gfn, _)) = still_mapped {
+        assert!(!pool.contains(&gfn), "frame {gfn:#x} in the pool and in the enclave's tables");
+    }
+}
+
+/// A host that refuses every switch blocks the revocation too, and the
+/// kernel cannot tell whether the failed mirror mapped anything: the
+/// region stays recorded with its frames, and `munmap` frees it once the
+/// host relents.
+#[test]
+fn mmap_keeps_a_region_whose_mirror_cannot_be_revoked() {
+    let mut cvm = cvm();
+    let pid = cvm.spawn();
+    install_enclave(&mut cvm, pid, &EnclaveBinary::build("blocked", 1024, 0)).unwrap();
+    let (before, mapped) = (free(&cvm), regions(&cvm, pid));
+
+    cvm.hv.policy.refuse_switches = true;
+    assert_eq!(cvm.sys(pid).mmap(4 * PAGE_SIZE), Err(Errno::ENOMEM));
+    assert_eq!(regions(&cvm, pid), mapped + 1, "region recorded");
+    assert_eq!(free(&cvm), before - 4, "its frames stay out of the pool");
+
+    cvm.hv.policy.refuse_switches = false;
+    let addr = *cvm.kernel.process(pid).unwrap().mmaps.keys().last().unwrap();
+    cvm.sys(pid).munmap(addr, 4 * PAGE_SIZE).unwrap();
+    assert_eq!(free(&cvm), before);
+}
+
+/// The untrusted OS may send `EncDestroy` at any time. The runtime's next
+/// staged syscall and direct memory access then fail with an error; none
+/// of them panics.
+#[test]
+fn enclave_destroyed_by_the_os_fails_calls_without_panicking() {
+    let mut cvm = cvm();
+    let pid = cvm.spawn();
+    let handle = install_enclave(&mut cvm, pid, &EnclaveBinary::build("doomed", 1024, 0)).unwrap();
+    let (id, heap) = (handle.id, handle.heap_base);
+    let mut rt = EnclaveRuntime::new(handle);
+    let fd = {
+        let mut sys = EnclaveSys::activate(&mut cvm, &mut rt).unwrap();
+        let fd = sys.open("/tmp/doomed", OpenFlags::rdwr_create()).unwrap();
+        sys.write(fd, b"before").unwrap();
+        fd
+    };
+    {
+        let (_, ctx) = cvm.kctx();
+        ctx.gate.request(ctx.hv, 0, MonRequest::EncDestroy { enclave_id: id }).unwrap();
+    }
+    assert!(cvm.gate.services.enc.enclave(id).is_none());
+
+    let mut sys = EnclaveSys::activate(&mut cvm, &mut rt).unwrap();
+    let mut buf = [0u8; 4];
+    assert_eq!(sys.write(fd, b"after"), Err(Errno::EFAULT));
+    assert_eq!(sys.mem_write(heap, b"gone"), Err(Errno::EFAULT));
+    assert_eq!(sys.mem_read(heap, &mut buf), Err(Errno::EFAULT));
+    assert!(sys.read(fd, &mut buf).is_err());
+    assert!(sys.getpid().is_err());
+    assert!(sys.deactivate().is_err());
 }

@@ -13,8 +13,9 @@
 //!   over the gate path (DESIGN.md §15).
 //!
 //! [`VeilServices`] bundles all three behind
-//! [`veil_core::service::ServiceDispatch`]; [`CvmBuilder`] builds the
-//! standard Veil CVM carrying the bundle.
+//! [`veil_core::service::ServiceDispatch`]. [`Cvm`] and [`CvmBuilder`]
+//! are aliases of the one core CVM type and its builder with that bundle
+//! filled in.
 //!
 //! # Example
 //!
@@ -37,7 +38,7 @@ pub mod kci;
 pub mod log;
 pub mod stat;
 
-use veil_core::cvm::GenericCvm;
+use veil_core::cvm::VeilCvm;
 use veil_core::monitor::Monitor;
 use veil_core::service::{KernelHandoff, ServiceDispatch};
 use veil_hv::Hypervisor;
@@ -63,13 +64,6 @@ pub struct VeilServices {
     pub stat: VeilStat,
     /// Chain attestation reports over the protected channel.
     pub attest: VeilAttest,
-}
-
-impl VeilServices {
-    /// A fresh bundle.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl ServiceDispatch for VeilServices {
@@ -154,7 +148,7 @@ impl ServiceDispatch for VeilServices {
 }
 
 /// The standard Veil CVM: monitor + all three services + kernel.
-pub type Cvm = GenericCvm<VeilServices>;
+pub type Cvm = VeilCvm<VeilServices>;
 
 // The concrete shard payload the fleet scheduler hands to worker threads.
 const _: () = {
@@ -162,109 +156,10 @@ const _: () = {
     assert_send::<Cvm>();
 };
 
-/// Builder producing the standard [`Cvm`].
-#[derive(Debug, Clone, Default)]
-pub struct CvmBuilder {
-    inner: veil_core::cvm::CvmBuilder,
-}
-
-impl CvmBuilder {
-    /// Defaults match [`veil_core::cvm::CvmBuilder`].
-    pub fn new() -> Self {
-        CvmBuilder { inner: veil_core::cvm::CvmBuilder::new() }
-    }
-
-    /// Guest memory in frames.
-    pub fn frames(mut self, frames: u64) -> Self {
-        self.inner = self.inner.frames(frames);
-        self
-    }
-
-    /// VCPU count.
-    pub fn vcpus(mut self, vcpus: u32) -> Self {
-        self.inner = self.inner.vcpus(vcpus);
-        self
-    }
-
-    /// VeilS-LOG storage size in frames.
-    pub fn log_frames(mut self, frames: u64) -> Self {
-        self.inner = self.inner.log_frames(frames);
-        self
-    }
-
-    /// Toggle VeilS-KCI routing of module loads.
-    pub fn kci(mut self, enabled: bool) -> Self {
-        self.inner = self.inner.kci(enabled);
-        self
-    }
-
-    /// Toggle deterministic event tracing (see
-    /// [`veil_core::cvm::CvmBuilder::trace`]).
-    pub fn trace(mut self, enabled: bool) -> Self {
-        self.inner = self.inner.trace(enabled);
-        self
-    }
-
-    /// Toggle metrics collection (see
-    /// [`veil_core::cvm::CvmBuilder::metrics`]).
-    pub fn metrics(mut self, enabled: bool) -> Self {
-        self.inner = self.inner.metrics(enabled);
-        self
-    }
-
-    /// Toggle the batched gate path (see
-    /// [`veil_core::cvm::CvmBuilder::batch`]).
-    pub fn batch(mut self, enabled: bool) -> Self {
-        self.inner = self.inner.batch(enabled);
-        self
-    }
-
-    /// Toggle the measured-boot check (see
-    /// [`veil_core::cvm::CvmBuilder::attest`]).
-    pub fn attest(mut self, enforced: bool) -> Self {
-        self.inner = self.inner.attest(enforced);
-        self
-    }
-
-    /// Pin the launch measurement the measured-boot check expects (see
-    /// [`veil_core::cvm::CvmBuilder::expected_measurement`]).
-    pub fn expected_measurement(mut self, digest: [u8; 32]) -> Self {
-        self.inner = self.inner.expected_measurement(digest);
-        self
-    }
-
-    /// Test/adversary hook: flip one staged boot-image byte (see
-    /// [`veil_core::cvm::CvmBuilder::tamper_boot_image`]).
-    pub fn tamper_boot_image(mut self, page: usize, offset: usize) -> Self {
-        self.inner = self.inner.tamper_boot_image(page, offset);
-        self
-    }
-
-    /// Label the CVM's machine with a fleet shard id (see
-    /// [`veil_core::cvm::CvmBuilder::shard`]).
-    pub fn shard(mut self, shard: u32) -> Self {
-        self.inner = self.inner.shard(shard);
-        self
-    }
-
-    /// Builds the CVM.
-    ///
-    /// # Errors
-    ///
-    /// See [`veil_core::cvm::CvmBuilder::build_with`].
-    pub fn build(self) -> Result<Cvm, OsError> {
-        self.inner.build_with(VeilServices::new())
-    }
-
-    /// Builds the native baseline with identical geometry.
-    ///
-    /// # Errors
-    ///
-    /// See [`veil_core::cvm::CvmBuilder::build_native`].
-    pub fn build_native(self) -> Result<veil_core::cvm::NativeCvm, OsError> {
-        self.inner.build_native()
-    }
-}
+/// The builder of the standard [`Cvm`]: [`veil_core::cvm::CvmBuilder`]
+/// with this crate's service bundle. `build_native` boots the baseline
+/// with identical geometry.
+pub type CvmBuilder = veil_core::cvm::CvmBuilder<VeilServices>;
 
 #[cfg(test)]
 mod tests {
@@ -278,7 +173,7 @@ mod tests {
     #[test]
     fn standard_cvm_boots_with_all_services() {
         let mut cvm = CvmBuilder::new().frames(2048).build().unwrap();
-        assert!(cvm.veil_enabled());
+        assert_eq!(cvm.kernel.vmpl, Vmpl::Vmpl3, "kernel deprivileged under Veil");
         // LOG reserved storage exists and is sealed from the OS.
         let log_gpa = cvm.gate.monitor.layout.log_storage.start * 4096;
         assert!(cvm.hv.machine.write(Vmpl::Vmpl3, log_gpa, b"tamper").is_err());

@@ -434,7 +434,7 @@ mod tests {
     fn gzip_workload_runs_natively() {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let mut w = GzipWorkload::new(128 * 1024);
         let stats = w.run(&mut d).unwrap();
         assert_eq!(stats.bytes, 128 * 1024);
@@ -451,7 +451,7 @@ mod tests {
     fn gzip_refuses_chunk_0_before_any_syscall() {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let before = d.cycles();
         let mut w = GzipWorkload { input_len: 1, chunk: 0 };
         assert_eq!(w.run(&mut d).unwrap_err(), Errno::EINVAL);
@@ -470,7 +470,7 @@ mod tests {
     fn seven_zip_workload_output_is_pinned() {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let mut w = SevenZipWorkload { corpus_len: 16 * 1024, iterations: 2 };
         let stats = w.run(&mut d).unwrap();
         assert_eq!((stats.ops, stats.bytes), (2, 32 * 1024));

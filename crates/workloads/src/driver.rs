@@ -2,15 +2,18 @@
 //!
 //! A workload is split into *shielded* sections (the sensitive
 //! computation the paper puts in an enclave) and *untrusted* sections
-//! (clients, load generators, helpers). Natively both run in the same
-//! process; under VeilS-ENC the shielded sections run at `Dom_ENC`.
+//! (clients, load generators, helpers). [`KernelDriver`] runs both in
+//! the same process of a native or a Veil CVM; the enclave drivers run
+//! the shielded sections at `Dom_ENC`.
 
+use veil_core::cvm::GenericCvm;
 use veil_os::error::Errno;
-use veil_os::kernel::KernelSys;
+use veil_os::monitor::MonitorChannel;
 use veil_os::process::Pid;
 use veil_os::sys::Sys;
 use veil_sdk::runtime::park_enclave;
 use veil_sdk::{EnclaveRuntime, EnclaveSys};
+use veil_services::Cvm;
 
 /// A closure over one section of workload logic.
 pub type Section<'s> = &'s mut dyn FnMut(&mut dyn Sys) -> Result<(), Errno>;
@@ -35,23 +38,25 @@ pub trait Driver {
     fn cycles(&self) -> u64;
 }
 
-/// Runs everything directly in the kernel (native CVM baseline).
-pub struct NativeDriver<'a> {
-    /// The baseline CVM.
-    pub cvm: &'a mut veil_core::cvm::NativeCvm,
+/// Runs both sections in one process, each syscall straight to the
+/// kernel. Over a [`veil_core::cvm::NativeCvm`] this is the native
+/// baseline; over a Veil CVM it is the "Veil, no protected service in
+/// use" configuration of the §9.1 background benchmark, with the kernel
+/// at `Dom_UNT`.
+pub struct KernelDriver<'a, G> {
+    /// The CVM.
+    pub cvm: &'a mut GenericCvm<G>,
     /// Process both sections run in.
     pub pid: Pid,
 }
 
-impl Driver for NativeDriver<'_> {
+impl<G: MonitorChannel> Driver for KernelDriver<'_, G> {
     fn shielded(&mut self, f: Section<'_>) -> Result<(), Errno> {
-        let mut sys = self.cvm.sys(self.pid);
-        f(&mut sys)
+        f(&mut self.cvm.sys(self.pid))
     }
 
     fn untrusted(&mut self, f: Section<'_>) -> Result<(), Errno> {
-        let mut sys = self.cvm.sys(self.pid);
-        f(&mut sys)
+        f(&mut self.cvm.sys(self.pid))
     }
 
     fn cycles(&self) -> u64 {
@@ -59,36 +64,18 @@ impl Driver for NativeDriver<'_> {
     }
 }
 
-/// Runs everything at `Dom_UNT` in a Veil CVM — the "Veil, no protected
-/// service in use" configuration of the §9.1 background benchmark.
-pub struct VeilUnshieldedDriver<'a> {
-    /// The Veil CVM.
-    pub cvm: &'a mut veil_services::Cvm,
-    /// Process both sections run in.
-    pub pid: Pid,
-}
-
-impl Driver for VeilUnshieldedDriver<'_> {
-    fn shielded(&mut self, f: Section<'_>) -> Result<(), Errno> {
-        let mut sys = self.cvm.sys(self.pid);
-        f(&mut sys)
-    }
-
-    fn untrusted(&mut self, f: Section<'_>) -> Result<(), Errno> {
-        let mut sys = self.cvm.sys(self.pid);
-        f(&mut sys)
-    }
-
-    fn cycles(&self) -> u64 {
-        self.cvm.hv.machine.cycles().total()
-    }
+/// An enclave driver's untrusted section: the enclave thread is
+/// descheduled and the app runs normally, in the same process.
+fn run_untrusted(cvm: &mut Cvm, rt: &mut EnclaveRuntime, f: Section<'_>) -> Result<(), Errno> {
+    park_enclave(cvm, rt)?;
+    f(&mut cvm.sys(rt.handle.pid))
 }
 
 /// Shielded sections run inside a VeilS-ENC enclave; untrusted sections
 /// run as the plain application (same process, outside the enclave).
 pub struct EnclaveDriver<'a> {
     /// The Veil CVM.
-    pub cvm: &'a mut veil_services::Cvm,
+    pub cvm: &'a mut Cvm,
     /// The enclave runtime (installed by `veil_sdk::install_enclave`).
     pub rt: &'a mut EnclaveRuntime,
 }
@@ -101,17 +88,7 @@ impl Driver for EnclaveDriver<'_> {
     }
 
     fn untrusted(&mut self, f: Section<'_>) -> Result<(), Errno> {
-        // The enclave thread is descheduled; the app runs normally.
-        park_enclave(self.cvm, self.rt)?;
-        let pid = self.rt.handle.pid;
-        let mut sys = KernelSys {
-            kernel: &mut self.cvm.kernel,
-            hv: &mut self.cvm.hv,
-            gate: &mut self.cvm.gate,
-            vcpu: 0,
-            pid,
-        };
-        f(&mut sys)
+        run_untrusted(self.cvm, self.rt, f)
     }
 
     fn cycles(&self) -> u64 {
@@ -123,7 +100,7 @@ impl Driver for EnclaveDriver<'_> {
 /// fire-and-forget calls are queued and drained `batch` at a time.
 pub struct BatchedEnclaveDriver<'a> {
     /// The Veil CVM.
-    pub cvm: &'a mut veil_services::Cvm,
+    pub cvm: &'a mut Cvm,
     /// The enclave runtime.
     pub rt: &'a mut EnclaveRuntime,
     /// Queue depth per exit pair.
@@ -140,16 +117,7 @@ impl Driver for BatchedEnclaveDriver<'_> {
     }
 
     fn untrusted(&mut self, f: Section<'_>) -> Result<(), Errno> {
-        park_enclave(self.cvm, self.rt)?;
-        let pid = self.rt.handle.pid;
-        let mut sys = KernelSys {
-            kernel: &mut self.cvm.kernel,
-            hv: &mut self.cvm.hv,
-            gate: &mut self.cvm.gate,
-            vcpu: 0,
-            pid,
-        };
-        f(&mut sys)
+        run_untrusted(self.cvm, self.rt, f)
     }
 
     fn cycles(&self) -> u64 {
@@ -167,7 +135,7 @@ mod tests {
     fn native_driver_runs_sections() {
         let mut cvm = veil_services::CvmBuilder::new().frames(2048).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = NativeDriver { cvm: &mut cvm, pid };
+        let mut d = KernelDriver { cvm: &mut cvm, pid };
         let mut seen = 0u32;
         d.shielded(&mut |sys| {
             let fd = sys.open("/tmp/n", OpenFlags::rdwr_create())?;

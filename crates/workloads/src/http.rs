@@ -240,7 +240,7 @@ mod tests {
     fn serves_requests_natively() {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let stats = HttpWorkload::lighttpd(5).run(&mut d).unwrap();
         assert_eq!(stats.ops, 5);
         assert!(stats.bytes >= 5 * 10 * 1024, "served the body each time");

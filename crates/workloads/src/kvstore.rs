@@ -83,7 +83,7 @@ mod tests {
     fn workload_runs_and_writes() {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let stats = UnqliteWorkload { entries: 300 }.run(&mut d).unwrap();
         assert_eq!(stats.ops, 300);
         assert_eq!(stats.bytes, 300 * 40);
@@ -96,7 +96,7 @@ mod tests {
         let run = || {
             let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
             let pid = cvm.spawn();
-            let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+            let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
             UnqliteWorkload { entries: 50 }.run(&mut d).unwrap().checksum
         };
         assert_eq!(run(), run());

@@ -3,9 +3,11 @@
 //! Every workload is written against [`veil_os::sys::Sys`] through a
 //! [`driver::Driver`], so the *same* program runs:
 //!
-//! * natively in a baseline CVM,
-//! * under Veil with no service in use (background-impact runs),
-//! * shielded inside a VeilS-ENC enclave (Fig. 5),
+//! * natively in a baseline CVM, or under Veil with no service in use
+//!   (background-impact runs), both through one
+//!   [`driver::KernelDriver`] over the one CVM type;
+//! * shielded inside a VeilS-ENC enclave (Fig. 5), through
+//!   [`driver::EnclaveDriver`];
 //! * with kaudit or VeilS-LOG auditing active (Fig. 6).
 //!
 //! The compute kernels are real (LZ77 compression, B-tree inserts, AES/

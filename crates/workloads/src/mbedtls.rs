@@ -116,7 +116,7 @@ mod tests {
     fn workload_runs() {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let stats = MbedtlsWorkload { tests: 40 }.run(&mut d).unwrap();
         assert_eq!(stats.ops, 40);
         assert_eq!(cvm.kernel.console().len(), 40, "one progress dot per test");

@@ -149,7 +149,7 @@ mod tests {
     fn workload_runs() {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let stats = MemcachedWorkload { ops: 100, keyspace: 20 }.run(&mut d).unwrap();
         assert_eq!(stats.ops, 100);
         assert!(stats.bytes > 0);

@@ -318,7 +318,7 @@ mod tests {
     fn sqlite_workload_runs() {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let stats = SqliteWorkload { rows: 200 }.run(&mut d).unwrap();
         assert_eq!(stats.ops, 200);
         let mut sys = cvm.sys(pid);

@@ -63,7 +63,7 @@ mod tests {
         let run = || {
             let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
             let pid = cvm.spawn();
-            let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+            let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
             OpensslWorkload { rounds: 10, burst_len: 4096 }.run(&mut d).unwrap()
         };
         let a = run();

@@ -72,7 +72,7 @@ mod tests {
         let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
         let pid = cvm.spawn();
         let before = cvm.hv.machine.cycles().snapshot();
-        let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+        let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
         let stats = SpecCpuWorkload { iterations: 200 }.run(&mut d).unwrap();
         assert_eq!(stats.ops, 200);
         let delta = cvm.hv.machine.cycles().since(&before);
@@ -90,7 +90,7 @@ mod tests {
         let run = || {
             let mut cvm = veil_services::CvmBuilder::new().frames(4096).build_native().unwrap();
             let pid = cvm.spawn();
-            let mut d = crate::driver::NativeDriver { cvm: &mut cvm, pid };
+            let mut d = crate::driver::KernelDriver { cvm: &mut cvm, pid };
             SpecCpuWorkload { iterations: 50 }.run(&mut d).unwrap().checksum
         };
         assert_eq!(run(), run());

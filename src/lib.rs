@@ -7,9 +7,13 @@
 //!
 //! ```
 //! use veil::prelude::*;
+//! use veil::snp::perms::Vmpl;
 //!
-//! let cvm = CvmBuilder::new().vcpus(2).build().expect("boot");
-//! assert!(cvm.veil_enabled());
+//! // One CVM type: the same machine and kernel, under Veil or natively.
+//! let cvm: Cvm = CvmBuilder::new().vcpus(2).build().expect("boot");
+//! assert_eq!(cvm.kernel.vmpl, Vmpl::Vmpl3);
+//! let native: NativeCvm = CvmBuilder::new().vcpus(2).build_native().expect("boot");
+//! assert_eq!(native.kernel.vmpl, Vmpl::Vmpl0);
 //! ```
 
 #![forbid(unsafe_code)]

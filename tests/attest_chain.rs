@@ -25,7 +25,7 @@ use veil_snp::vcek::{
 use veil_testkit::golden;
 use veil_testkit::prop::{bytes, check, ints, tuple2, tuple3, Strategy};
 use veil_testkit::{prop_assert, prop_assert_eq};
-use veil_workloads::driver::VeilUnshieldedDriver;
+use veil_workloads::driver::KernelDriver;
 use veil_workloads::http::HttpWorkload;
 use veil_workloads::Workload;
 
@@ -428,7 +428,7 @@ fn golden_attested_http_trace_digest() {
     cvm.hv.set_trace(true);
     let pid = cvm.spawn();
     {
-        let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
+        let mut driver = KernelDriver { cvm: &mut cvm, pid };
         HttpWorkload::nginx(10).run(&mut driver).unwrap();
     }
     cvm.flush_gate().unwrap();

@@ -17,7 +17,7 @@ use veil::prelude::*;
 use veil::trace::EventCounters;
 use veil_os::audit::AuditMode;
 use veil_os::syscall::Sysno;
-use veil_workloads::driver::VeilUnshieldedDriver;
+use veil_workloads::driver::KernelDriver;
 use veil_workloads::{
     compress::GzipWorkload, http::HttpWorkload, kvstore::UnqliteWorkload, minidb::SqliteWorkload,
     Workload, WorkloadStats,
@@ -49,7 +49,7 @@ fn run(workload: &mut dyn Workload, batched: bool) -> RunResult {
     let pid = cvm.spawn();
     let cycles_before = cvm.hv.machine.cycles().total();
     let stats = {
-        let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
+        let mut driver = KernelDriver { cvm: &mut cvm, pid };
         workload.run(&mut driver).expect("workload")
     };
     cvm.flush_gate().expect("flush");

@@ -6,7 +6,7 @@ use veil_core::cvm::VENDOR_KEY;
 use veil_os::audit::AuditMode;
 use veil_os::module::ModuleImage;
 use veil_sdk::{install_enclave, remove_enclave, EnclaveBinary, EnclaveRuntime, EnclaveSys};
-use veil_workloads::driver::{EnclaveDriver, VeilUnshieldedDriver};
+use veil_workloads::driver::{EnclaveDriver, KernelDriver};
 use veil_workloads::minidb::SqliteWorkload;
 use veil_workloads::Workload;
 
@@ -48,7 +48,7 @@ fn all_services_coexist_in_one_cvm() {
         sys.unlink("/data/test.db-wal").ok();
     }
     let native_stats = {
-        let mut d = VeilUnshieldedDriver { cvm: &mut cvm, pid: native_pid };
+        let mut d = KernelDriver { cvm: &mut cvm, pid: native_pid };
         SqliteWorkload { rows: 150 }.run(&mut d).unwrap()
     };
 

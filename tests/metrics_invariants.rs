@@ -30,7 +30,7 @@ use veil::trace::{exit_code, Event, EventCounters};
 use veil_testkit::golden;
 use veil_testkit::rng::TestRng;
 use veil_testkit::{prop, prop_assert, prop_assert_eq};
-use veil_workloads::driver::VeilUnshieldedDriver;
+use veil_workloads::driver::KernelDriver;
 use veil_workloads::http::HttpWorkload;
 use veil_workloads::Workload;
 
@@ -140,7 +140,7 @@ fn histogram_merge_is_commutative_and_associative() {
 fn http_metrics_cvm(n: usize) -> Cvm {
     let mut cvm = CvmBuilder::new().frames(2048).vcpus(1).metrics(true).build().unwrap();
     let pid = cvm.spawn();
-    let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
+    let mut driver = KernelDriver { cvm: &mut cvm, pid };
     HttpWorkload::nginx(n).run(&mut driver).unwrap();
     cvm
 }
@@ -218,7 +218,7 @@ fn http_traced_cvm(metrics: bool, audited: bool) -> Cvm {
         cvm.kernel.audit.rules = veil_os::audit::paper_ruleset();
     }
     let pid = cvm.spawn();
-    let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
+    let mut driver = KernelDriver { cvm: &mut cvm, pid };
     HttpWorkload::nginx(25).run(&mut driver).unwrap();
     cvm.flush_gate().unwrap();
     cvm

@@ -4,13 +4,23 @@
 
 use std::path::Path;
 use veil::prelude::*;
-use veil_hv::SwitchEvent;
 use veil_os::monitor::MonRequest;
 use veil_sdk::{install_enclave, EnclaveBinary, EnclaveRuntime, EnclaveSys};
-use veil_snp::perms::Vmpl;
-use veil_workloads::driver::VeilUnshieldedDriver;
+use veil_trace::Event;
+use veil_workloads::driver::KernelDriver;
 use veil_workloads::http::HttpWorkload;
 use veil_workloads::Workload;
+
+/// The `DomainSwitch` records of the machine's trace ring, oldest first.
+/// Domains appear as VMPL indices: 0 `Dom_MON`, 1 `Dom_SER`, 2 `Dom_ENC`,
+/// 3 `Dom_UNT`.
+fn switches(cvm: &Cvm) -> Vec<Event> {
+    cvm.trace_records()
+        .into_iter()
+        .map(|r| r.event)
+        .filter(|e| matches!(e, Event::DomainSwitch { .. }))
+        .collect()
+}
 
 #[test]
 fn fig3_sequence_for_a_delegated_request() {
@@ -25,22 +35,10 @@ fn fig3_sequence_for_a_delegated_request() {
     // Fig. 3: OS exits to the hypervisor, resumes at VeilMon, processes,
     // and the reply path mirrors it.
     assert_eq!(
-        cvm.hv.trace(),
+        switches(&cvm),
         &[
-            SwitchEvent {
-                vcpu: 0,
-                from: Vmpl::Vmpl3,
-                to: Vmpl::Vmpl0,
-                user_ghcb: false,
-                automatic: false
-            },
-            SwitchEvent {
-                vcpu: 0,
-                from: Vmpl::Vmpl0,
-                to: Vmpl::Vmpl3,
-                user_ghcb: false,
-                automatic: false
-            },
+            Event::DomainSwitch { vcpu: 0, from: 3, to: 0, user_ghcb: false, automatic: false },
+            Event::DomainSwitch { vcpu: 0, from: 0, to: 3, user_ghcb: false, automatic: false },
         ]
     );
 }
@@ -60,12 +58,15 @@ fn service_requests_terminate_in_dom_ser() {
         sys.close(fd).unwrap();
     }
     // Each audited syscall produced one Dom_UNT -> Dom_SER round trip.
-    let trace = cvm.hv.trace();
+    let trace = switches(&cvm);
     assert_eq!(trace.len(), 4, "open + close = two round trips: {trace:?}");
     for pair in trace.chunks(2) {
-        assert_eq!(pair[0].to, Vmpl::Vmpl1, "log append terminates in Dom_SER");
-        assert_eq!(pair[1].to, Vmpl::Vmpl3, "and returns to the kernel");
-        assert!(!pair[0].user_ghcb);
+        assert!(
+            matches!(pair[0], Event::DomainSwitch { to: 1, .. }),
+            "log append terminates in Dom_SER"
+        );
+        assert!(matches!(pair[1], Event::DomainSwitch { to: 3, .. }), "and returns to the kernel");
+        assert!(matches!(pair[0], Event::DomainSwitch { user_ghcb: false, .. }));
     }
 }
 
@@ -82,13 +83,13 @@ fn batched_service_requests_share_one_doorbell_pair() {
         sys.close(fd).unwrap();
     }
     // Both audit appends sit in the ring: no switches yet.
-    assert!(cvm.hv.trace().is_empty(), "{:?}", cvm.hv.trace());
+    assert!(switches(&cvm).is_empty(), "{:?}", switches(&cvm));
     cvm.flush_gate().unwrap();
     // One doorbell round trip drained both records into Dom_SER.
-    let trace = cvm.hv.trace();
+    let trace = switches(&cvm);
     assert_eq!(trace.len(), 2, "one switch pair for the whole batch: {trace:?}");
-    assert_eq!(trace[0].to, Vmpl::Vmpl1, "drain terminates in Dom_SER");
-    assert_eq!(trace[1].to, Vmpl::Vmpl3, "and returns to the kernel");
+    assert!(matches!(trace[0], Event::DomainSwitch { to: 1, .. }), "drain terminates in Dom_SER");
+    assert!(matches!(trace[1], Event::DomainSwitch { to: 3, .. }), "and returns to the kernel");
     assert_eq!(cvm.hv.stats().doorbells, 1);
     assert_eq!(cvm.gate.services.log.record_count(), 2, "open + close both landed");
 }
@@ -108,24 +109,11 @@ fn enclave_syscall_is_two_user_ghcb_crossings() {
         let mut sys = EnclaveSys::activate(&mut cvm, &mut rt).unwrap();
         sys.getpid().unwrap();
     }
-    let trace = cvm.hv.trace();
     assert_eq!(
-        trace,
+        switches(&cvm),
         &[
-            SwitchEvent {
-                vcpu: 0,
-                from: Vmpl::Vmpl2,
-                to: Vmpl::Vmpl3,
-                user_ghcb: true,
-                automatic: false
-            },
-            SwitchEvent {
-                vcpu: 0,
-                from: Vmpl::Vmpl3,
-                to: Vmpl::Vmpl2,
-                user_ghcb: true,
-                automatic: false
-            },
+            Event::DomainSwitch { vcpu: 0, from: 2, to: 3, user_ghcb: true, automatic: false },
+            Event::DomainSwitch { vcpu: 0, from: 3, to: 2, user_ghcb: true, automatic: false },
         ],
         "a redirected syscall is exactly one exit + one re-entry through the user GHCB"
     );
@@ -233,7 +221,7 @@ fn golden_batched_http_trace() {
     cvm.hv.set_trace(true);
     let pid = cvm.spawn();
     {
-        let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
+        let mut driver = KernelDriver { cvm: &mut cvm, pid };
         HttpWorkload::nginx(10).run(&mut driver).unwrap();
     }
     cvm.flush_gate().unwrap();
@@ -253,13 +241,7 @@ fn interrupt_relay_appears_as_automatic_event() {
     cvm.hv.set_trace(true);
     cvm.hv.automatic_exit(0);
     assert_eq!(
-        cvm.hv.trace(),
-        &[SwitchEvent {
-            vcpu: 0,
-            from: Vmpl::Vmpl2,
-            to: Vmpl::Vmpl3,
-            user_ghcb: false,
-            automatic: true
-        }]
+        switches(&cvm),
+        &[Event::DomainSwitch { vcpu: 0, from: 2, to: 3, user_ghcb: false, automatic: true }]
     );
 }

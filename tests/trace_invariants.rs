@@ -21,7 +21,7 @@ use veil_os::syscall::Sysno;
 use veil_sdk::{install_enclave, EnclaveBinary, EnclaveRuntime, EnclaveSys};
 use veil_snp::cost::CostCategory;
 use veil_testkit::{prop, prop_assert, prop_assert_eq, Strategy, TestRng};
-use veil_workloads::driver::{EnclaveDriver, VeilUnshieldedDriver};
+use veil_workloads::driver::{EnclaveDriver, KernelDriver};
 use veil_workloads::http::HttpWorkload;
 use veil_workloads::kvstore::UnqliteWorkload;
 use veil_workloads::minidb::SqliteWorkload;
@@ -285,7 +285,7 @@ fn random_workload_schedules_satisfy_invariants() {
         cvm.kernel.audit.mode = AuditMode::VeilLog;
         cvm.kernel.audit.rules = paper_ruleset();
         let pid = cvm.spawn();
-        let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
+        let mut driver = KernelDriver { cvm: &mut cvm, pid };
         for (i, it) in schedule.iter().enumerate() {
             let ran = match it {
                 Item::Kv(n) => UnqliteWorkload { entries: *n }.run(&mut driver),
